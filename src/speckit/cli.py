@@ -14,10 +14,10 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from .dataset import DEFAULT_MIN_TOKENS, extract_all, extract_release_dataset, write_datasets
-from .errors import RegistryError, SpecError, UnknownDevelopmentError, UnknownReleaseError
+from .errors import SpecError, UnknownDevelopmentError, UnknownReleaseError
 from .generator import generate_corpus, write_corpus
 from .index import (
     SpecIndex,
@@ -43,17 +43,39 @@ EXIT_LINT = 1
 EXIT_PARSE = 2
 EXIT_UNKNOWN = 3
 
+T = TypeVar("T")
+
+
+class _CorpusErrors(Exception):
+    """Parse or validation errors in the corpus, reported one per stderr line."""
+
+    def __init__(self, errors: list) -> None:
+        super().__init__(f"{len(errors)} error(s)")
+        self.errors = errors
+
 
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
 
 
-def _check_paths(*paths: Optional[str]) -> Optional[str]:
-    for p in paths:
-        if p is not None and not Path(p).exists():
-            return p
-    return None
+def _read_text(path: str) -> str:
+    """The file at `path` as UTF-8; a decoding failure names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from exc
+
+
+def _load(kind: str, path: str, parse: Callable[[str], T]) -> T:
+    """Read and parse one input file; a parse error is prefixed with `kind`."""
+    source = _read_text(path)
+    try:
+        return parse(source)
+    except (ValueError, SpecError) as exc:
+        raise ValueError(f"{kind}: {exc}") from exc
 
 
 def _load_corpus(paths: Sequence[str]) -> tuple[list[SpecDocument], list]:
@@ -61,7 +83,7 @@ def _load_corpus(paths: Sequence[str]) -> tuple[list[SpecDocument], list]:
     errors = []
     for p in paths:
         name = Path(p).stem
-        result = parse_document(Path(p).read_text(encoding="utf-8"), name=name)
+        result = parse_document(_read_text(p), name=name)
         docs.append(result.document)
         for err in result.errors:
             errors.append(
@@ -73,27 +95,26 @@ def _load_corpus(paths: Sequence[str]) -> tuple[list[SpecDocument], list]:
 def _load_inputs(
     args: argparse.Namespace,
 ) -> tuple[list[SpecDocument], DevelopmentRegistry, Lexicon, list]:
-    missing = _check_paths(*args.corpus, args.registry, getattr(args, "lexicon", None))
-    if missing:
-        raise FileNotFoundError(missing)
     docs, errors = _load_corpus(args.corpus)
-    registry = load_registry(Path(args.registry).read_text(encoding="utf-8"))
+    registry = _load("registry", args.registry, load_registry)
     lexicon_path = getattr(args, "lexicon", None)
     if lexicon_path:
-        lexicon = load_lexicon(Path(lexicon_path).read_text(encoding="utf-8"))
+        lexicon = _load("lexicon", lexicon_path, load_lexicon)
     else:
         lexicon = build_lexicon({})
     return docs, registry, lexicon, errors
 
 
-def _parse_release(text: str) -> ReleaseId:
-    return ReleaseId.parse(text)
-
-
-def _parse_deployment(text: str) -> Optional[DeploymentType]:
-    if text == "both":
-        return None
-    return DeploymentType(text)
+def _load_valid_inputs(
+    args: argparse.Namespace, cross_validate: bool = True
+) -> tuple[list[SpecDocument], DevelopmentRegistry, Lexicon]:
+    """Inputs with no parse (and, if `cross_validate`, no validation) errors."""
+    docs, registry, lexicon, errors = _load_inputs(args)
+    if cross_validate:
+        errors.extend(validate_corpus(docs, registry))
+    if errors:
+        raise _CorpusErrors(errors)
+    return docs, registry, lexicon
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +123,7 @@ def _parse_deployment(text: str) -> Optional[DeploymentType]:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        docs, registry, _, errors = _load_inputs(args)
-    except FileNotFoundError as exc:
-        return _fail(EXIT_PARSE, f"no such file: {exc}")
-    except RegistryError as exc:
-        return _fail(EXIT_PARSE, f"registry: {exc}")
+    docs, registry, _, errors = _load_inputs(args)
     errors.extend(validate_corpus(docs, registry))
     for err in errors:
         print(err)
@@ -120,31 +136,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_resolve(args: argparse.Namespace) -> int:
-    try:
-        docs, registry, _, errors = _load_inputs(args)
-    except FileNotFoundError as exc:
-        return _fail(EXIT_PARSE, f"no such file: {exc}")
-    except RegistryError as exc:
-        return _fail(EXIT_PARSE, f"registry: {exc}")
-    if errors:
-        for err in errors:
-            print(err, file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        release = _parse_release(args.release)
-    except ValueError as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    dep = _parse_deployment(args.deployment)
+    docs, registry, _ = _load_valid_inputs(args, cross_validate=False)
+    release = ReleaseId.parse(args.release)
+    dep = None if args.deployment == "both" else DeploymentType(args.deployment)
 
     req = next(
         (r for doc in docs for r in doc.iter_requirements() if r.id == args.id), None
     )
     if req is None:
         return _fail(EXIT_UNKNOWN, f"unknown requirement id: {args.id}")
-    try:
-        resolved = materialize(req, release, dep, registry)
-    except UnknownDevelopmentError as exc:
-        return _fail(EXIT_UNKNOWN, str(exc))
+    resolved = materialize(req, release, dep, registry)
     if resolved is None:
         return _fail(EXIT_UNKNOWN, f"{args.id} is not valid at release {release}")
     if args.format == "json":
@@ -166,36 +167,10 @@ def cmd_resolve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_lint_config(args: argparse.Namespace) -> LintConfig:
-    config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    if not config_path:
-        return LintConfig()
-    path = Path(config_path)
-    if not path.exists():
-        raise FileNotFoundError(config_path)
-    return LintConfig.from_json(path.read_text(encoding="utf-8"))
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
-    try:
-        config = _load_lint_config(args)
-    except FileNotFoundError as exc:
-        return _fail(EXIT_PARSE, f"no such config file: {exc}")
-    except (ValueError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_PARSE, f"config: {exc}")
-    try:
-        docs, registry, lexicon, errors = _load_inputs(args)
-    except FileNotFoundError as exc:
-        return _fail(EXIT_PARSE, f"no such file: {exc}")
-    except RegistryError as exc:
-        return _fail(EXIT_PARSE, f"registry: {exc}")
-    except (ValueError, SpecError) as exc:
-        return _fail(EXIT_PARSE, f"lexicon: {exc}")
-    errors.extend(validate_corpus(docs, registry))
-    if errors:
-        for err in errors:
-            print(err, file=sys.stderr)
-        return EXIT_PARSE
+    config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
+    config = _load("config", config_path, LintConfig.from_json) if config_path else LintConfig()
+    docs, registry, lexicon = _load_valid_inputs(args)
 
     findings = lint_corpus(docs, registry, lexicon, config)
     if args.format == "json":
@@ -219,19 +194,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_index_build(args: argparse.Namespace) -> int:
-    try:
-        docs, registry, lexicon, errors = _load_inputs(args)
-    except FileNotFoundError as exc:
-        return _fail(EXIT_PARSE, f"no such file: {exc}")
-    except RegistryError as exc:
-        return _fail(EXIT_PARSE, f"registry: {exc}")
-    except (ValueError, SpecError) as exc:
-        return _fail(EXIT_PARSE, f"lexicon: {exc}")
-    errors.extend(validate_corpus(docs, registry))
-    if errors:
-        for err in errors:
-            print(err, file=sys.stderr)
-        return EXIT_PARSE
+    docs, registry, lexicon = _load_valid_inputs(args)
     index = build_index(docs, registry, lexicon)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -242,17 +205,10 @@ def cmd_index_build(args: argparse.Namespace) -> int:
 
 def _obtain_index(args: argparse.Namespace) -> SpecIndex:
     if args.index:
-        path = Path(args.index)
-        if not path.exists():
-            raise FileNotFoundError(args.index)
-        return index_from_json(path.read_text(encoding="utf-8"))
+        return _load("index", args.index, index_from_json)
     if not args.corpus or not args.registry:
         raise ValueError("provide --index or --corpus/--registry (plus --lexicon)")
-    docs, registry, lexicon, errors = _load_inputs(args)
-    errors.extend(validate_corpus(docs, registry))
-    if errors:
-        raise ValueError("; ".join(str(e) for e in errors))
-    return build_index(docs, registry, lexicon)
+    return build_index(*_load_valid_inputs(args))
 
 
 def _print_entries(entries: list[tuple[str, str]], release: str, fmt: str, deployment: str = "both") -> None:
@@ -296,95 +252,61 @@ def _print_diffs(diffs: list[BehaviorDiff], fmt: str) -> None:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    try:
-        index = _obtain_index(args)
-    except FileNotFoundError as exc:
-        return _fail(EXIT_PARSE, f"no such file: {exc}")
-    except RegistryError as exc:
-        return _fail(EXIT_PARSE, f"registry: {exc}")
-    except ValueError as exc:
-        return _fail(EXIT_PARSE, str(exc))
-
-    try:
-        if args.form == "behavior":
-            release = _parse_release(args.release)
-            entries = query_behavior(index, args.proc, release)
-            _print_entries(entries, str(release), args.format)
-        elif args.form == "diff":
-            a = _parse_release(args.release_from)
-            b = _parse_release(args.release_to)
-            _print_diffs(query_release_diff(index, args.proc, a, b), args.format)
-        elif args.form == "dev":
-            _print_diffs(query_dev_changes(index, args.proc, args.dev), args.format)
-        elif args.form == "reqs":
-            ids = sorted(query_requirements(index, args.proc))
-            if args.format == "json":
-                print(
-                    json.dumps(
-                        {"procedure": args.proc, "requirements": ids},
-                        sort_keys=True,
-                        ensure_ascii=False,
-                    )
+    index = _obtain_index(args)
+    if args.form == "behavior":
+        release = ReleaseId.parse(args.release)
+        entries = query_behavior(index, args.proc, release)
+        _print_entries(entries, str(release), args.format)
+    elif args.form == "diff":
+        a = ReleaseId.parse(args.release_from)
+        b = ReleaseId.parse(args.release_to)
+        _print_diffs(query_release_diff(index, args.proc, a, b), args.format)
+    elif args.form == "dev":
+        _print_diffs(query_dev_changes(index, args.proc, args.dev), args.format)
+    elif args.form == "reqs":
+        ids = sorted(query_requirements(index, args.proc))
+        if args.format == "json":
+            print(
+                json.dumps(
+                    {"procedure": args.proc, "requirements": ids},
+                    sort_keys=True,
+                    ensure_ascii=False,
                 )
-            else:
-                for req_id in ids:
-                    print(req_id)
-        else:  # deployment
-            dep = DeploymentType(args.deployment)
-            release = _parse_release(args.release) if args.release else None
-            entries = query_deployment(index, args.proc, dep, release)
-            shown = str(release) if release else str(index.latest_release())
-            _print_entries(entries, shown, args.format, deployment=dep.value)
-    except (UnknownReleaseError, UnknownDevelopmentError) as exc:
-        return _fail(EXIT_UNKNOWN, str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_PARSE, str(exc))
+            )
+        else:
+            for req_id in ids:
+                print(req_id)
+    else:  # deployment
+        dep = DeploymentType(args.deployment)
+        release = ReleaseId.parse(args.release) if args.release else None
+        entries = query_deployment(index, args.proc, dep, release)
+        shown = str(release) if release else str(index.latest_release())
+        _print_entries(entries, shown, args.format, deployment=dep.value)
     return EXIT_OK
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    try:
-        docs, registry, _, errors = _load_inputs(args)
-    except FileNotFoundError as exc:
-        return _fail(EXIT_PARSE, f"no such file: {exc}")
-    except RegistryError as exc:
-        return _fail(EXIT_PARSE, f"registry: {exc}")
-    errors.extend(validate_corpus(docs, registry))
-    if errors:
-        for err in errors:
-            print(err, file=sys.stderr)
-        return EXIT_PARSE
-    out_dir = Path(args.out)
-    try:
-        if args.all:
-            datasets = extract_all(docs, registry, args.min_tokens)
-        else:
-            release = _parse_release(args.release)
-            datasets = [extract_release_dataset(docs, release, registry, args.min_tokens)]
-    except UnknownReleaseError as exc:
-        return _fail(EXIT_UNKNOWN, str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    written = write_datasets(datasets, out_dir)
-    for path in written:
+    docs, registry, _ = _load_valid_inputs(args)
+    if args.all:
+        datasets = extract_all(docs, registry, args.min_tokens)
+    else:
+        release = ReleaseId.parse(args.release)
+        datasets = [extract_release_dataset(docs, release, registry, args.min_tokens)]
+    for path in write_datasets(datasets, Path(args.out)):
         print(path)
     return EXIT_OK
 
 
 def cmd_gen_corpus(args: argparse.Namespace) -> int:
-    try:
-        bundle = generate_corpus(
-            seed=args.seed,
-            size=args.size,
-            dup_pairs=args.dup_pairs,
-            overlength=args.overlength,
-            alias_usages=args.alias_usages,
-            dispersed_procs=args.dispersed,
-        )
-    except ValueError as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    written = write_corpus(bundle, Path(args.out))
-    for path in written:
+    bundle = generate_corpus(
+        seed=args.seed,
+        size=args.size,
+        dup_pairs=args.dup_pairs,
+        overlength=args.overlength,
+        alias_usages=args.alias_usages,
+        dispersed_procs=args.dispersed,
+    )
+    for path in write_corpus(bundle, Path(args.out)):
         print(path)
     return EXIT_OK
 
@@ -499,9 +421,23 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand; the handlers below are the only exception-to-exit-code map."""
     parser = build_arg_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _CorpusErrors as exc:
+        for err in exc.errors:
+            print(err, file=sys.stderr)
+        return EXIT_PARSE
+    except (UnknownReleaseError, UnknownDevelopmentError) as exc:
+        return _fail(EXIT_UNKNOWN, str(exc))
+    except FileNotFoundError as exc:
+        return _fail(EXIT_PARSE, f"no such file: {exc.filename}")
+    except OSError as exc:
+        return _fail(EXIT_PARSE, f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc))
+    except (ValueError, SpecError) as exc:
+        return _fail(EXIT_PARSE, str(exc))
 
 
 if __name__ == "__main__":

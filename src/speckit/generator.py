@@ -28,6 +28,7 @@ from .model import (
     RequirementVersion,
     Section,
     SpecDocument,
+    merge_adjacent_plain,
 )
 from .parser import dump_registry, serialize
 from .tokenizer import tokenize, normalize
@@ -204,16 +205,6 @@ def random_tagged_requirement(
     return req, registry
 
 
-def _merge_adjacent_plain(segments: list[ContentSegment]) -> tuple[ContentSegment, ...]:
-    merged: list[ContentSegment] = []
-    for seg in segments:
-        if isinstance(seg, PlainText) and merged and isinstance(merged[-1], PlainText):
-            merged[-1] = PlainText(merged[-1].text + " " + seg.text)
-        else:
-            merged.append(seg)
-    return tuple(merged)
-
-
 def random_document(rng: random.Random, name: str, req_start: int = 1) -> SpecDocument:
     """A random well-formed document in canonical form, for round-trip testing."""
     counter = req_start
@@ -238,7 +229,7 @@ def random_document(rng: random.Random, name: str, req_start: int = 1) -> SpecDo
                 segments.append(PlainText(_sentence(rng)))
         if not isinstance(segments[-1], PlainText):
             segments.append(PlainText(_sentence(rng)))
-        return _merge_adjacent_plain(segments)
+        return merge_adjacent_plain(segments)
 
     def make_requirement(path: tuple[str, ...]) -> Requirement:
         nonlocal counter

@@ -281,44 +281,48 @@ def index_to_json(index: SpecIndex) -> str:
 
 
 def index_from_json(source: str) -> SpecIndex:
+    """Load a persisted index; a wrong-shaped document raises "malformed index"."""
     data = json.loads(source)
-    version = data.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported index format version: {version!r}")
-    return SpecIndex(
-        release_universe=[ReleaseId.parse(r) for r in data["release_universe"]],
-        registry={dev: ReleaseId.parse(r) for dev, r in data["registry"].items()},
-        aliases=dict(data["aliases"]),
-        req_release={
-            req_id: {
-                r: (record["text"], frozenset(record["devs"]))
-                for r, record in by_release.items()
-            }
-            for req_id, by_release in data["req_release"].items()
-        },
-        proc_release={
-            proc: {
-                r: [(req_id, text) for req_id, text in entries]
-                for r, entries in by_release.items()
-            }
-            for proc, by_release in data["proc_release"].items()
-        },
-        proc_dev={
-            proc: {
-                dev: [_diff_from_dict(d) for d in diffs]
-                for dev, diffs in by_dev.items()
-            }
-            for proc, by_dev in data["proc_dev"].items()
-        },
-        proc_req={proc: set(ids) for proc, ids in data["proc_req"].items()},
-        proc_dep={
-            proc: {
-                dep: {
+    try:
+        version = data.get("format_version")
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported index format version: {version!r}")
+        return SpecIndex(
+            release_universe=[ReleaseId.parse(r) for r in data["release_universe"]],
+            registry={dev: ReleaseId.parse(r) for dev, r in data["registry"].items()},
+            aliases=dict(data["aliases"]),
+            req_release={
+                req_id: {
+                    r: (record["text"], frozenset(record["devs"]))
+                    for r, record in by_release.items()
+                }
+                for req_id, by_release in data["req_release"].items()
+            },
+            proc_release={
+                proc: {
                     r: [(req_id, text) for req_id, text in entries]
                     for r, entries in by_release.items()
                 }
-                for dep, by_release in by_dep.items()
-            }
-            for proc, by_dep in data["proc_dep"].items()
-        },
-    )
+                for proc, by_release in data["proc_release"].items()
+            },
+            proc_dev={
+                proc: {
+                    dev: [_diff_from_dict(d) for d in diffs]
+                    for dev, diffs in by_dev.items()
+                }
+                for proc, by_dev in data["proc_dev"].items()
+            },
+            proc_req={proc: set(ids) for proc, ids in data["proc_req"].items()},
+            proc_dep={
+                proc: {
+                    dep: {
+                        r: [(req_id, text) for req_id, text in entries]
+                        for r, entries in by_release.items()
+                    }
+                    for dep, by_release in by_dep.items()
+                }
+                for proc, by_dep in data["proc_dep"].items()
+            },
+        )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed index: {type(exc).__name__}: {exc}") from exc

@@ -140,6 +140,17 @@ def iter_dev_ids(segments: tuple[ContentSegment, ...]) -> Iterator[str]:
             yield from iter_dev_ids(seg.body)
 
 
+def merge_adjacent_plain(segments: list[ContentSegment]) -> tuple[ContentSegment, ...]:
+    """Join each run of adjacent PlainText segments into one, space-separated."""
+    merged: list[ContentSegment] = []
+    for seg in segments:
+        if isinstance(seg, PlainText) and merged and isinstance(merged[-1], PlainText):
+            merged[-1] = PlainText(merged[-1].text + " " + seg.text)
+        else:
+            merged.append(seg)
+    return tuple(merged)
+
+
 @dataclass(frozen=True)
 class RequirementVersion:
     """One release-scoped version of a requirement.

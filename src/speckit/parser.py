@@ -295,7 +295,6 @@ class _VersionDraft:
     last: Optional[ReleaseId]
     last_open: bool
     content_lines: list[tuple[int, str]] = field(default_factory=list)
-    bad: bool = False
 
 
 @dataclass
@@ -343,7 +342,7 @@ def parse_document(source: str, name: str = "") -> ParseResult:
             end_line = draft.content_lines[-1][0] if draft.content_lines else draft.line
             segments = machine.finish(end_line)
             block_errors.extend(machine.errors)
-            if draft.bad or draft.first is None:
+            if draft.first is None:
                 continue
             versions.append(
                 RequirementVersion(
@@ -410,8 +409,9 @@ def parse_document(source: str, name: str = "") -> ParseResult:
                 try:
                     draft.first = ReleaseId.parse(m.group(1))
                 except ValueError as exc:
-                    errors.append(ParseError(ParseErrorKind.BAD_RELEASE_ID, line_no, str(exc)))
-                    draft.bad = True
+                    block.errors.append(
+                        ParseError(ParseErrorKind.BAD_RELEASE_ID, line_no, str(exc))
+                    )
                 last_text = m.group(2)
                 if last_text == "open":
                     draft.last = None
@@ -419,18 +419,9 @@ def parse_document(source: str, name: str = "") -> ParseResult:
                     try:
                         draft.last = ReleaseId.parse(last_text)
                     except ValueError as exc:
-                        errors.append(
+                        block.errors.append(
                             ParseError(ParseErrorKind.BAD_RELEASE_ID, line_no, str(exc))
                         )
-                        draft.bad = True
-                if draft.bad:
-                    block.errors.append(
-                        ParseError(
-                            ParseErrorKind.BAD_RELEASE_ID,
-                            line_no,
-                            "version header has malformed release id",
-                        )
-                    )
                 block.versions.append(draft)
                 continue
             m = _REQ_OPEN_RE.match(line)

@@ -27,6 +27,7 @@ from .model import (
     Requirement,
     RequirementVersion,
     iter_dev_ids,
+    merge_adjacent_plain,
     previous_release,
     version_at,
 )
@@ -157,21 +158,7 @@ def _inline_dev(
             out.append(DeploymentSpan(seg.dep, _inline_dev(seg.body, dev)))
         else:
             out.append(seg)
-    return _merge_plain(out)
-
-
-def _merge_plain(segments: list[ContentSegment]) -> tuple[ContentSegment, ...]:
-    merged: list[ContentSegment] = []
-    for seg in segments:
-        if (
-            isinstance(seg, PlainText)
-            and merged
-            and isinstance(merged[-1], PlainText)
-        ):
-            merged[-1] = PlainText(merged[-1].text + " " + seg.text)
-        else:
-            merged.append(seg)
-    return tuple(merged)
+    return merge_adjacent_plain(out)
 
 
 def baseline(

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from speckit import cli
 from speckit.cli import main
 from speckit.generator import generate_corpus
 
@@ -398,6 +399,86 @@ class TestGoldenJsonOutputs:
             '"text": "The A2 measurement for Handover shall stop. '
             'Standalone extra step."}\n'
         )
+
+
+# Each case: argv with "{d}" standing for the error_dir fixture, and the exit code.
+CORPUS_ARGS = ["--corpus", "{d}/doc.spec", "--registry", "{d}/registry.txt"]
+ERROR_CASES = {
+    "corpus-not-utf8": (
+        ["validate", "--corpus", "{d}/latin1.spec", "--registry", "{d}/registry.txt"], 2
+    ),
+    "corpus-is-directory": (
+        ["validate", "--corpus", "{d}/sub", "--registry", "{d}/registry.txt"], 2
+    ),
+    "registry-is-directory": (
+        ["validate", "--corpus", "{d}/doc.spec", "--registry", "{d}/sub"], 2
+    ),
+    "config-is-directory": (["lint", *CORPUS_ARGS, "--config", "{d}/sub"], 2),
+    "index-is-directory": (
+        ["query", "reqs", "--index", "{d}/sub", "--proc", "A2 measurement"], 2
+    ),
+    "query-corpus-conflicting-aliases": (
+        ["query", "reqs", *CORPUS_ARGS, "--lexicon", "{d}/conflict.json", "--proc", "A"],
+        2,
+    ),
+    "index-missing-keys": (
+        ["query", "reqs", "--index", "{d}/keys.json", "--proc", "A2 measurement"], 2
+    ),
+    "index-not-an-object": (
+        ["query", "reqs", "--index", "{d}/list.json", "--proc", "A2 measurement"], 2
+    ),
+    "extract-out-is-a-file": (
+        ["extract", *CORPUS_ARGS, "--all", "--out", "{d}/registry.txt"], 2
+    ),
+    "missing-file": (
+        ["validate", "--corpus", "{d}/absent.spec", "--registry", "{d}/registry.txt"], 2
+    ),
+    "bad-config": (["lint", *CORPUS_ARGS, "--config", "{d}/bad_config.json"], 2),
+    "unknown-release": (
+        ["query", "behavior", *CORPUS_ARGS, "--proc", "A2 measurement", "--release", "09R9"],
+        3,
+    ),
+}
+
+
+class TestErrorContract:
+    """Every failure exits with its documented code and one `error:` line."""
+
+    @pytest.fixture()
+    def error_dir(self, corpus_dir):
+        (corpus_dir / "latin1.spec").write_bytes("# Zeit\xfcberschreitung\n".encode("latin-1"))
+        (corpus_dir / "sub").mkdir()
+        (corpus_dir / "conflict.json").write_text('{"A": ["x y"], "B": ["x y"]}', encoding="utf-8")
+        (corpus_dir / "keys.json").write_text('{"format_version": 1}', encoding="utf-8")
+        (corpus_dir / "list.json").write_text("[1]", encoding="utf-8")
+        (corpus_dir / "bad_config.json").write_text('{"shingle_k": 0}', encoding="utf-8")
+        return corpus_dir
+
+    @pytest.mark.parametrize("argv, code", ERROR_CASES.values(), ids=ERROR_CASES.keys())
+    def test_exit_code_and_one_error_line(self, error_dir, capsys, argv, code):
+        assert main([a.format(d=error_dir) for a in argv]) == code
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_internal_bug_is_not_swallowed(self, corpus_dir, monkeypatch):
+        def broken(*_):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(cli, "validate_corpus", broken)
+        with pytest.raises(KeyError):
+            main(["validate", *corpus_args(corpus_dir)])
+
+    def test_process_exit_status(self, error_dir):
+        argv, code = ERROR_CASES["corpus-not-utf8"]
+        result = subprocess.run(
+            [sys.executable, "-m", "speckit.cli", *[a.format(d=error_dir) for a in argv]],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == code
+        assert result.stderr.startswith("error: ") and len(result.stderr.splitlines()) == 1
+        assert "Traceback" not in result.stderr
 
 
 class TestGenCorpus:

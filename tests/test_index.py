@@ -186,6 +186,14 @@ class TestPersistence:
         with pytest.raises(ValueError):
             index_from_json(blob)
 
+    @pytest.mark.parametrize(
+        "blob",
+        ['{"format_version": 1}', "[1]", '{"format_version": 1, "release_universe": 7}'],
+    )
+    def test_wrong_shape_is_malformed_index(self, blob):
+        with pytest.raises(ValueError, match="^malformed index: "):
+            index_from_json(blob)
+
     def test_queries_equal_after_reload(self, small_world):
         _, _, _, index = small_world
         again = index_from_json(index_to_json(index))

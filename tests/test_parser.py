@@ -184,6 +184,22 @@ class TestParseDocument:
         result = parse_document(text)
         assert ParseErrorKind.BAD_RELEASE_ID in {e.kind for e in result.errors}
 
+    @pytest.mark.parametrize(
+        "header, bad_ids",
+        [
+            ("first=1R1 last=01R1", ["1R1"]),
+            ("first=01R1 last=1R1", ["1R1"]),
+            ("first=1R1 last=x", ["1R1", "x"]),
+        ],
+    )
+    def test_one_error_per_malformed_release_id(self, header, bad_ids):
+        result = parse_document(WELL_FORMED.replace("first=01R1 last=01R1", header))
+        assert [(e.kind, e.line, e.message) for e in result.errors] == [
+            (ParseErrorKind.BAD_RELEASE_ID, 6, f"malformed release id: {bad!r}")
+            for bad in bad_ids
+        ]
+        assert list(result.document.iter_requirements()) == []
+
     def test_duplicate_id_within_document(self):
         text = WELL_FORMED + "\n=== REQ REQ_0001 ===\n--- VERSION first=01R1 last=open ---\nMore text.\n=== END ===\n"
         result = parse_document(text)
