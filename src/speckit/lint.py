@@ -11,7 +11,9 @@ Rules:
 from __future__ import annotations
 
 import json
+import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
@@ -156,9 +158,10 @@ class LintConfig:
                     raise ValueError(f"{key} must be an integer")
                 kwargs[key] = data[key]
         if "dup_threshold" in data:
-            if not isinstance(data["dup_threshold"], (int, float)):
+            threshold = data["dup_threshold"]
+            if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
                 raise ValueError("dup_threshold must be a number")
-            kwargs["dup_threshold"] = float(data["dup_threshold"])
+            kwargs["dup_threshold"] = float(threshold)
         if "rules" in data:
             rules = data["rules"]
             if not isinstance(rules, dict):
@@ -246,7 +249,10 @@ def _version_label(version: RequirementVersion) -> str:
 
 
 def shingle_set(tokens: list[Token], k: int) -> frozenset[tuple[str, ...]]:
-    texts = [t.text for t in tokens]
+    return _shingles([t.text for t in tokens], k)
+
+
+def _shingles(texts: list[str], k: int) -> frozenset[tuple[str, ...]]:
     if not texts:
         return frozenset()
     if len(texts) < k:
@@ -288,15 +294,41 @@ def _prefix_renames(ids_a: set[str], ids_b: set[str]) -> list[tuple[str, str]]:
     return pairs
 
 
+def _min_overlap(size: int, threshold: float) -> int:
+    """Fewest shared shingles with which a set of `size` can pass the L1 test.
+
+    `jaccard` divides the overlap by a union of at least `size`, and float
+    division is monotone, so a passing overlap also passes `overlap / size`.
+    The smallest such overlap is found with that same float test, because
+    `ceil(threshold * size)` can round one too high (0.28 * 25 is
+    7.000000000000001) and would shorten the prefix below the exact bound.
+    """
+    overlap = math.ceil(threshold * size)
+    while (overlap - 1) / size >= threshold:
+        overlap -= 1
+    while overlap / size < threshold:
+        overlap += 1
+    return overlap
+
+
 def detect_duplication(
     docs: list[SpecDocument],
     registry: DevelopmentRegistry,
     config: LintConfig,
 ) -> list[LintFinding]:
-    """Pairwise near-duplicate detection over materialized version texts."""
+    """Near-duplicate detection over materialized version texts.
+
+    An exact prefix-filtered self-join (Bayardo et al., "Scaling Up All Pairs
+    Similarity Search", WWW 2007): it reports the same pairs as comparing
+    every pair, but only pairs whose rarest-first shingle prefixes meet are
+    checked with `jaccard`.
+    """
     universe = release_universe(docs, registry)
     latest = universe[-1] if universe else None
 
+    # One string object per distinct token text keeps the records' shingle
+    # tuples from holding a private copy of every word.
+    pool: dict[str, str] = {}
     records = []
     for doc, req, version in _iter_versions(docs):
         ref = version.last_release if version.last_release is not None else latest
@@ -306,20 +338,45 @@ def detect_duplication(
         if resolved is None:
             continue
         tokens = normalize(tokenize(resolved.text))
+        texts = [pool.setdefault(t.text, t.text) for t in tokens]
         records.append(
             {
                 "location": Location(doc.name, req.id, _version_label(version)),
                 "req_id": req.id,
-                "shingles": shingle_set(tokens, config.shingle_k),
+                "shingles": _shingles(texts, config.shingle_k),
                 "identifiers": {
-                    t.text for t in tokens if t.kind is TokenKind.IDENTIFIER
+                    text
+                    for text, t in zip(texts, tokens)
+                    if t.kind is TokenKind.IDENTIFIER
                 },
             }
         )
 
+    # Two sets with Jaccard >= t share at least _min_overlap(|S|, t) shingles
+    # of each set S, so under one global order their prefixes of
+    # |S| - overlap + 1 shingles meet.  Rarest first keeps the postings short.
+    # Empty sets pair with each other at Jaccard 1.0; the empty tuple is never
+    # a shingle, so it keys them alone.
+    frequency = Counter(s for record in records for s in record["shingles"])
+    prefixes = []
+    for record in records:
+        ranked = sorted(record["shingles"], key=lambda s: (frequency[s], s))
+        size = len(ranked)
+        if size:
+            prefixes.append(ranked[: size - _min_overlap(size, config.dup_threshold) + 1])
+        else:
+            prefixes.append([()])
+    del frequency
+
+    postings: dict[tuple[str, ...], list[int]] = {}
+    for j, prefix in enumerate(prefixes):
+        for shingle in prefix:
+            postings.setdefault(shingle, []).append(j)
+
     findings: list[LintFinding] = []
-    for i in range(len(records)):
-        for j in range(i + 1, len(records)):
+    for i, prefix in enumerate(prefixes):
+        candidates = {j for shingle in prefix for j in postings[shingle] if j > i}
+        for j in sorted(candidates):
             a, b = records[i], records[j]
             if a["req_id"] == b["req_id"]:
                 continue

@@ -50,12 +50,10 @@ TAG_RE = re.compile(TAG_PATTERN)
 _SCAN_RE = re.compile(
     rf"(?P<tag>{TAG_PATTERN})"
     r"|(?P<number>\d+\.\d+)"
-    r"|(?P<chunk>[A-Za-z0-9_]+)"
+    r"|(?P<chunk>\w+)"
     r"|(?P<space>\s+)"
     r"|(?P<punct>\S)"
 )
-
-_CAMEL_RE = re.compile(r"[a-z][A-Z]")
 
 
 def _classify_chunk(text: str) -> TokenKind:
@@ -68,12 +66,13 @@ def _classify_chunk(text: str) -> TokenKind:
     if text.isdigit():
         return TokenKind.NUMBER
     if text.isalpha():
-        plain_word = (
+        # Camel case ("activateMeasurementSA", "messungÄndern") is neither one
+        # case throughout nor capitalized.
+        if (
             text.islower()
             or text.isupper()
             or (text[0].isupper() and text[1:].islower())
-        )
-        if plain_word and not _CAMEL_RE.search(text):
+        ):
             return TokenKind.WORD
         return TokenKind.IDENTIFIER
     # Mixed letters/digits or underscores: a technical identifier.

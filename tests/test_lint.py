@@ -1,13 +1,19 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speckit.lexicon import build_lexicon
 from speckit.lint import (
     SEVERITY_BY_RULE,
     LintConfig,
+    LintFinding,
     LintRule,
+    Location,
     Severity,
+    _prefix_renames,
     check_dispersion,
     check_grammar,
     check_length,
@@ -17,9 +23,10 @@ from speckit.lint import (
     lint_corpus,
     shingle_set,
 )
-from speckit.model import DevelopmentRegistry
+from speckit.model import DevelopmentRegistry, ReleaseId
 from speckit.parser import parse_document
-from speckit.tokenizer import normalize, tokenize
+from speckit.resolver import materialize
+from speckit.tokenizer import TokenKind, normalize, tokenize
 
 
 def doc_from(name: str, body: str):
@@ -148,6 +155,102 @@ class TestDuplication:
         assert len(more) == len(baseline_findings) + 1
         assert len(new) == 1
         assert new[0].score == 1.0
+
+
+LATEST = ReleaseId.parse("01R2")
+VOCAB = (
+    "the", "timer", "shall", "expire", "cell", "activateMeasurement",
+    "activateMeasurementSA", "maxCount", "maxCountNSA", "42", "3.5", ".",
+)
+
+
+def brute_force_duplication(docs, config: LintConfig) -> list[LintFinding]:
+    """The O(n^2) pair loop that the prefix-filtered join must agree with."""
+    records = []
+    for doc in docs:
+        for req in doc.iter_requirements():
+            for version in req.versions:
+                ref = version.last_release if version.last_release is not None else LATEST
+                tokens = normalize(tokenize(materialize(req, ref, None, EMPTY_REG).text))
+                records.append(
+                    (
+                        Location(doc.name, req.id, str(version.first_release)),
+                        shingle_set(tokens, config.shingle_k),
+                        {t.text for t in tokens if t.kind is TokenKind.IDENTIFIER},
+                    )
+                )
+    findings = []
+    for (loc_a, sh_a, ids_a), (loc_b, sh_b, ids_b) in itertools.combinations(records, 2):
+        if loc_a.requirement == loc_b.requirement:
+            continue
+        similarity = jaccard(sh_a, sh_b)
+        if similarity < config.dup_threshold:
+            continue
+        score = round(similarity, 4)
+        message = f"near-duplicate of {loc_b.requirement} (shingle Jaccard {score})"
+        findings.append(
+            LintFinding(LintRule.L1_DUPLICATION, Severity.HIGH, loc_a, message, loc_b, score)
+        )
+        renames = _prefix_renames(ids_a, ids_b)
+        if renames:
+            detail = ", ".join(f"{x} / {y}" for x, y in renames)
+            message = f"renamed-parameter duplication of {loc_b.requirement}: {detail}"
+            findings.append(
+                LintFinding(LintRule.L1_DUPLICATION, Severity.HIGH, loc_a, message, loc_b, score)
+            )
+    return findings
+
+
+@st.composite
+def small_corpora(draw):
+    """Two documents of one- or two-version requirements over a tiny vocabulary.
+
+    Texts include empty ones, ones shorter than `shingle_k` and exact copies
+    of earlier texts.
+    """
+    texts: list[str] = []
+    sources = {"a": "# S\n\n", "b": "# S\n\n"}
+    for n in range(draw(st.integers(0, 8))):
+        headers = draw(
+            st.sampled_from(
+                [["first=01R1 last=open"], ["first=01R1 last=01R1", "first=01R2 last=open"]]
+            )
+        )
+        block = f"=== REQ REQ_{n:04d} ===\n"
+        for header in headers:
+            if texts and draw(st.booleans()):
+                text = draw(st.sampled_from(texts))
+            else:
+                text = " ".join(draw(st.lists(st.sampled_from(VOCAB), max_size=12)))
+            texts.append(text)
+            block += f"--- VERSION {header} ---\n{text}\n"
+        sources[draw(st.sampled_from("ab"))] += block + "=== END ===\n"
+    return [doc_from(name, body) for name, body in sources.items()]
+
+
+class TestDuplicationJoin:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        docs=small_corpora(),
+        threshold=st.sampled_from([0.1, 1 / 3, 0.7, 1.0]),
+        k=st.sampled_from([2, 5]),
+    )
+    def test_equals_brute_force(self, docs, threshold, k):
+        config = LintConfig(shingle_k=k, dup_threshold=threshold)
+        assert detect_duplication(docs, EMPTY_REG, config) == brute_force_duplication(
+            docs, config
+        )
+
+    def test_jaccard_equal_to_threshold_is_reported(self):
+        # b's 7 shingles are 7 of a's 25: Jaccard is exactly 0.28, while
+        # 0.28 * 25 is 7.000000000000001, so a plain ceil would ask for 8.
+        a = req_doc("a", "REQ_0001", "s0 s1 s2 s3 s4 s5 s6 s7 " + words(18, "a"))
+        b = req_doc("b", "REQ_0002", "s0 s1 s2 s3 s4 s5 s6 s7.")
+        config = LintConfig(shingle_k=2, dup_threshold=0.28)
+        findings = detect_duplication([a, b], EMPTY_REG, config)
+        assert [(f.location.requirement, f.related.requirement, f.score) for f in findings] == [
+            ("REQ_0001", "REQ_0002", 0.28)
+        ]
 
 
 class TestLength:
@@ -361,6 +464,7 @@ class TestLintConfig:
             '{"shingle_k": 1}',
             '{"dup_threshold": 0}',
             '{"dup_threshold": 1.5}',
+            '{"dup_threshold": true}',
             '{"max_tokens": 0}',
             '{"max_sections": 0}',
             '{"rules": {"L9": true}}',

@@ -1,6 +1,9 @@
 import random
 from collections import Counter
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from speckit.tokenizer import Token, TokenKind, load_stop_words, normalize, tokenize
 
 
@@ -59,6 +62,18 @@ class TestClassification:
         ):
             assert kinds(tag) == [(tag, TokenKind.TAG)]
 
+    def test_non_ascii_word_is_one_token(self):
+        assert kinds("Die Zeitüberschreitung tritt ein.") == [
+            ("Die", TokenKind.WORD),
+            ("Zeitüberschreitung", TokenKind.WORD),
+            ("tritt", TokenKind.WORD),
+            ("ein", TokenKind.WORD),
+            (".", TokenKind.PUNCT),
+        ]
+
+    def test_non_ascii_camel_case_identifier_is_one_token(self):
+        assert kinds("messungÄndernSA") == [("messungÄndernSA", TokenKind.IDENTIFIER)]
+
     def test_non_canonical_tag_is_not_a_tag(self):
         toks = tokenize("[before CB00XXXX]")
         assert all(t.kind is not TokenKind.TAG for t in toks)
@@ -87,6 +102,14 @@ class TestProperties:
         in_digits = Counter(c for c in text if c.isdigit())
         out_digits = Counter(c for t in tokenize(text) for c in t.text if c.isdigit())
         assert in_digits == out_digits
+
+    @given(st.text())
+    def test_unicode_text_keeps_digits_and_characters(self, text):
+        joined = "".join(t.text for t in tokenize(text))
+        assert Counter(c for c in joined if c.isdigit()) == Counter(
+            c for c in text if c.isdigit()
+        )
+        assert joined == "".join(text.split())
 
     def test_no_character_lost(self):
         rng = random.Random(13)
