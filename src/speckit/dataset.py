@@ -16,7 +16,8 @@ from .errors import UnknownReleaseError
 from .model import DevelopmentRegistry, ReleaseId, SpecDocument, release_universe
 from .parser import render_segments
 from .resolver import materialize
-from .tokenizer import tokenize
+# `tokenize` is unused here; perfbench/tracer.py wraps speckit.dataset.tokenize by name.
+from .tokenizer import has_tokens, tokenize
 
 DEFAULT_MIN_TOKENS = 5
 
@@ -55,7 +56,7 @@ def extract_release_dataset(
             if resolved is None:
                 continue
             total += 1
-            if len(tokenize(resolved.text)) < min_tokens:
+            if not has_tokens(resolved.text, min_tokens):
                 dropped_headers += 1
                 continue
             if resolved.text in seen_texts:

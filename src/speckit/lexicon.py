@@ -39,7 +39,8 @@ class Mention:
 class Lexicon:
     entries: dict[str, tuple[str, ...]]  # canonical -> alias phrases
     reverse: dict[AliasKey, str]  # alias match key -> canonical
-    max_alias_tokens: int
+    # first match key of an alias -> the lengths of the aliases it starts, longest first
+    lengths: dict[str, tuple[int, ...]]
 
     def canonical_of(self, phrase: str) -> str | None:
         """Resolve a free-form phrase (canonical or alias) to its canonical name."""
@@ -52,7 +53,6 @@ class Lexicon:
 def build_lexicon(entries: dict[str, list[str]]) -> Lexicon:
     reverse: dict[AliasKey, str] = {}
     stored: dict[str, tuple[str, ...]] = {}
-    longest = 0
     for canonical, aliases in entries.items():
         # The canonical name is always one of its own aliases.
         phrases = [canonical] + [a for a in aliases if a != canonical]
@@ -65,8 +65,13 @@ def build_lexicon(entries: dict[str, list[str]]) -> Lexicon:
             if existing is not None and existing != canonical:
                 raise ConflictingAliasError(phrase, existing, canonical)
             reverse[key] = canonical
-            longest = max(longest, len(key))
-    return Lexicon(entries=stored, reverse=reverse, max_alias_tokens=longest)
+    starts: dict[str, set[int]] = {}
+    for key in reverse:
+        starts.setdefault(key[0], set()).add(len(key))
+    lengths = {
+        first: tuple(sorted(sizes, reverse=True)) for first, sizes in starts.items()
+    }
+    return Lexicon(entries=stored, reverse=reverse, lengths=lengths)
 
 
 def load_lexicon(source: str) -> Lexicon:
@@ -92,21 +97,27 @@ def dump_lexicon(lexicon: Lexicon) -> str:
 
 
 def find_mentions(tokens: list[Token], lexicon: Lexicon) -> list[Mention]:
-    """Leftmost-longest alias matching over a token stream."""
+    """Leftmost-longest alias matching over a token stream.
+
+    Only the lengths of the aliases that start with the token at a position
+    are tried there, longest first; a token that starts no alias costs one
+    dict lookup.
+    """
     mentions: list[Mention] = []
     n = len(tokens)
     if not lexicon.reverse:
         return mentions
     keys = [match_key(t) for t in tokens]
+    reverse, lengths = lexicon.reverse, lexicon.lengths
     i = 0
     while i < n:
         hit = None
-        limit = min(lexicon.max_alias_tokens, n - i)
-        for length in range(limit, 0, -1):
-            canonical = lexicon.reverse.get(tuple(keys[i : i + length]))
-            if canonical is not None:
-                hit = (canonical, length)
-                break
+        for length in lengths.get(keys[i], ()):
+            if length <= n - i:
+                canonical = reverse.get(tuple(keys[i : i + length]))
+                if canonical is not None:
+                    hit = (canonical, length)
+                    break
         if hit is None:
             i += 1
             continue

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
-from .lexicon import Lexicon, find_mentions
+from .lexicon import Lexicon, Mention, find_mentions
 from .model import (
     ContentSegment,
     DeploymentSpan,
@@ -224,12 +224,6 @@ def _dev_blocks(segments: tuple[ContentSegment, ...]) -> Iterator[DevBlock]:
             yield from _dev_blocks(seg.body)
 
 
-def _version_tokens(version: RequirementVersion) -> list[Token]:
-    """Non-tag tokens of the version's full written content."""
-    text = " ".join(_plain_leaves(version.content))
-    return [t for t in tokenize(text) if t.kind is not TokenKind.TAG]
-
-
 def _iter_versions(
     docs: list[SpecDocument],
 ) -> Iterator[tuple[SpecDocument, Requirement, RequirementVersion]]:
@@ -241,6 +235,32 @@ def _iter_versions(
 
 def _version_label(version: RequirementVersion) -> str:
     return str(version.first_release)
+
+
+@dataclass(frozen=True)
+class VersionAnalysis:
+    """What L2, L3 and L5 read of one version's full written content."""
+
+    token_count: int  # non-tag tokens
+    mentions: tuple[Mention, ...]
+
+
+def analyse_versions(
+    docs: list[SpecDocument], lexicon: Lexicon
+) -> dict[RequirementVersion, VersionAnalysis]:
+    """Tokenize and alias-match every version's written text once.
+
+    Only the token count and the mentions are kept: holding every version's
+    token list at once would raise the lint call's peak memory.
+    """
+    analyses: dict[RequirementVersion, VersionAnalysis] = {}
+    for _doc, _req, version in _iter_versions(docs):
+        text = " ".join(_plain_leaves(version.content))
+        tokens = [t for t in tokenize(text) if t.kind is not TokenKind.TAG]
+        analyses[version] = VersionAnalysis(
+            len(tokens), tuple(find_mentions(tokens, lexicon))
+        )
+    return analyses
 
 
 # ---------------------------------------------------------------------------
@@ -415,23 +435,26 @@ def detect_duplication(
 
 
 def check_length(
-    doc_name: str, req: Requirement, config: LintConfig, lexicon: Lexicon
+    doc_name: str,
+    req: Requirement,
+    config: LintConfig,
+    analyses: dict[RequirementVersion, VersionAnalysis],
 ) -> list[LintFinding]:
     findings: list[LintFinding] = []
     for version in req.versions:
         loc = Location(doc_name, req.id, _version_label(version))
-        tokens = _version_tokens(version)
-        if len(tokens) > config.max_tokens:
+        analysis = analyses[version]
+        if analysis.token_count > config.max_tokens:
             findings.append(
                 _finding(
                     LintRule.L2_LENGTH,
                     loc,
-                    f"version has {len(tokens)} tokens "
+                    f"version has {analysis.token_count} tokens "
                     f"(limit {config.max_tokens})",
-                    score=float(len(tokens)),
+                    score=float(analysis.token_count),
                 )
             )
-        procedures = {m.canonical for m in find_mentions(tokens, lexicon)}
+        procedures = {m.canonical for m in analysis.mentions}
         if len(procedures) > config.max_procedures:
             findings.append(
                 _finding(
@@ -489,23 +512,29 @@ def _recognizable_variant(candidate: str) -> bool:
     return any(p.fullmatch(collapsed) for p in _VARIANT_PATTERNS)
 
 
-def canonical_phrase(lexicon: Lexicon, canonical: str) -> str:
+def canonical_phrase(canonical: str) -> str:
+    """The surface form a mention of `canonical` has when written canonically."""
     return " ".join(t.text for t in tokenize(canonical))
 
 
 def check_standardization(
-    docs: list[SpecDocument], lexicon: Lexicon
+    docs: list[SpecDocument], analyses: dict[RequirementVersion, VersionAnalysis]
 ) -> list[LintFinding]:
     findings: list[LintFinding] = []
+    phrases: dict[str, str] = {}  # canonical name -> canonical_phrase
     for doc in docs:
         for req in doc.iter_requirements():
             # tag style variants seen per development id, across all versions
             styles: dict[str, set[str]] = {}
             for version in req.versions:
                 loc = Location(doc.name, req.id, _version_label(version))
-                tokens = _version_tokens(version)
-                for mention in find_mentions(tokens, lexicon):
-                    if mention.surface != canonical_phrase(lexicon, mention.canonical):
+                for mention in analyses[version].mentions:
+                    phrase = phrases.get(mention.canonical)
+                    if phrase is None:
+                        phrase = phrases[mention.canonical] = canonical_phrase(
+                            mention.canonical
+                        )
+                    if mention.surface != phrase:
                         findings.append(
                             _finding(
                                 LintRule.L3_STANDARDIZATION,
@@ -614,13 +643,14 @@ def check_grammar(doc_name: str, req: Requirement) -> list[LintFinding]:
 
 
 def check_dispersion(
-    docs: list[SpecDocument], lexicon: Lexicon, config: LintConfig
+    docs: list[SpecDocument],
+    analyses: dict[RequirementVersion, VersionAnalysis],
+    config: LintConfig,
 ) -> list[LintFinding]:
     sections: dict[str, dict[tuple[str, tuple[str, ...]], Location]] = {}
     first_seen: dict[str, Location] = {}
     for doc, req, version in _iter_versions(docs):
-        tokens = _version_tokens(version)
-        for mention in find_mentions(tokens, lexicon):
+        for mention in analyses[version].mentions:
             key = (doc.name, req.section_path)
             loc = Location(doc.name, req.id, _version_label(version))
             per_proc = sections.setdefault(mention.canonical, {})
@@ -652,6 +682,12 @@ def check_dispersion(
 # ---------------------------------------------------------------------------
 
 
+# The rules that read `analyse_versions`.
+_ANALYSED_RULES = frozenset(
+    {LintRule.L2_LENGTH, LintRule.L3_STANDARDIZATION, LintRule.L5_DISPERSION}
+)
+
+
 def lint_corpus(
     docs: list[SpecDocument],
     registry: DevelopmentRegistry,
@@ -662,16 +698,22 @@ def lint_corpus(
     findings: list[LintFinding] = []
     if LintRule.L1_DUPLICATION in config.enabled:
         findings.extend(detect_duplication(docs, registry, config))
+    # After L1, so that L1's records are freed before the analyses are built.
+    analyses = (
+        analyse_versions(docs, lexicon)
+        if config.enabled & _ANALYSED_RULES
+        else {}
+    )
     for doc in docs:
         for req in doc.iter_requirements():
             if LintRule.L2_LENGTH in config.enabled:
-                findings.extend(check_length(doc.name, req, config, lexicon))
+                findings.extend(check_length(doc.name, req, config, analyses))
             if LintRule.L4_GRAMMAR in config.enabled:
                 findings.extend(check_grammar(doc.name, req))
     if LintRule.L3_STANDARDIZATION in config.enabled:
-        findings.extend(check_standardization(docs, lexicon))
+        findings.extend(check_standardization(docs, analyses))
     if LintRule.L5_DISPERSION in config.enabled:
-        findings.extend(check_dispersion(docs, lexicon, config))
+        findings.extend(check_dispersion(docs, analyses, config))
     findings.sort(
         key=lambda f: (
             f.location.document,

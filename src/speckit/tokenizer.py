@@ -57,6 +57,10 @@ _SCAN_RE = re.compile(
 
 
 def _classify_chunk(text: str) -> TokenKind:
+    # Every id pattern needs an uppercase ASCII letter, which a chunk with no
+    # uppercase cased character cannot hold.
+    if text.islower():
+        return TokenKind.WORD if text.isalpha() else TokenKind.IDENTIFIER
     if DEVELOPMENT_ID_RE.match(text):
         return TokenKind.DEVELOPMENT_ID
     if RELEASE_ID_RE.match(text):
@@ -96,6 +100,18 @@ def tokenize(text: str) -> list[Token]:
         else:
             tokens.append(Token(value, TokenKind.PUNCT))
     return tokens
+
+
+def has_tokens(text: str, count: int) -> bool:
+    """Whether `tokenize(text)` has at least `count` tokens, scanning no further."""
+    if count <= 0:
+        return True
+    for m in _SCAN_RE.finditer(text):
+        if m.lastgroup != "space":
+            count -= 1
+            if not count:
+                return True
+    return False
 
 
 def normalize(

@@ -1,9 +1,19 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speckit.errors import ConflictingAliasError
-from speckit.lexicon import build_lexicon, dump_lexicon, find_mentions, load_lexicon
+from speckit.lexicon import (
+    Mention,
+    build_lexicon,
+    dump_lexicon,
+    find_mentions,
+    load_lexicon,
+    match_key,
+    phrase_key,
+)
 from speckit.tokenizer import tokenize
 
 
@@ -118,3 +128,59 @@ class TestFindMentions:
     def test_empty_lexicon_finds_nothing(self):
         lex = build_lexicon({})
         assert find_mentions(tokenize("any text at all"), lex) == []
+
+
+def reference_find_mentions(tokens, lexicon) -> list[Mention]:
+    """Leftmost-longest matching that tries every alias length at every position."""
+    longest = max((len(key) for key in lexicon.reverse), default=0)
+    keys = [match_key(t) for t in tokens]
+    mentions = []
+    i = 0
+    while i < len(tokens):
+        for length in range(min(longest, len(tokens) - i), 0, -1):
+            canonical = lexicon.reverse.get(tuple(keys[i : i + length]))
+            if canonical is not None:
+                surface = " ".join(t.text for t in tokens[i : i + length])
+                mentions.append(Mention(canonical, surface, (i, i + length)))
+                i += length
+                break
+        else:
+            i += 1
+    return mentions
+
+
+# Alias words in two cases, an identifier whose case matters, and noise that
+# starts no alias.
+ALIAS_WORDS = ("cell", "Cell", "beam", "A2", "a2", "for", "the", "-")
+NOISE = ("zz", "Q9", ",", "CB00XXXX")
+
+
+@st.composite
+def lexicons_and_streams(draw):
+    """Overlapping aliases of one to four words, and token streams over them."""
+    phrases = draw(
+        st.lists(
+            st.lists(st.sampled_from(ALIAS_WORDS), min_size=1, max_size=4).map(" ".join),
+            min_size=1,
+            max_size=8,
+            unique_by=phrase_key,
+        )
+    )
+    entries: dict[str, list[str]] = {}
+    canonical = phrases[0]
+    for phrase in phrases:
+        if phrase is phrases[0] or draw(st.booleans()):
+            canonical = phrase
+            entries[canonical] = []
+        else:
+            entries[canonical].append(phrase)
+    stream = draw(st.lists(st.sampled_from(ALIAS_WORDS + NOISE), max_size=30))
+    return build_lexicon(entries), tokenize(" ".join(stream))
+
+
+class TestFindMentionsProperties:
+    @settings(max_examples=300)
+    @given(lexicons_and_streams())
+    def test_equals_all_lengths_reference(self, case):
+        lexicon, tokens = case
+        assert find_mentions(tokens, lexicon) == reference_find_mentions(tokens, lexicon)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speckit.lexicon import build_lexicon
+import speckit.lint as lint_mod
+from speckit.lexicon import build_lexicon, find_mentions
 from speckit.lint import (
     SEVERITY_BY_RULE,
     LintConfig,
@@ -14,6 +15,7 @@ from speckit.lint import (
     Location,
     Severity,
     _prefix_renames,
+    analyse_versions,
     check_dispersion,
     check_grammar,
     check_length,
@@ -257,13 +259,13 @@ class TestLength:
     def test_short_requirement_clean(self):
         doc = req_doc("a", "REQ_0001", "The timer shall start now.")
         req = next(iter(doc.iter_requirements()))
-        assert check_length("a", req, LintConfig(), EMPTY_LEX) == []
+        assert check_length("a", req, LintConfig(), analyse_versions([doc], EMPTY_LEX)) == []
 
     def test_over_length_reports_token_count(self):
         text = words(400)
         doc = req_doc("a", "REQ_0001", text)
         req = next(iter(doc.iter_requirements()))
-        findings = check_length("a", req, LintConfig(), EMPTY_LEX)
+        findings = check_length("a", req, LintConfig(), analyse_versions([doc], EMPTY_LEX))
         assert len(findings) == 1
         # oracle: the tokenizer's own count of the version body
         expected = len(tokenize(text))
@@ -275,7 +277,7 @@ class TestLength:
             "a", "REQ_0001", "Common. [SA] for sa [End SA] [NSA] for nsa [End NSA] Tail."
         )
         req = next(iter(doc.iter_requirements()))
-        findings = check_length("a", req, LintConfig(), EMPTY_LEX)
+        findings = check_length("a", req, LintConfig(), analyse_versions([doc], EMPTY_LEX))
         assert [f.rule for f in findings] == [LintRule.L2_LENGTH]
         assert "mixes SA and NSA" in findings[0].message
 
@@ -286,7 +288,7 @@ class TestLength:
             "Common. [SA] one [End SA] [NSA] two [End NSA] [SA] three [End SA] Tail.",
         )
         req = next(iter(doc.iter_requirements()))
-        findings = check_length("a", req, LintConfig(), EMPTY_LEX)
+        findings = check_length("a", req, LintConfig(), analyse_versions([doc], EMPTY_LEX))
         assert len(findings) == 2
         assert any("alternates" in f.message for f in findings)
 
@@ -301,7 +303,7 @@ class TestLength:
             "and timing advance shall run.",
         )
         req = next(iter(doc.iter_requirements()))
-        findings = check_length("a", req, LintConfig(max_procedures=3), lex)
+        findings = check_length("a", req, LintConfig(max_procedures=3), analyse_versions([doc], lex))
         assert len(findings) == 1
         assert findings[0].score == 4.0
 
@@ -309,29 +311,29 @@ class TestLength:
 class TestStandardization:
     def test_alias_usage_flagged_with_suggestion(self, a2_lexicon):
         doc = req_doc("a", "REQ_0001", "The A2 measurement for Handover shall run.")
-        findings = check_standardization([doc], a2_lexicon)
+        findings = check_standardization([doc], analyse_versions([doc], a2_lexicon))
         assert len(findings) == 1
         assert "A2 measurement for Handover" in findings[0].message
         assert "'A2 measurement'" in findings[0].message
 
     def test_canonical_corpus_clean(self, a2_lexicon):
         doc = req_doc("a", "REQ_0001", "The A2 measurement shall run.")
-        assert check_standardization([doc], a2_lexicon) == []
+        assert check_standardization([doc], analyse_versions([doc], a2_lexicon)) == []
 
     def test_lowercase_tag_style(self):
         doc = req_doc("a", "REQ_0001", "Text [before CB00XXXX] here.")
-        findings = check_standardization([doc], EMPTY_LEX)
+        findings = check_standardization([doc], analyse_versions([doc], EMPTY_LEX))
         assert len(findings) == 1
         assert "[before CB00XXXX]" in findings[0].message
 
     def test_spaced_deployment_tag_style(self):
         doc = req_doc("a", "REQ_0001", "Text [ SA ] here.")
-        findings = check_standardization([doc], EMPTY_LEX)
+        findings = check_standardization([doc], analyse_versions([doc], EMPTY_LEX))
         assert len(findings) == 1
 
     def test_unknown_brackets_ignored(self):
         doc = req_doc("a", "REQ_0001", "See [figure 3] and [sic] here.")
-        assert check_standardization([doc], EMPTY_LEX) == []
+        assert check_standardization([doc], analyse_versions([doc], EMPTY_LEX)) == []
 
     def test_mixed_tag_styles_for_same_dev(self):
         doc = req_doc(
@@ -339,7 +341,7 @@ class TestStandardization:
             "REQ_0001",
             "[Before CB00XXXX] old [CB00XXXX] new [End CB00XXXX] and later [end CB00XXXX] text.",
         )
-        findings = check_standardization([doc], EMPTY_LEX)
+        findings = check_standardization([doc], analyse_versions([doc], EMPTY_LEX))
         kinds = [f.message for f in findings]
         assert any("styles" in m for m in kinds)
         assert any("[end CB00XXXX]" in m for m in kinds)
@@ -402,7 +404,8 @@ class TestDispersion:
 
     def test_dispersed_procedure_single_finding_with_locations(self):
         lex = build_lexicon({"beam management": []})
-        findings = check_dispersion(self._four_sections(lex), lex, LintConfig())
+        docs = self._four_sections(lex)
+        findings = check_dispersion(docs, analyse_versions(docs, lex), LintConfig())
         assert len(findings) == 1
         assert findings[0].score == 4.0
         for section in ("S1", "S2", "S3", "S4"):
@@ -411,11 +414,11 @@ class TestDispersion:
     def test_single_section_clean(self):
         lex = build_lexicon({"beam management": []})
         doc = req_doc("a", "REQ_0001", "The beam management shall run.")
-        assert check_dispersion([doc], lex, LintConfig()) == []
+        assert check_dispersion([doc], analyse_versions([doc], lex), LintConfig()) == []
 
     def test_empty_lexicon_no_findings(self):
         docs = self._four_sections(None)
-        assert check_dispersion(docs, EMPTY_LEX, LintConfig()) == []
+        assert check_dispersion(docs, analyse_versions(docs, EMPTY_LEX), LintConfig()) == []
 
 
 class TestLintCorpus:
@@ -428,6 +431,36 @@ class TestLintCorpus:
         first = lint_corpus(bundle.documents, bundle.registry, bundle.lexicon, config)
         second = lint_corpus(bundle.documents, bundle.registry, bundle.lexicon, config)
         assert first == second
+
+    def test_each_version_analysed_once(self, bundle, monkeypatch):
+        config = LintConfig(max_tokens=40, max_procedures=1, max_sections=1)
+        expected = lint_corpus(bundle.documents, bundle.registry, bundle.lexicon, config)
+        calls = {"tokenize": 0, "find_mentions": 0}
+        canonicals = set()
+
+        def counted_tokenize(text):
+            calls["tokenize"] += 1
+            return tokenize(text)
+
+        def counted_find_mentions(tokens, lexicon):
+            calls["find_mentions"] += 1
+            mentions = find_mentions(tokens, lexicon)
+            canonicals.update(m.canonical for m in mentions)
+            return mentions
+
+        monkeypatch.setattr(lint_mod, "tokenize", counted_tokenize)
+        monkeypatch.setattr(lint_mod, "find_mentions", counted_find_mentions)
+        findings = lint_corpus(bundle.documents, bundle.registry, bundle.lexicon, config)
+
+        versions = sum(
+            len(req.versions) for doc in bundle.documents for req in doc.iter_requirements()
+        )
+        assert findings == expected
+        assert canonicals
+        assert calls["find_mentions"] == versions
+        # written text per version, L1's resolved text per version, and each
+        # canonical name mentioned
+        assert calls["tokenize"] == 2 * versions + len(canonicals)
 
     def test_rule_disabling(self, bundle):
         config = LintConfig(enabled=frozenset({LintRule.L2_LENGTH}))

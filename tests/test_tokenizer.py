@@ -1,10 +1,20 @@
 import random
+import re
 from collections import Counter
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from speckit.tokenizer import Token, TokenKind, load_stop_words, normalize, tokenize
+from speckit.model import DEVELOPMENT_ID_RE, RELEASE_ID_RE, REQUIREMENT_ID_RE
+from speckit.tokenizer import (
+    Token,
+    TokenKind,
+    _classify_chunk,
+    has_tokens,
+    load_stop_words,
+    normalize,
+    tokenize,
+)
 
 
 def kinds(text: str) -> list[tuple[str, TokenKind]]:
@@ -83,6 +93,27 @@ class TestClassification:
         assert all(t.kind is not TokenKind.TAG for t in toks)
 
 
+def reference_classify_chunk(text: str) -> TokenKind:
+    """The regex-precedence classifier, with no lowercase fast path."""
+    if DEVELOPMENT_ID_RE.match(text):
+        return TokenKind.DEVELOPMENT_ID
+    if RELEASE_ID_RE.match(text):
+        return TokenKind.RELEASE_ID
+    if REQUIREMENT_ID_RE.match(text):
+        return TokenKind.REQUIREMENT_ID
+    if text.isdigit():
+        return TokenKind.NUMBER
+    if text.isalpha():
+        if (
+            text.islower()
+            or text.isupper()
+            or (text[0].isupper() and text[1:].islower())
+        ):
+            return TokenKind.WORD
+        return TokenKind.IDENTIFIER
+    return TokenKind.IDENTIFIER
+
+
 class TestProperties:
     def _fuzz_text(self, rng: random.Random, n_chars: int) -> str:
         alphabet = (
@@ -110,6 +141,21 @@ class TestProperties:
             c for c in text if c.isdigit()
         )
         assert joined == "".join(text.split())
+
+    @given(
+        st.sampled_from(("", "CB", "cb", "Cb", "01R", "99r", "12R3", "REQ_", "req_", "A")),
+        st.one_of(st.text(), st.text(alphabet="abzABZ019_éÄßǅ٣", max_size=10)),
+    )
+    def test_classify_chunk_equals_reference(self, prefix, text):
+        for chunk in re.findall(r"\w+", prefix + text):
+            assert _classify_chunk(chunk) == reference_classify_chunk(chunk)
+
+    @given(
+        st.one_of(st.text(), st.text(alphabet="ab 1.[]CBSA\t,", max_size=30)),
+        st.integers(-1, 8),
+    )
+    def test_has_tokens_counts_like_tokenize(self, text, count):
+        assert has_tokens(text, count) == (len(tokenize(text)) >= count)
 
     def test_no_character_lost(self):
         rng = random.Random(13)
