@@ -229,19 +229,7 @@ def _print_entries(entries: list[tuple[str, str]], release: str, fmt: str, deplo
 def _print_diffs(diffs: list[BehaviorDiff], fmt: str) -> None:
     if fmt == "json":
         for diff in diffs:
-            print(
-                json.dumps(
-                    {
-                        "id": diff.id,
-                        "release_a": str(diff.release_a),
-                        "release_b": str(diff.release_b),
-                        "segments": [[s.kind.value, s.text] for s in diff.segments],
-                        "causes": sorted(diff.causes),
-                    },
-                    sort_keys=True,
-                    ensure_ascii=False,
-                )
-            )
+            print(json.dumps(diff.to_dict(), sort_keys=True, ensure_ascii=False))
     else:
         marks = {DiffKind.ADDED: "+", DiffKind.REMOVED: "-", DiffKind.UNCHANGED: "="}
         for diff in diffs:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import AbstractSet, Optional
 
 from .errors import UnknownDevelopmentError, UnknownReleaseError
 from .lexicon import Lexicon, find_mentions, phrase_key
@@ -30,6 +30,7 @@ FORMAT_VERSION = 1
 UNMAPPED = "(unmapped)"
 
 Entry = tuple[str, str]  # (requirement id, resolved text)
+_ABSENT: tuple[None, frozenset[str]] = (None, frozenset())  # no text at a release
 
 
 @dataclass
@@ -38,7 +39,7 @@ class SpecIndex:
     registry: dict[str, ReleaseId]
     aliases: dict[str, str]  # space-joined alias match key -> canonical
     # requirement id -> release -> (text, reachable devs)
-    req_release: dict[str, dict[str, tuple[str, frozenset[str]]]]
+    req_release: dict[str, dict[str, tuple[str, AbstractSet[str]]]]
     # canonical -> release -> entries
     proc_release: dict[str, dict[str, list[Entry]]]
     # canonical -> development -> diffs
@@ -115,15 +116,9 @@ def build_index(
 
     for a, b in zip(universe, universe[1:]):
         a_key, b_key = str(a), str(b)
-        for req_id, by_release in index.req_release.items():
-            text_a, devs_a = by_release.get(a_key, (None, frozenset()))
-            text_b, devs_b = by_release.get(b_key, (None, frozenset()))
-            if text_a is None and text_b is None:
-                continue
-            diff = diff_texts(
-                req_id, a, b, text_a, text_b, set(devs_a), set(devs_b), index.registry
-            )
-            if not diff.has_changes:
+        for req_id in index.req_release:
+            diff = _changed_diff(index, req_id, a, b)
+            if diff is None:
                 continue
             procs = procs_at.get((req_id, a_key), set()) | procs_at.get(
                 (req_id, b_key), set()
@@ -133,6 +128,19 @@ def build_index(
                     index.proc_dev.setdefault(proc, {}).setdefault(dev, []).append(diff)
 
     return index
+
+
+def _changed_diff(
+    index: SpecIndex, req_id: str, a: ReleaseId, b: ReleaseId
+) -> Optional[BehaviorDiff]:
+    """`req_id`'s diff between releases `a` and `b`, or None if nothing changed."""
+    records = index.req_release.get(req_id, {})
+    text_a, devs_a = records.get(str(a), _ABSENT)
+    text_b, devs_b = records.get(str(b), _ABSENT)
+    if text_a is None and text_b is None:
+        return None
+    diff = diff_texts(req_id, a, b, text_a, text_b, devs_a, devs_b, index.registry)
+    return diff if diff.has_changes else None
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +173,8 @@ def query_release_diff(
         {req_id for req_id, _ in by_release.get(str(a), [])}
         | {req_id for req_id, _ in by_release.get(str(b), [])}
     )
-    diffs = []
-    for req_id in ids:
-        records = index.req_release.get(req_id, {})
-        text_a, devs_a = records.get(str(a), (None, frozenset()))
-        text_b, devs_b = records.get(str(b), (None, frozenset()))
-        diff = diff_texts(
-            req_id, a, b, text_a, text_b, set(devs_a), set(devs_b), index.registry
-        )
-        if diff.has_changes:
-            diffs.append(diff)
-    return diffs
+    diffs = (_changed_diff(index, req_id, a, b) for req_id in ids)
+    return [diff for diff in diffs if diff is not None]
 
 
 def query_dev_changes(
@@ -220,16 +219,6 @@ def query_deployment(
 # ---------------------------------------------------------------------------
 
 
-def _diff_to_dict(diff: BehaviorDiff) -> dict:
-    return {
-        "id": diff.id,
-        "release_a": str(diff.release_a),
-        "release_b": str(diff.release_b),
-        "segments": [[s.kind.value, s.text] for s in diff.segments],
-        "causes": sorted(diff.causes),
-    }
-
-
 def _diff_from_dict(data: dict) -> BehaviorDiff:
     return BehaviorDiff(
         id=data["id"],
@@ -261,7 +250,7 @@ def index_to_json(index: SpecIndex) -> str:
         },
         "proc_dev": {
             proc: {
-                dev: [_diff_to_dict(d) for d in diffs]
+                dev: [d.to_dict() for d in diffs]
                 for dev, diffs in sorted(by_dev.items())
             }
             for proc, by_dev in sorted(index.proc_dev.items())

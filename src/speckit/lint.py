@@ -30,6 +30,8 @@ from .model import (
     RequirementVersion,
     SpecDocument,
     is_valid_requirement_id,
+    iter_dev_ids,
+    iter_segments,
     release_universe,
 )
 from .parser import render_segments
@@ -193,35 +195,8 @@ class LintConfig:
 # ---------------------------------------------------------------------------
 
 
-def _plain_leaves(segments: tuple[ContentSegment, ...]) -> Iterator[str]:
-    for seg in segments:
-        if isinstance(seg, PlainText):
-            yield seg.text
-        elif isinstance(seg, DevBlock):
-            yield from _plain_leaves(seg.before)
-            yield from _plain_leaves(seg.after)
-        else:
-            yield from _plain_leaves(seg.body)
-
-
-def _span_sequence(segments: tuple[ContentSegment, ...]) -> list[DeploymentType]:
-    seq: list[DeploymentType] = []
-    for seg in segments:
-        if isinstance(seg, DeploymentSpan):
-            seq.append(seg.dep)
-            seq.extend(_span_sequence(seg.body))
-        elif isinstance(seg, DevBlock):
-            seq.extend(_span_sequence(seg.before))
-            seq.extend(_span_sequence(seg.after))
-    return seq
-
-
-def _dev_blocks(segments: tuple[ContentSegment, ...]) -> Iterator[DevBlock]:
-    for seg in segments:
-        if isinstance(seg, DevBlock):
-            yield seg
-        elif isinstance(seg, DeploymentSpan):
-            yield from _dev_blocks(seg.body)
+def _plain_texts(segments: tuple[ContentSegment, ...]) -> list[str]:
+    return [seg.text for seg in iter_segments(segments) if isinstance(seg, PlainText)]
 
 
 def _iter_versions(
@@ -255,7 +230,7 @@ def analyse_versions(
     """
     analyses: dict[RequirementVersion, VersionAnalysis] = {}
     for _doc, _req, version in _iter_versions(docs):
-        text = " ".join(_plain_leaves(version.content))
+        text = " ".join(_plain_texts(version.content))
         tokens = [t for t in tokenize(text) if t.kind is not TokenKind.TAG]
         analyses[version] = VersionAnalysis(
             len(tokens), tuple(find_mentions(tokens, lexicon))
@@ -466,7 +441,11 @@ def check_length(
                     score=float(len(procedures)),
                 )
             )
-        spans = _span_sequence(version.content)
+        spans = [
+            seg.dep
+            for seg in iter_segments(version.content)
+            if isinstance(seg, DeploymentSpan)
+        ]
         if DeploymentType.SA in spans and DeploymentType.NSA in spans:
             findings.append(
                 _finding(
@@ -561,8 +540,8 @@ def check_standardization(
                             styles.setdefault(
                                 dev_match.group().upper(), set()
                             ).add(candidate)
-                for block in _dev_blocks(version.content):
-                    styles.setdefault(block.dev.upper(), set()).add("canonical")
+                for dev in iter_dev_ids(version.content):
+                    styles.setdefault(dev.upper(), set()).add("canonical")
             for dev, forms in sorted(styles.items()):
                 if len(forms) > 1:
                     findings.append(
@@ -597,7 +576,8 @@ def check_grammar(doc_name: str, req: Requirement) -> list[LintFinding]:
     for version in req.versions:
         loc = Location(doc_name, req.id, _version_label(version))
         flagged_devs = set()
-        for block in _dev_blocks(version.content):
+        blocks = [s for s in iter_segments(version.content) if isinstance(s, DevBlock)]
+        for block in blocks:
             if block.dev not in flagged_devs and any(
                 c.islower() for c in block.dev
             ):
@@ -625,7 +605,7 @@ def check_grammar(doc_name: str, req: Requirement) -> list[LintFinding]:
                         f"development block {block.dev} has an empty after-part",
                     )
                 )
-        leaves = list(_plain_leaves(version.content))
+        leaves = _plain_texts(version.content)
         if leaves and not leaves[-1].rstrip().endswith(_TERMINAL_PUNCT):
             findings.append(
                 _finding(

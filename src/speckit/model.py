@@ -89,10 +89,9 @@ class DevBlock:
     def __post_init__(self) -> None:
         if not is_valid_development_id(self.dev):
             raise ValueError(f"malformed development id: {self.dev!r}")
-        for part in (self.before, self.after):
-            for seg in part:
-                if _contains_dev_block(seg):
-                    raise ValueError("DevBlock parts must not nest DevBlocks")
+        for seg in iter_segments(self.before + self.after):
+            if isinstance(seg, DevBlock):
+                raise ValueError("DevBlock parts must not nest DevBlocks")
 
 
 @dataclass(frozen=True)
@@ -103,41 +102,32 @@ class DeploymentSpan:
     body: tuple["ContentSegment", ...]
 
     def __post_init__(self) -> None:
-        for seg in self.body:
-            if _contains_span_of(seg, self.dep):
+        for seg in iter_segments(self.body):
+            if isinstance(seg, DeploymentSpan) and seg.dep is self.dep:
                 raise ValueError(f"nested [{self.dep.value}] span")
 
 
 ContentSegment = Union[PlainText, DevBlock, DeploymentSpan]
 
 
-def _contains_dev_block(seg: ContentSegment) -> bool:
-    if isinstance(seg, DevBlock):
-        return True
-    if isinstance(seg, DeploymentSpan):
-        return any(_contains_dev_block(s) for s in seg.body)
-    return False
+def iter_segments(segments: tuple[ContentSegment, ...]) -> Iterator[ContentSegment]:
+    """Yield every segment of the tree in document order, each before its parts.
 
-
-def _contains_span_of(seg: ContentSegment, dep: DeploymentType) -> bool:
-    if isinstance(seg, DeploymentSpan):
-        if seg.dep is dep:
-            return True
-        return any(_contains_span_of(s, dep) for s in seg.body)
-    if isinstance(seg, DevBlock):
-        return any(_contains_span_of(s, dep) for s in seg.before + seg.after)
-    return False
+    A DevBlock is followed by its `before` part, then its `after` part; a
+    DeploymentSpan by its body.
+    """
+    for seg in segments:
+        yield seg
+        if isinstance(seg, DevBlock):
+            yield from iter_segments(seg.before)
+            yield from iter_segments(seg.after)
+        elif isinstance(seg, DeploymentSpan):
+            yield from iter_segments(seg.body)
 
 
 def iter_dev_ids(segments: tuple[ContentSegment, ...]) -> Iterator[str]:
     """Yield every development id tagged anywhere in `segments`, in order."""
-    for seg in segments:
-        if isinstance(seg, DevBlock):
-            yield seg.dev
-            yield from iter_dev_ids(seg.before)
-            yield from iter_dev_ids(seg.after)
-        elif isinstance(seg, DeploymentSpan):
-            yield from iter_dev_ids(seg.body)
+    return (seg.dev for seg in iter_segments(segments) if isinstance(seg, DevBlock))
 
 
 def merge_adjacent_plain(segments: list[ContentSegment]) -> tuple[ContentSegment, ...]:

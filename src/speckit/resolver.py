@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional
+from typing import AbstractSet, Mapping, Optional
 
 from .errors import DevelopmentNotPresentError, UnknownDevelopmentError
 from .model import (
@@ -33,6 +33,8 @@ from .model import (
 )
 
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.;])\s+")
+# Stands in for resolve_details' answer where no version is valid.
+_UNRESOLVED: tuple[None, frozenset[str], frozenset[str]] = (None, frozenset(), frozenset())
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,15 @@ class BehaviorDiff:
     def removed(self) -> list[str]:
         return [s.text for s in self.segments if s.kind is DiffKind.REMOVED]
 
+    def to_dict(self) -> dict:
+        return {
+            "id": self.id,
+            "release_a": str(self.release_a),
+            "release_b": str(self.release_b),
+            "segments": [[s.kind.value, s.text] for s in self.segments],
+            "causes": sorted(self.causes),
+        }
+
 
 def _resolve_segments(
     segments: tuple[ContentSegment, ...],
@@ -89,7 +100,8 @@ def _resolve_segments(
     for seg in segments:
         if isinstance(seg, PlainText):
             parts.append(seg.text)
-        elif isinstance(seg, DevBlock):
+            continue
+        if isinstance(seg, DevBlock):
             if seg.dev not in registry:
                 raise UnknownDevelopmentError(seg.dev)
             seen.add(seg.dev)
@@ -98,15 +110,34 @@ def _resolve_segments(
                 chosen = seg.after
             else:
                 chosen = seg.before
-            text = _resolve_segments(chosen, r, dep, registry, contributing, seen)
-            if text:
-                parts.append(text)
+        elif dep is None or seg.dep is dep:
+            chosen = seg.body
         else:
-            if dep is None or seg.dep is dep:
-                text = _resolve_segments(seg.body, r, dep, registry, contributing, seen)
-                if text:
-                    parts.append(text)
+            continue
+        text = _resolve_segments(chosen, r, dep, registry, contributing, seen)
+        if text:
+            parts.append(text)
     return " ".join(parts)
+
+
+def resolve_details(
+    req: Requirement,
+    r: ReleaseId,
+    dep: Optional[DeploymentType],
+    registry: DevelopmentRegistry,
+) -> Optional[tuple[str, set[str], set[str]]]:
+    """(text, contributing devs, reachable devs) of `req` at release `r`.
+
+    None when no version is valid at `r`.  A development contributes when its
+    after-part was chosen; it is reachable when its block was visited at all.
+    """
+    version = version_at(req, r)
+    if version is None:
+        return None
+    contributing: set[str] = set()
+    seen: set[str] = set()
+    text = _resolve_segments(version.content, r, dep, registry, contributing, seen)
+    return text, contributing, seen
 
 
 def materialize(
@@ -116,12 +147,10 @@ def materialize(
     registry: DevelopmentRegistry,
 ) -> Optional[ResolvedRequirement]:
     """Effective text of `req` at release `r`, or None when no version is valid."""
-    version = version_at(req, r)
-    if version is None:
+    details = resolve_details(req, r, dep, registry)
+    if details is None:
         return None
-    contributing: set[str] = set()
-    seen: set[str] = set()
-    text = _resolve_segments(version.content, r, dep, registry, contributing, seen)
+    text, contributing, _seen = details
     return ResolvedRequirement(
         id=req.id,
         release=r,
@@ -129,22 +158,6 @@ def materialize(
         text=text,
         contributing_devs=frozenset(contributing),
     )
-
-
-def resolve_details(
-    req: Requirement,
-    r: ReleaseId,
-    dep: Optional[DeploymentType],
-    registry: DevelopmentRegistry,
-) -> Optional[tuple[str, frozenset[str], frozenset[str]]]:
-    """Like materialize, but returns (text, contributing devs, reachable devs)."""
-    version = version_at(req, r)
-    if version is None:
-        return None
-    contributing: set[str] = set()
-    seen: set[str] = set()
-    text = _resolve_segments(version.content, r, dep, registry, contributing, seen)
-    return text, frozenset(contributing), frozenset(seen)
 
 
 def _inline_dev(
@@ -272,8 +285,8 @@ def diff_texts(
     release_b: ReleaseId,
     text_a: Optional[str],
     text_b: Optional[str],
-    devs_a: set[str],
-    devs_b: set[str],
+    devs_a: AbstractSet[str],
+    devs_b: AbstractSet[str],
     dev_releases: Mapping[str, ReleaseId],
 ) -> BehaviorDiff:
     """Build a BehaviorDiff from two already-resolved texts."""
@@ -303,16 +316,6 @@ def diff_behavior(
     registry: DevelopmentRegistry,
 ) -> BehaviorDiff:
     """Sentence-level behavior diff of one requirement between two releases."""
-    devs_a: set[str] = set()
-    devs_b: set[str] = set()
-    text_a: Optional[str] = None
-    text_b: Optional[str] = None
-
-    version_a = version_at(req, a)
-    if version_a is not None:
-        text_a = _resolve_segments(version_a.content, a, dep, registry, set(), devs_a)
-    version_b = version_at(req, b)
-    if version_b is not None:
-        text_b = _resolve_segments(version_b.content, b, dep, registry, set(), devs_b)
-
+    text_a, _, devs_a = resolve_details(req, a, dep, registry) or _UNRESOLVED
+    text_b, _, devs_b = resolve_details(req, b, dep, registry) or _UNRESOLVED
     return diff_texts(req.id, a, b, text_a, text_b, devs_a, devs_b, registry.entries)

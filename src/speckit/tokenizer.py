@@ -72,11 +72,7 @@ def _classify_chunk(text: str) -> TokenKind:
     if text.isalpha():
         # Camel case ("activateMeasurementSA", "messungÄndern") is neither one
         # case throughout nor capitalized.
-        if (
-            text.islower()
-            or text.isupper()
-            or (text[0].isupper() and text[1:].islower())
-        ):
+        if text.isupper() or (text[0].isupper() and text[1:].islower()):
             return TokenKind.WORD
         return TokenKind.IDENTIFIER
     # Mixed letters/digits or underscores: a technical identifier.
@@ -114,30 +110,14 @@ def has_tokens(text: str, count: int) -> bool:
     return False
 
 
-def normalize(
-    tokens: list[Token], stop_words: frozenset[str] = frozenset()
-) -> list[Token]:
-    """Lowercase Word tokens, drop Punct; everything technical stays verbatim.
-
-    `stop_words` is an optional technical stop-word list (empty by default);
-    Word tokens on the list are dropped after lowercasing.
-    """
+def normalize(tokens: list[Token]) -> list[Token]:
+    """Lowercase Word tokens, drop Punct; everything technical stays verbatim."""
     out: list[Token] = []
     for tok in tokens:
         if tok.kind is TokenKind.PUNCT:
             continue
         if tok.kind is TokenKind.WORD:
-            lowered = tok.text.lower()
-            if lowered in stop_words:
-                continue
-            out.append(Token(lowered, TokenKind.WORD))
+            out.append(Token(tok.text.lower(), TokenKind.WORD))
         else:
             out.append(tok)
     return out
-
-
-def load_stop_words(source: str) -> frozenset[str]:
-    """Parse a stop-word list file: one token per line, blanks ignored."""
-    return frozenset(
-        line.strip().lower() for line in source.splitlines() if line.strip()
-    )

@@ -12,6 +12,8 @@ from speckit.model import (
     RequirementVersion,
     Section,
     compare_releases,
+    iter_dev_ids,
+    iter_segments,
     previous_release,
     version_at,
 )
@@ -104,6 +106,20 @@ class TestVersionAt:
                 assert version_at(req, r) == (matches[0] if matches else None)
 
 
+class TestIterSegments:
+    def test_pre_order_parts_in_document_order(self):
+        a, b, c, d = (PlainText(t) for t in "abcd")
+        span = DeploymentSpan(DeploymentType.NSA, (b,))
+        block = DevBlock("CB000001", (span,), (c,))
+        outer = DeploymentSpan(DeploymentType.SA, (block, d))
+        assert list(iter_segments((a, outer))) == [a, outer, block, span, b, c, d]
+        assert list(iter_dev_ids((a, outer))) == ["CB000001"]
+
+
+SA_SPAN = DeploymentSpan(DeploymentType.SA, (PlainText("x"),))
+NSA_SPAN = DeploymentSpan(DeploymentType.NSA, (PlainText("y"),))
+
+
 class TestInvariants:
     def test_overlapping_versions_rejected(self):
         with pytest.raises(ValueError):
@@ -119,24 +135,35 @@ class TestInvariants:
 
     def test_nested_dev_block_rejected(self):
         inner = DevBlock("CB000001", (PlainText("a"),), (PlainText("b"),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must not nest DevBlocks"):
             DevBlock("CB000002", (inner,), (PlainText("c"),))
 
     def test_nested_dev_block_inside_span_rejected(self):
         inner = DevBlock("CB000001", (PlainText("a"),), (PlainText("b"),))
         span = DeploymentSpan(DeploymentType.SA, (inner,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must not nest DevBlocks"):
             DevBlock("CB000002", (span,), (PlainText("c"),))
 
     def test_same_type_span_nesting_rejected(self):
-        inner = DeploymentSpan(DeploymentType.SA, (PlainText("x"),))
-        with pytest.raises(ValueError):
-            DeploymentSpan(DeploymentType.SA, (inner,))
+        bodies = [
+            (SA_SPAN,),
+            # reached through a DevBlock part inside the span
+            (DevBlock("CB000001", (PlainText("a"),), (SA_SPAN,)),),
+            # SA inside NSA inside SA
+            (DeploymentSpan(DeploymentType.NSA, (SA_SPAN,)),),
+        ]
+        for body in bodies:
+            with pytest.raises(ValueError, match=r"nested \[SA\] span"):
+                DeploymentSpan(DeploymentType.SA, body)
 
     def test_mixed_span_nesting_allowed(self):
-        inner = DeploymentSpan(DeploymentType.NSA, (PlainText("x"),))
-        outer = DeploymentSpan(DeploymentType.SA, (inner,))
-        assert outer.body == (inner,)
+        bodies = [
+            (NSA_SPAN,),
+            # NSA inside a DevBlock inside SA
+            (DevBlock("CB000001", (NSA_SPAN,), (PlainText("b"),)),),
+        ]
+        for body in bodies:
+            assert DeploymentSpan(DeploymentType.SA, body).body == body
 
     def test_blank_plain_text_rejected(self):
         with pytest.raises(ValueError):

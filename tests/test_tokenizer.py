@@ -11,7 +11,6 @@ from speckit.tokenizer import (
     TokenKind,
     _classify_chunk,
     has_tokens,
-    load_stop_words,
     normalize,
     tokenize,
 )
@@ -201,9 +200,3 @@ class TestNormalize:
     def test_technical_kinds_verbatim(self):
         tokens = tokenize("REQ_0001 CB00XXXX 01R2 42")
         assert normalize(tokens) == tokens
-
-    def test_stop_words_drop_words_only(self):
-        stop = load_stop_words("the\nShall\n\n")
-        tokens = tokenize("The timer shall CB00XXXX")
-        kept = [t.text for t in normalize(tokens, stop)]
-        assert kept == ["timer", "CB00XXXX"]
