@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 from .errors import UnknownReleaseError
 from .model import DevelopmentRegistry, ReleaseId, SpecDocument, release_universe
@@ -41,9 +42,16 @@ def extract_release_dataset(
     r: ReleaseId,
     registry: DevelopmentRegistry,
     min_tokens: int = DEFAULT_MIN_TOKENS,
+    *,
+    universe: Optional[list[ReleaseId]] = None,
 ) -> ReleaseDataset:
-    """Materialize every requirement valid at `r`, dropping headers and dups."""
-    if r not in release_universe(docs, registry):
+    """Materialize every requirement valid at `r`, dropping headers and dups.
+
+    `universe` is the corpus release universe when the caller already has it.
+    """
+    if universe is None:
+        universe = release_universe(docs, registry)
+    if r not in universe:
         raise UnknownReleaseError(str(r))
     records: list[tuple[str, str]] = []
     seen_texts: set[str] = set()
@@ -77,9 +85,10 @@ def extract_all(
     min_tokens: int = DEFAULT_MIN_TOKENS,
 ) -> list[ReleaseDataset]:
     """One dataset per release in the corpus universe."""
+    universe = release_universe(docs, registry)
     return [
-        extract_release_dataset(docs, r, registry, min_tokens)
-        for r in release_universe(docs, registry)
+        extract_release_dataset(docs, r, registry, min_tokens, universe=universe)
+        for r in universe
     ]
 
 

@@ -85,6 +85,9 @@ def build_index(
 
     # canonical procedures per (requirement, release); reused for proc_dev
     procs_at: dict[tuple[str, str], set[str]] = {}
+    # canonical procedures per distinct resolved text: most texts repeat
+    # across releases, so each is tokenized and alias-matched once
+    procs_of: dict[str, set[str]] = {}
 
     for doc in docs:
         for req in doc.iter_requirements():
@@ -96,8 +99,10 @@ def build_index(
                 r_key = str(r)
                 index.req_release.setdefault(req.id, {})[r_key] = (text, seen)
 
-                mentions = find_mentions(tokenize(text), lexicon)
-                procs = {m.canonical for m in mentions} or {UNMAPPED}
+                procs = procs_of.get(text)
+                if procs is None:
+                    mentions = find_mentions(tokenize(text), lexicon)
+                    procs = procs_of[text] = {m.canonical for m in mentions} or {UNMAPPED}
                 procs_at[(req.id, r_key)] = procs
                 for proc in procs:
                     index.proc_release.setdefault(proc, {}).setdefault(
@@ -137,7 +142,7 @@ def _changed_diff(
     records = index.req_release.get(req_id, {})
     text_a, devs_a = records.get(str(a), _ABSENT)
     text_b, devs_b = records.get(str(b), _ABSENT)
-    if text_a is None and text_b is None:
+    if text_a == text_b:  # both absent, or equal: nothing changed
         return None
     diff = diff_texts(req_id, a, b, text_a, text_b, devs_a, devs_b, index.registry)
     return diff if diff.has_changes else None

@@ -291,6 +291,10 @@ def diff_texts(
 ) -> BehaviorDiff:
     """Build a BehaviorDiff from two already-resolved texts."""
     sentences_a = split_sentences(text_a) if text_a is not None else []
+    if text_b == text_a:
+        # The LCS backtrack over equal inputs only moves diagonally.
+        segments = tuple(DiffSegment(DiffKind.UNCHANGED, s) for s in sentences_a)
+        return BehaviorDiff(req_id, release_a, release_b, segments, frozenset())
     sentences_b = split_sentences(text_b) if text_b is not None else []
     segments = tuple(lcs_diff(sentences_a, sentences_b))
     causes: set[str] = set()

@@ -1,0 +1,101 @@
+"""Helpers shared by several test modules: a nested-tree strategy and a diff reference."""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from typing import AbstractSet, Mapping, Optional
+
+from hypothesis import strategies as st
+
+from speckit.model import (
+    DeploymentSpan,
+    DeploymentType,
+    DevBlock,
+    PlainText,
+    ReleaseId,
+    merge_adjacent_plain,
+)
+from speckit.resolver import BehaviorDiff, DiffKind, lcs_diff, split_sentences
+
+DEV_IDS = ("CB000001", "CB00XXXX")
+RELEASES = tuple(ReleaseId.parse(r) for r in ("01R1", "01R2", "02R1", "02R2"))
+
+_PLAIN = st.lists(
+    st.sampled_from(["timer", "Starts", "value;", "x1", "REQ_0002", "again."]),
+    min_size=1,
+    max_size=3,
+).map(lambda words: PlainText(" ".join(words)))
+
+
+@lru_cache(maxsize=None)
+def segment_trees(
+    deps: frozenset[DeploymentType] = frozenset(), in_dev: bool = False, depth: int = 0
+):
+    """Valid segment tuples: no DevBlock in a DevBlock, no span inside its own type.
+
+    DevBlocks use the ids in DEV_IDS.  Adjacent plain text is merged, as the
+    parser produces it.
+    """
+    options = [_PLAIN]
+    if depth < 3:
+        if not in_dev:
+            part = segment_trees(deps, True, depth + 1)
+            options.append(st.builds(DevBlock, st.sampled_from(DEV_IDS), part, part))
+        for dep in DeploymentType:
+            if dep not in deps:
+                body = segment_trees(deps | {dep}, in_dev, depth + 1)
+                options.append(st.builds(DeploymentSpan, st.just(dep), body))
+    return st.lists(st.one_of(options), max_size=3).map(merge_adjacent_plain)
+
+
+# Texts that split into few, often repeated, sentences.  None, empty and blank
+# texts are listed: a blank text is the only one that splits into a blank sentence.
+_TEXTS = st.one_of(
+    st.sampled_from([None, "", " ", "a."]),
+    st.text(alphabet="ab.; ", max_size=12),
+    st.lists(st.sampled_from(["a.", "b;", "a", " ", ""]), max_size=6).map(" ".join),
+)
+
+
+@st.composite
+def diff_inputs(draw):
+    """Arguments for `diff_texts`: equal or unrelated texts, random devs and releases."""
+    dev_releases = draw(
+        st.dictionaries(
+            st.sampled_from(DEV_IDS + ("CB000002",)), st.sampled_from(RELEASES), min_size=1
+        )
+    )
+    devs = st.frozensets(st.sampled_from(sorted(dev_releases)))
+    text_a = draw(_TEXTS)
+    text_b = draw(st.one_of(st.just(text_a), _TEXTS))
+    release_a, release_b = draw(st.sampled_from(RELEASES)), draw(st.sampled_from(RELEASES))
+    return ("REQ_0001", release_a, release_b, text_a, text_b, draw(devs), draw(devs), dev_releases)
+
+
+def reference_diff_texts(
+    req_id: str,
+    release_a: ReleaseId,
+    release_b: ReleaseId,
+    text_a: Optional[str],
+    text_b: Optional[str],
+    devs_a: AbstractSet[str],
+    devs_b: AbstractSet[str],
+    dev_releases: Mapping[str, ReleaseId],
+) -> BehaviorDiff:
+    """`resolver.diff_texts` without its equal-text path: always the LCS table."""
+    sentences_a = split_sentences(text_a) if text_a is not None else []
+    sentences_b = split_sentences(text_b) if text_b is not None else []
+    segments = tuple(lcs_diff(sentences_a, sentences_b))
+    causes: set[str] = set()
+    if any(s.kind is not DiffKind.UNCHANGED for s in segments):
+        for dev in devs_a | devs_b:
+            introduced = dev_releases[dev]
+            if (introduced <= release_a) != (introduced <= release_b):
+                causes.add(dev)
+    return BehaviorDiff(
+        id=req_id,
+        release_a=release_a,
+        release_b=release_b,
+        segments=segments,
+        causes=frozenset(causes),
+    )

@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings
 
+import speckit.index
 from speckit.errors import UnknownDevelopmentError, UnknownReleaseError
 from speckit.index import (
     UNMAPPED,
+    SpecIndex,
+    _changed_diff,
     build_index,
     index_from_json,
     index_to_json,
@@ -16,6 +20,7 @@ from speckit.lexicon import build_lexicon
 from speckit.model import DeploymentType, DevelopmentRegistry, ReleaseId
 from speckit.parser import parse_document
 from speckit.resolver import materialize
+from support import RELEASES, diff_inputs, reference_diff_texts
 
 CORPUS = """# Measurements
 
@@ -89,6 +94,49 @@ class TestBuildIndex:
         assert diffs[0].causes == {"CB00XXXX"}
         assert any("old threshold" in s for s in diffs[0].removed())
         assert any("new threshold" in s for s in diffs[0].added())
+
+
+class TestRepeatedTexts:
+    def test_each_distinct_text_analysed_once(self, bundle, corpus_index, monkeypatch):
+        calls = []
+        original = speckit.index.find_mentions
+
+        def counting(tokens, lexicon):
+            calls.append(1)
+            return original(tokens, lexicon)
+
+        monkeypatch.setattr(speckit.index, "find_mentions", counting)
+        index = build_index(bundle.documents, bundle.registry, bundle.lexicon)
+        texts = {
+            text for by_release in index.req_release.values() for text, _ in by_release.values()
+        }
+        entries = sum(len(by_release) for by_release in index.req_release.values())
+        assert len(calls) == len(texts) < entries
+        assert index_to_json(index) == index_to_json(corpus_index)
+
+    @settings(max_examples=300)
+    @given(diff_inputs())
+    def test_changed_diff_none_exactly_when_unchanged(self, args):
+        req_id, a, b, text_a, text_b, devs_a, devs_b, dev_releases = args
+        records = {}
+        for r, text, devs in ((a, text_a, devs_a), (b, text_b, devs_b)):
+            if text is not None:
+                records[str(r)] = (text, devs)
+        index = SpecIndex(
+            release_universe=list(RELEASES),
+            registry=dev_releases,
+            aliases={},
+            req_release={req_id: records},
+            proc_release={},
+            proc_dev={},
+        )
+        (stored_a, held_a), (stored_b, held_b) = (
+            records.get(str(r), (None, frozenset())) for r in (a, b)
+        )
+        want = reference_diff_texts(
+            req_id, a, b, stored_a, stored_b, held_a, held_b, dev_releases
+        )
+        assert _changed_diff(index, req_id, a, b) == (want if want.has_changes else None)
 
 
 class TestQueries:

@@ -1,9 +1,7 @@
 import random
-from functools import lru_cache
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from speckit.errors import RegistryError
 from speckit.generator import random_document
@@ -18,7 +16,6 @@ from speckit.model import (
     RequirementVersion,
     Section,
     SpecDocument,
-    merge_adjacent_plain,
 )
 from speckit.parser import (
     FORMAT_HEADER,
@@ -31,6 +28,7 @@ from speckit.parser import (
     serialize,
     validate_corpus,
 )
+from support import segment_trees
 
 WELL_FORMED = """=== SPEC FORMAT 1 ===
 
@@ -260,37 +258,8 @@ class TestParseDocument:
         assert ParseErrorKind.BAD_REQUIREMENT_HEADER in {e.kind for e in result.errors}
 
 
-_PLAIN = st.lists(
-    st.sampled_from(["timer", "Starts", "value;", "x1", "REQ_0002", "again."]),
-    min_size=1,
-    max_size=3,
-).map(lambda words: PlainText(" ".join(words)))
-
-
-@lru_cache(maxsize=None)
-def _contents(
-    deps: frozenset[DeploymentType] = frozenset(), in_dev: bool = False, depth: int = 0
-):
-    """Valid segment tuples: no DevBlock in a DevBlock, no span inside its own type.
-
-    Adjacent plain text is merged, as the parser produces it.
-    """
-    options = [_PLAIN]
-    if depth < 3:
-        if not in_dev:
-            part = _contents(deps, True, depth + 1)
-            options.append(
-                st.builds(DevBlock, st.sampled_from(["CB000001", "CB00XXXX"]), part, part)
-            )
-        for dep in DeploymentType:
-            if dep not in deps:
-                body = _contents(deps | {dep}, in_dev, depth + 1)
-                options.append(st.builds(DeploymentSpan, st.just(dep), body))
-    return st.lists(st.one_of(options), max_size=3).map(merge_adjacent_plain)
-
-
 class TestSerialize:
-    @given(_contents())
+    @given(segment_trees())
     def test_round_trip_nested_trees(self, content):
         req = Requirement(
             id="REQ_0001",

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from speckit.dataset import extract_release_dataset
 from speckit.errors import DevelopmentNotPresentError, UnknownDevelopmentError
 from speckit.generator import RELEASES, random_tagged_requirement
 from speckit.model import (
@@ -13,17 +16,29 @@ from speckit.model import (
     ReleaseId,
     Requirement,
     RequirementVersion,
+    Section,
+    SpecDocument,
+    release_universe,
     version_at,
 )
 from speckit.resolver import (
     DiffKind,
     baseline,
     diff_behavior,
+    diff_texts,
     lcs_diff,
     materialize,
+    resolve_details,
     split_sentences,
 )
 from speckit.tokenizer import TAG_RE
+from support import (
+    DEV_IDS,
+    RELEASES as TREE_RELEASES,
+    diff_inputs,
+    reference_diff_texts,
+    segment_trees,
+)
 
 
 def rel(text: str) -> ReleaseId:
@@ -285,3 +300,49 @@ class TestDiffBehavior:
         )
         assert not diff.has_changes
         assert diff.causes == frozenset()
+
+
+class TestDiffTexts:
+    @settings(max_examples=300)
+    @given(diff_inputs())
+    def test_equals_always_lcs_reference(self, args):
+        assert diff_texts(*args) == reference_diff_texts(*args)
+
+    def test_equal_texts_unchanged_without_causes(self):
+        registry = {"CB00XXXX": rel("01R2")}
+        text = "a. a. b;"
+        diff = diff_texts(
+            "REQ_0001", rel("01R1"), rel("01R2"), text, text,
+            frozenset(registry), frozenset(registry), registry,
+        )
+        assert [(s.kind, s.text) for s in diff.segments] == [
+            (DiffKind.UNCHANGED, "a."), (DiffKind.UNCHANGED, "a."), (DiffKind.UNCHANGED, "b;")
+        ]
+        assert diff.causes == frozenset()
+
+
+class TestResolutionPurity:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        segment_trees(),
+        segment_trees(),
+        st.tuples(*(st.sampled_from(TREE_RELEASES) for _ in DEV_IDS)),
+    )
+    def test_no_tag_in_resolved_text_or_dataset(self, closed, open_, dev_releases):
+        registry = DevelopmentRegistry(dict(zip(DEV_IDS, dev_releases)))
+        first, second = TREE_RELEASES[:2]
+        req = Requirement(
+            id="REQ_0001",
+            versions=(
+                RequirementVersion(first, first, closed),
+                RequirementVersion(second, None, open_),
+            ),
+            section_path=("S",),
+        )
+        docs = [SpecDocument(name="d", sections=(Section("S", (req,)),))]
+        for r in release_universe(docs, registry):
+            for dep in (None, DeploymentType.SA, DeploymentType.NSA):
+                text, _, _ = resolve_details(req, r, dep, registry)
+                assert not TAG_RE.search(text), (r, dep, text)
+            [(_, record)] = extract_release_dataset(docs, r, registry, min_tokens=0).records
+            assert not TAG_RE.search(record), (r, record)
