@@ -244,10 +244,7 @@ def analyse_versions(
 
 
 def shingle_set(tokens: list[Token], k: int) -> frozenset[tuple[str, ...]]:
-    return _shingles([t.text for t in tokens], k)
-
-
-def _shingles(texts: list[str], k: int) -> frozenset[tuple[str, ...]]:
+    texts = [t.text for t in tokens]
     if not texts:
         return frozenset()
     if len(texts) < k:
@@ -321,9 +318,6 @@ def detect_duplication(
     universe = release_universe(docs, registry)
     latest = universe[-1] if universe else None
 
-    # One string object per distinct token text keeps the records' shingle
-    # tuples from holding a private copy of every word.
-    pool: dict[str, str] = {}
     records = []
     for doc, req, version in _iter_versions(docs):
         ref = version.last_release if version.last_release is not None else latest
@@ -332,17 +326,16 @@ def detect_duplication(
         resolved = materialize(req, ref, None, registry)
         if resolved is None:
             continue
+        # Interned tokens share their text strings across records, so the
+        # shingle tuples hold no copy per occurrence of a word.
         tokens = normalize(tokenize(resolved.text))
-        texts = [pool.setdefault(t.text, t.text) for t in tokens]
         records.append(
             {
                 "location": Location(doc.name, req.id, _version_label(version)),
                 "req_id": req.id,
-                "shingles": _shingles(texts, config.shingle_k),
+                "shingles": shingle_set(tokens, config.shingle_k),
                 "identifiers": {
-                    text
-                    for text, t in zip(texts, tokens)
-                    if t.kind is TokenKind.IDENTIFIER
+                    t.text for t in tokens if t.kind is TokenKind.IDENTIFIER
                 },
             }
         )

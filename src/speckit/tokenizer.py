@@ -12,6 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import islice
 
 from .model import DEVELOPMENT_ID_RE, RELEASE_ID_RE, REQUIREMENT_ID_RE
 
@@ -51,9 +53,18 @@ _SCAN_RE = re.compile(
     rf"(?P<tag>{TAG_PATTERN})"
     r"|(?P<number>\d+\.\d+)"
     r"|(?P<chunk>\w+)"
-    r"|(?P<space>\s+)"
     r"|(?P<punct>\S)"
 )
+# No alternative matches whitespace, so `finditer` steps over it.
+
+_GROUP_KIND = {"tag": TokenKind.TAG, "number": TokenKind.NUMBER, "punct": TokenKind.PUNCT}
+
+# Entries kept by each intern table.  Specification text repeats a small
+# vocabulary (191 distinct tokens over the 1,200 requirements of gen-corpus
+# seed 1), so equal tokens share one object.  The bound keeps a long-lived
+# process from holding every token it has seen: full, the two tables hold
+# about 7 MB of 12-character words.
+_INTERN_MAXSIZE = 16384
 
 
 def _classify_chunk(text: str) -> TokenKind:
@@ -79,45 +90,38 @@ def _classify_chunk(text: str) -> TokenKind:
     return TokenKind.IDENTIFIER
 
 
+@lru_cache(maxsize=_INTERN_MAXSIZE)
+def _token(value: str, group: str) -> Token:
+    """The one shared token for `value` matched by the scan group `group`."""
+    return Token(value, _GROUP_KIND.get(group) or _classify_chunk(value))
+
+
+@lru_cache(maxsize=_INTERN_MAXSIZE)
+def _lowered_word(text: str) -> Token:
+    """The one shared lowercased Word token for the Word `text`."""
+    return Token(text.lower(), TokenKind.WORD)
+
+
 def tokenize(text: str) -> list[Token]:
-    """Split text into classified tokens; pure, deterministic, digit-preserving."""
-    tokens: list[Token] = []
-    for m in _SCAN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "space":
-            continue
-        value = m.group()
-        if kind == "tag":
-            tokens.append(Token(value, TokenKind.TAG))
-        elif kind == "number":
-            tokens.append(Token(value, TokenKind.NUMBER))
-        elif kind == "chunk":
-            tokens.append(Token(value, _classify_chunk(value)))
-        else:
-            tokens.append(Token(value, TokenKind.PUNCT))
-    return tokens
+    """Split text into classified tokens; pure, deterministic, digit-preserving.
+
+    Tokens are immutable and interned: equal tokens from any call may be the
+    same object.
+    """
+    return [_token(m.group(), m.lastgroup) for m in _SCAN_RE.finditer(text)]
 
 
 def has_tokens(text: str, count: int) -> bool:
     """Whether `tokenize(text)` has at least `count` tokens, scanning no further."""
     if count <= 0:
         return True
-    for m in _SCAN_RE.finditer(text):
-        if m.lastgroup != "space":
-            count -= 1
-            if not count:
-                return True
-    return False
+    return next(islice(_SCAN_RE.finditer(text), count - 1, None), None) is not None
 
 
 def normalize(tokens: list[Token]) -> list[Token]:
     """Lowercase Word tokens, drop Punct; everything technical stays verbatim."""
-    out: list[Token] = []
-    for tok in tokens:
-        if tok.kind is TokenKind.PUNCT:
-            continue
-        if tok.kind is TokenKind.WORD:
-            out.append(Token(tok.text.lower(), TokenKind.WORD))
-        else:
-            out.append(tok)
-    return out
+    return [
+        _lowered_word(tok.text) if tok.kind is TokenKind.WORD else tok
+        for tok in tokens
+        if tok.kind is not TokenKind.PUNCT
+    ]

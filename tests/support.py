@@ -1,7 +1,8 @@
-"""Helpers shared by several test modules: a nested-tree strategy and a diff reference."""
+"""Helpers shared by several test modules: a nested-tree strategy and reference implementations."""
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from typing import AbstractSet, Mapping, Optional
 
@@ -16,6 +17,7 @@ from speckit.model import (
     merge_adjacent_plain,
 )
 from speckit.resolver import BehaviorDiff, DiffKind, lcs_diff, split_sentences
+from speckit.tokenizer import TAG_PATTERN, Token, TokenKind, _classify_chunk
 
 DEV_IDS = ("CB000001", "CB00XXXX")
 RELEASES = tuple(ReleaseId.parse(r) for r in ("01R1", "01R2", "02R1", "02R2"))
@@ -99,3 +101,44 @@ def reference_diff_texts(
         segments=segments,
         causes=frozenset(causes),
     )
+
+
+_REFERENCE_SCAN_RE = re.compile(
+    rf"(?P<tag>{TAG_PATTERN})"
+    r"|(?P<number>\d+\.\d+)"
+    r"|(?P<chunk>\w+)"
+    r"|(?P<space>\s+)"
+    r"|(?P<punct>\S)"
+)
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    """`tokenizer.tokenize` without interning: a new `Token` for every match."""
+    tokens: list[Token] = []
+    for m in _REFERENCE_SCAN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
+            continue
+        value = m.group()
+        if kind == "tag":
+            tokens.append(Token(value, TokenKind.TAG))
+        elif kind == "number":
+            tokens.append(Token(value, TokenKind.NUMBER))
+        elif kind == "chunk":
+            tokens.append(Token(value, _classify_chunk(value)))
+        else:
+            tokens.append(Token(value, TokenKind.PUNCT))
+    return tokens
+
+
+def reference_normalize(tokens: list[Token]) -> list[Token]:
+    """`tokenizer.normalize` without interning: a new `Token` for every Word."""
+    out: list[Token] = []
+    for tok in tokens:
+        if tok.kind is TokenKind.PUNCT:
+            continue
+        if tok.kind is TokenKind.WORD:
+            out.append(Token(tok.text.lower(), TokenKind.WORD))
+        else:
+            out.append(tok)
+    return out

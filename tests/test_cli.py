@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import speckit
 from speckit import cli
 from speckit.cli import main
 from speckit.generator import generate_corpus
@@ -23,6 +26,15 @@ The A2 measurement shall stop. [SA] Standalone extra step. [End SA]
 
 REGISTRY = "CB00XXXX 01R2\n"
 LEXICON = '{"A2 measurement": ["A2 measurement for Handover"]}\n'
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """`python -m speckit.cli ARGS` in a child process that imports this same speckit."""
+    paths = [str(Path(speckit.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run(
+        [sys.executable, "-m", "speckit.cli", *args], capture_output=True, text=True, env=env
+    )
 
 
 @pytest.fixture()
@@ -471,11 +483,7 @@ class TestErrorContract:
 
     def test_process_exit_status(self, error_dir):
         argv, code = ERROR_CASES["corpus-not-utf8"]
-        result = subprocess.run(
-            [sys.executable, "-m", "speckit.cli", *[a.format(d=error_dir) for a in argv]],
-            capture_output=True,
-            text=True,
-        )
+        result = run_cli(*[a.format(d=error_dir) for a in argv])
         assert result.returncode == code
         assert result.stderr.startswith("error: ") and len(result.stderr.splitlines()) == 1
         assert "Traceback" not in result.stderr
@@ -506,10 +514,6 @@ class TestGenCorpus:
         assert bundle.ground_truth["duplicates"] == []
 
     def test_console_entry_point(self, tmp_path):
-        result = subprocess.run(
-            [sys.executable, "-m", "speckit.cli", "gen-corpus", "--seed", "3", "--size", "80", "--out", str(tmp_path)],
-            capture_output=True,
-            text=True,
-        )
+        result = run_cli("gen-corpus", "--seed", "3", "--size", "80", "--out", str(tmp_path))
         assert result.returncode == 0
         assert (tmp_path / "ground_truth.json").exists()

@@ -1,6 +1,8 @@
 import random
 import re
 from collections import Counter
+from itertools import islice, product
+from string import ascii_lowercase
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,10 +12,16 @@ from speckit.tokenizer import (
     Token,
     TokenKind,
     _classify_chunk,
+    _lowered_word,
+    _token,
     has_tokens,
     normalize,
     tokenize,
 )
+from support import reference_normalize, reference_tokenize
+
+# Tags, ids, numbers, words in each case, punctuation and whitespace.
+TECHNICAL_TEXT = st.text(alphabet="ab 1.[]CBSA\t,", max_size=30)
 
 
 def kinds(text: str) -> list[tuple[str, TokenKind]]:
@@ -150,7 +158,7 @@ class TestProperties:
             assert _classify_chunk(chunk) == reference_classify_chunk(chunk)
 
     @given(
-        st.one_of(st.text(), st.text(alphabet="ab 1.[]CBSA\t,", max_size=30)),
+        st.one_of(st.text(), TECHNICAL_TEXT),
         st.integers(-1, 8),
     )
     def test_has_tokens_counts_like_tokenize(self, text, count):
@@ -200,3 +208,41 @@ class TestNormalize:
     def test_technical_kinds_verbatim(self):
         tokens = tokenize("REQ_0001 CB00XXXX 01R2 42")
         assert normalize(tokens) == tokens
+
+
+def clear_intern_tables() -> None:
+    _token.cache_clear()
+    _lowered_word.cache_clear()
+
+
+class TestInterning:
+    @given(st.one_of(st.text(), TECHNICAL_TEXT))
+    def test_tokenize_equals_reference_cold_then_warm(self, text):
+        clear_intern_tables()
+        want = reference_tokenize(text)
+        assert tokenize(text) == want
+        assert tokenize(text) == want
+
+    @given(st.one_of(st.text(), TECHNICAL_TEXT))
+    def test_normalize_equals_reference(self, text):
+        clear_intern_tables()
+        want = reference_normalize(reference_tokenize(text))
+        assert normalize(tokenize(text)) == want
+        assert normalize(tokenize(text)) == want
+
+    def test_equal_chunks_share_one_token(self):
+        assert tokenize("the timer expires")[1] is tokenize("timer again")[0]
+        assert normalize(tokenize("Timer"))[0] is normalize(tokenize("stop Timer"))[1]
+
+    def test_tables_stay_bounded_and_exact_after_eviction(self):
+        maxsize = _token.cache_info().maxsize
+        words = ["X" + "".join(p) for p in islice(product(ascii_lowercase, repeat=4), maxsize + 100)]
+        text = " ".join(words)
+        assert tokenize(text) == reference_tokenize(text)
+        assert normalize(tokenize(text)) == reference_normalize(reference_tokenize(text))
+        for table in (_token, _lowered_word):
+            info = table.cache_info()
+            assert info.currsize == info.maxsize == maxsize
+        # The first word was evicted; it is built again, equal.
+        first = words[0]
+        assert normalize(tokenize(first)) == reference_normalize(reference_tokenize(first))
