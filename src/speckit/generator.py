@@ -286,20 +286,6 @@ class CorpusBundle:
     ground_truth: dict
 
 
-@dataclass
-class _Draft:
-    req_id: str
-    slot: int
-    procedure: str
-    surface: str
-    versions: list[tuple[ReleaseId, ReleaseId | None, tuple[ContentSegment, ...]]]
-    devs: dict[str, ReleaseId]
-    deployment: str | None = None
-    span_sentence: str | None = None
-    overlength: bool = False
-    sentences: list[str] | None = None  # plain bodies only, for duplication
-
-
 def generate_corpus(
     seed: int,
     size: int = 200,
@@ -324,14 +310,9 @@ def generate_corpus(
         canonical: i % len(_SLOTS) for i, canonical in enumerate(normal_procs)
     }
     proc_cycle = 0
-    dev_counter = 1
-    req_counter = 1
-    drafts: list[_Draft] = []
     registry_entries: dict[str, ReleaseId] = {}
+    slot_reqs: list[list[Requirement]] = [[] for _ in _SLOTS]
 
-    truth_changes: dict[str, dict[str, list[str]]] = {
-        f"{a}->{b}": {} for a, b in zip(RELEASES, RELEASES[1:])
-    }
     truth: dict = {
         "seed": seed,
         "size": size,
@@ -342,14 +323,77 @@ def generate_corpus(
         "alias_usages": [],
         "dispersed": {},
         "dev_changes": {},
+        "changes": {f"{a}->{b}": {} for a, b in zip(RELEASES, RELEASES[1:])},
         "procedures": {canonical: [] for canonical, _ in PROCEDURES},
         "requirements": {},
     }
 
-    def next_id() -> str:
-        nonlocal req_counter
-        req_id = f"REQ_{req_counter:04d}"
-        req_counter += 1
+    def add(
+        procedure: str,
+        *content: ContentSegment,
+        versions: list[tuple[ReleaseId, ReleaseId | None, tuple[ContentSegment, ...]]] | None = None,
+        slot: int | None = None,
+        surface: str | None = None,
+        devs: dict[str, ReleaseId] | None = None,
+        deployment: str | None = None,
+        span_sentence: str | None = None,
+        overlength: bool = False,
+    ) -> str:
+        """Number the next requirement, file it under its slot and record its truth.
+
+        `content` is the body of one version open from the first release;
+        `versions` gives (first, last, content) triples instead.
+        """
+        req_id = f"REQ_{len(truth['requirements']) + 1:04d}"
+        versions = versions or [(RELEASES[0], None, content)]
+        slot = proc_home[procedure] if slot is None else slot
+        surface = surface or procedure
+        devs = devs or {}
+        doc_name, path = _SLOTS[slot]
+        slot_reqs[slot].append(
+            Requirement(
+                id=req_id,
+                versions=tuple(
+                    RequirementVersion(first_release=f, last_release=l, content=c)
+                    for f, l, c in versions
+                ),
+                section_path=path,
+            )
+        )
+        truth["procedures"][procedure].append(req_id)
+        truth["requirements"][req_id] = {
+            "document": doc_name,
+            "section_path": list(path),
+            "procedure": procedure,
+            "surface": surface,
+            "versions": [
+                {"first": str(f), "last": None if l is None else str(l)}
+                for f, l, _ in versions
+            ],
+            "devs": sorted(devs),
+            "deployment": deployment,
+            "span_sentence": span_sentence,
+            "overlength": overlength,
+        }
+        if overlength:
+            truth["overlength"].append(req_id)
+        if surface != procedure:
+            truth["alias_usages"].append(
+                {"requirement": req_id, "surface": surface, "canonical": procedure}
+            )
+        for dev, introduced in devs.items():
+            truth["dev_changes"][dev] = {
+                "requirement": req_id,
+                "release": str(introduced),
+                "procedure": procedure,
+            }
+        # A change between adjacent releases a -> b: a development introduced
+        # at b, or a new version starting at b.
+        starts = {f for f, _, _ in versions}
+        for a, b in zip(RELEASES, RELEASES[1:]):
+            causes = sorted(d for d, r in devs.items() if r == b)
+            if causes or b in starts:
+                truth["changes"][f"{a}->{b}"][req_id] = causes
         return req_id
 
     def next_proc() -> str:
@@ -362,9 +406,9 @@ def generate_corpus(
         lead = _mention_sentence(rng, surface)
         return [lead] + _filler_sentences(rng, min_tokens - _token_count(lead))
 
-    def add_draft(draft: _Draft) -> None:
-        drafts.append(draft)
-        truth["procedures"][draft.procedure].append(draft.req_id)
+    def lead_text(canonical: str, min_tokens: int) -> str:
+        # unlike plain_body, the filler alone reaches min_tokens
+        return _mention_sentence(rng, canonical) + " " + " ".join(_filler_sentences(rng, min_tokens))
 
     # --- base plain requirements (duplication sources come from these) ----
     n_dev = max(3, n_base // 5)
@@ -372,41 +416,24 @@ def generate_corpus(
     n_multi = max(2, n_base // 10)
     n_plain = n_base - n_dev - n_span - n_multi
 
-    plain_drafts: list[_Draft] = []
+    # (id, procedure, sentences) of each plain requirement
+    plain_sources: list[tuple[str, str, list[str]]] = []
     for _ in range(n_plain):
         canonical = next_proc()
         sentences = plain_body(canonical, 60)
-        body = " ".join(sentences)
-        draft = _Draft(
-            req_id=next_id(),
-            slot=proc_home[canonical],
-            procedure=canonical,
-            surface=canonical,
-            versions=[(RELEASES[0], None, (PlainText(body),))],
-            devs={},
-            sentences=sentences,
-        )
-        add_draft(draft)
-        plain_drafts.append(draft)
+        req_id = add(canonical, PlainText(" ".join(sentences)))
+        plain_sources.append((req_id, canonical, sentences))
 
     # --- requirements carrying development blocks ------------------------
-    release_cycle = list(RELEASES[1:])
-    for i in range(n_dev):
+    release_cycle = RELEASES[1:]
+    for _ in range(n_dev):
         canonical = next_proc()
-        req_id = next_id()
-        segments: list[ContentSegment] = [
-            PlainText(
-                _mention_sentence(rng, canonical) + " " + " ".join(
-                    _filler_sentences(rng, 30)
-                )
-            )
-        ]
+        segments: list[ContentSegment] = [PlainText(lead_text(canonical, 30))]
         devs: dict[str, ReleaseId] = {}
         for _ in range(rng.randrange(1, 4)):
-            dev = f"CB{dev_counter:06d}"
-            dev_counter += 1
-            introduced = release_cycle[(len(registry_entries) + len(devs)) % len(release_cycle)]
-            devs[dev] = introduced
+            n = len(registry_entries) + len(devs)
+            dev = f"CB{n + 1:06d}"
+            devs[dev] = release_cycle[n % len(release_cycle)]
             replaced = _sentence(rng)
             segments.append(
                 DevBlock(
@@ -417,132 +444,57 @@ def generate_corpus(
             )
             segments.append(PlainText(_sentence(rng)))
         registry_entries.update(devs)
-        draft = _Draft(
-            req_id=req_id,
-            slot=proc_home[canonical],
-            procedure=canonical,
-            surface=canonical,
-            versions=[(RELEASES[0], None, tuple(segments))],
-            devs=devs,
-        )
-        add_draft(draft)
-        for dev, introduced in devs.items():
-            truth["dev_changes"][dev] = {
-                "requirement": req_id,
-                "release": str(introduced),
-                "procedure": canonical,
-            }
-        for a, b in zip(RELEASES, RELEASES[1:]):
-            causes = sorted(d for d, r in devs.items() if r == b)
-            if causes:
-                truth_changes[f"{a}->{b}"][req_id] = causes
+        add(canonical, *segments, devs=devs)
 
     # --- requirements with one deployment span ---------------------------
     for _ in range(n_span):
         canonical = next_proc()
         dep = rng.choice(list(DeploymentType))
         span_sentence = _sentence(rng)
-        segments = (
-            PlainText(
-                _mention_sentence(rng, canonical)
-                + " "
-                + " ".join(_filler_sentences(rng, 25))
-            ),
+        add(
+            canonical,
+            PlainText(lead_text(canonical, 25)),
             DeploymentSpan(dep, (PlainText(span_sentence),)),
             PlainText(_sentence(rng)),
-        )
-        draft = _Draft(
-            req_id=next_id(),
-            slot=proc_home[canonical],
-            procedure=canonical,
-            surface=canonical,
-            versions=[(RELEASES[0], None, segments)],
-            devs={},
             deployment=dep.value,
             span_sentence=span_sentence,
         )
-        add_draft(draft)
 
     # --- requirements with an already-baselined second version -----------
     for _ in range(n_multi):
         canonical = next_proc()
-        req_id = next_id()
         shared = _mention_sentence(rng, canonical)
         old_tail = _sentence(rng)
         new_tail = _sentence(rng) + " " + _sentence(rng)
-        v1 = (RELEASES[0], RELEASES[0], (PlainText(shared + " " + old_tail),))
-        v2 = (RELEASES[1], None, (PlainText(shared + " " + new_tail),))
-        draft = _Draft(
-            req_id=req_id,
-            slot=proc_home[canonical],
-            procedure=canonical,
-            surface=canonical,
-            versions=[v1, v2],
-            devs={},
+        add(
+            canonical,
+            versions=[
+                (RELEASES[0], RELEASES[0], (PlainText(shared + " " + old_tail),)),
+                (RELEASES[1], None, (PlainText(shared + " " + new_tail),)),
+            ],
         )
-        add_draft(draft)
-        truth_changes[f"{RELEASES[0]}->{RELEASES[1]}"].setdefault(req_id, [])
 
     # --- injected: over-length requirements ------------------------------
     for _ in range(overlength):
         canonical = next_proc()
-        req_id = next_id()
-        sentences = plain_body(canonical, 330)
-        draft = _Draft(
-            req_id=req_id,
-            slot=proc_home[canonical],
-            procedure=canonical,
-            surface=canonical,
-            versions=[(RELEASES[0], None, (PlainText(" ".join(sentences)),))],
-            devs={},
-            overlength=True,
-        )
-        add_draft(draft)
-        truth["overlength"].append(req_id)
+        add(canonical, PlainText(" ".join(plain_body(canonical, 330))), overlength=True)
 
     # --- injected: non-canonical alias usages -----------------------------
     for i in range(alias_usages):
         canonical, aliases = PROCEDURES[i % len(normal_procs)]
         alias = aliases[i % len(aliases)]
-        req_id = next_id()
-        sentences = plain_body(alias, 45)
-        draft = _Draft(
-            req_id=req_id,
-            slot=proc_home[canonical],
-            procedure=canonical,
-            surface=alias,
-            versions=[(RELEASES[0], None, (PlainText(" ".join(sentences)),))],
-            devs={},
-        )
-        add_draft(draft)
-        truth["alias_usages"].append(
-            {"requirement": req_id, "surface": alias, "canonical": canonical}
-        )
+        add(canonical, PlainText(" ".join(plain_body(alias, 45))), surface=alias)
 
     # --- injected: dispersed procedures -----------------------------------
-    for i in range(dispersed_procs):
-        canonical = dispersed_pool[i]
-        ids = []
-        for slot in _DISPERSED_SLOTS[i]:
-            req_id = next_id()
-            sentences = plain_body(canonical, 35)
-            draft = _Draft(
-                req_id=req_id,
-                slot=slot,
-                procedure=canonical,
-                surface=canonical,
-                versions=[(RELEASES[0], None, (PlainText(" ".join(sentences)),))],
-                devs={},
-            )
-            add_draft(draft)
-            ids.append(req_id)
-        truth["dispersed"][canonical] = ids
+    for canonical, slots in zip(dispersed_pool[:dispersed_procs], _DISPERSED_SLOTS):
+        truth["dispersed"][canonical] = [
+            add(canonical, PlainText(" ".join(plain_body(canonical, 35))), slot=slot)
+            for slot in slots
+        ]
 
     # --- injected: near-duplicate copies ----------------------------------
-    sources = plain_drafts[:dup_pairs]
-    for source in sources:
-        assert source.sentences is not None
-        copy_sentences = list(source.sentences)
+    for source_id, canonical, sentences in plain_sources[:dup_pairs]:
+        copy_sentences = list(sentences)
         # Swap exactly one filler word; texts of >=50 tokens keep the
         # 5-shingle Jaccard at or above 0.8.
         target = rng.randrange(1, len(copy_sentences))
@@ -559,77 +511,39 @@ def generate_corpus(
         copy_sentences[target] = " ".join(words)
 
         copy_text = " ".join(copy_sentences)
-        source_text = " ".join(source.sentences)
         sim = jaccard(
-            shingle_set(normalize(tokenize(source_text)), 5),
+            shingle_set(normalize(tokenize(" ".join(sentences))), 5),
             shingle_set(normalize(tokenize(copy_text)), 5),
         )
         assert sim >= 0.8, f"constructed duplicate below 0.8 Jaccard: {sim}"
+        truth["duplicates"].append([source_id, add(canonical, PlainText(copy_text))])
 
-        req_id = next_id()
-        draft = _Draft(
-            req_id=req_id,
-            slot=source.slot,
-            procedure=source.procedure,
-            surface=source.procedure,
-            versions=[(RELEASES[0], None, (PlainText(copy_text),))],
-            devs={},
+    # --- assemble documents: each top section holds its own requirements
+    # followed by its subsections, in slot order ----------------------------
+    tops: dict[str, dict[str, tuple[list[Requirement], list[Section]]]] = {
+        doc_name: {} for doc_name in truth["documents"]
+    }
+    for (doc_name, path), reqs in zip(_SLOTS, slot_reqs):
+        own, subs = tops[doc_name].setdefault(path[0], ([], []))
+        if len(path) == 1:
+            own.extend(reqs)
+        else:
+            subs.append(Section(title=path[1], requirements=tuple(reqs)))
+    documents = [
+        SpecDocument(
+            name=doc_name,
+            sections=tuple(
+                Section(title=title, requirements=tuple(own), subsections=tuple(subs))
+                for title, (own, subs) in top.items()
+            ),
         )
-        add_draft(draft)
-        truth["duplicates"].append([source.req_id, req_id])
+        for doc_name, top in tops.items()
+    ]
 
-    # --- assemble documents ------------------------------------------------
     registry = DevelopmentRegistry(entries=registry_entries)
-    slot_reqs: dict[int, list[Requirement]] = {i: [] for i in range(len(_SLOTS))}
-    for draft in drafts:
-        doc_name, path = _SLOTS[draft.slot]
-        versions = tuple(
-            RequirementVersion(first_release=f, last_release=l, content=c)
-            for f, l, c in draft.versions
-        )
-        req = Requirement(id=draft.req_id, versions=versions, section_path=path)
-        slot_reqs[draft.slot].append(req)
-        truth["requirements"][draft.req_id] = {
-            "document": doc_name,
-            "section_path": list(path),
-            "procedure": draft.procedure,
-            "surface": draft.surface,
-            "versions": [
-                {"first": str(f), "last": None if l is None else str(l)}
-                for f, l, _ in draft.versions
-            ],
-            "devs": sorted(draft.devs),
-            "deployment": draft.deployment,
-            "span_sentence": draft.span_sentence,
-            "overlength": draft.overlength,
-        }
-
-    documents = []
-    for doc_name in truth["documents"]:
-        top: list[Section] = []
-        top_map: dict[str, tuple[list[Requirement], list[Section]]] = {}
-        for slot_index, (slot_doc, path) in enumerate(_SLOTS):
-            if slot_doc != doc_name:
-                continue
-            reqs = slot_reqs[slot_index]
-            if len(path) == 1:
-                top_map.setdefault(path[0], ([], []))[0].extend(reqs)
-            else:
-                top_map.setdefault(path[0], ([], []))
-                top_map[path[0]][1].append(
-                    Section(title=path[1], requirements=tuple(reqs))
-                )
-        for title, (reqs, subs) in top_map.items():
-            top.append(
-                Section(title=title, requirements=tuple(reqs), subsections=tuple(subs))
-            )
-        documents.append(SpecDocument(name=doc_name, sections=tuple(top)))
-
-    truth["changes"] = truth_changes
-    sources_text = {f"{doc.name}.spec": serialize(doc) for doc in documents}
     return CorpusBundle(
         documents=documents,
-        sources=sources_text,
+        sources={f"{doc.name}.spec": serialize(doc) for doc in documents},
         registry=registry,
         registry_text=dump_registry(registry),
         lexicon=lexicon,

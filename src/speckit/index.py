@@ -23,7 +23,7 @@ from .model import (
     SpecDocument,
     release_universe,
 )
-from .resolver import BehaviorDiff, DiffKind, DiffSegment, diff_texts, resolve_details
+from .resolver import BehaviorDiff, diff_texts, resolve_details
 from .tokenizer import tokenize
 
 FORMAT_VERSION = 1
@@ -83,8 +83,6 @@ def build_index(
         proc_dep={},
     )
 
-    # canonical procedures per (requirement, release); reused for proc_dev
-    procs_at: dict[tuple[str, str], set[str]] = {}
     # canonical procedures per distinct resolved text: most texts repeat
     # across releases, so each is tokenized and alias-matched once
     procs_of: dict[str, set[str]] = {}
@@ -103,7 +101,6 @@ def build_index(
                 if procs is None:
                     mentions = find_mentions(tokenize(text), lexicon)
                     procs = procs_of[text] = {m.canonical for m in mentions} or {UNMAPPED}
-                procs_at[(req.id, r_key)] = procs
                 for proc in procs:
                     index.proc_release.setdefault(proc, {}).setdefault(
                         r_key, []
@@ -121,13 +118,17 @@ def build_index(
 
     for a, b in zip(universe, universe[1:]):
         a_key, b_key = str(a), str(b)
-        for req_id in index.req_release:
+        for req_id, records in index.req_release.items():
             diff = _changed_diff(index, req_id, a, b)
             if diff is None:
                 continue
-            procs = procs_at.get((req_id, a_key), set()) | procs_at.get(
-                (req_id, b_key), set()
-            )
+            # procedures at either release: a change can move the mentions
+            procs = {
+                proc
+                for r_key in (a_key, b_key)
+                if r_key in records
+                for proc in procs_of[records[r_key][0]]
+            }
             for dev in sorted(diff.causes):
                 for proc in sorted(procs):
                     index.proc_dev.setdefault(proc, {}).setdefault(dev, []).append(diff)
@@ -224,53 +225,28 @@ def query_deployment(
 # ---------------------------------------------------------------------------
 
 
-def _diff_from_dict(data: dict) -> BehaviorDiff:
-    return BehaviorDiff(
-        id=data["id"],
-        release_a=ReleaseId.parse(data["release_a"]),
-        release_b=ReleaseId.parse(data["release_b"]),
-        segments=tuple(
-            DiffSegment(DiffKind(kind), text) for kind, text in data["segments"]
-        ),
-        causes=frozenset(data["causes"]),
-    )
-
-
 def index_to_json(index: SpecIndex) -> str:
     data = {
         "format_version": FORMAT_VERSION,
         "release_universe": [str(r) for r in index.release_universe],
-        "registry": {dev: str(r) for dev, r in sorted(index.registry.items())},
-        "aliases": dict(sorted(index.aliases.items())),
+        "registry": {dev: str(r) for dev, r in index.registry.items()},
+        "aliases": index.aliases,
         "req_release": {
             req_id: {
                 r: {"text": text, "devs": sorted(devs)}
-                for r, (text, devs) in sorted(by_release.items())
+                for r, (text, devs) in by_release.items()
             }
-            for req_id, by_release in sorted(index.req_release.items())
+            for req_id, by_release in index.req_release.items()
         },
-        "proc_release": {
-            proc: {r: entries for r, entries in sorted(by_release.items())}
-            for proc, by_release in sorted(index.proc_release.items())
-        },
+        "proc_release": index.proc_release,
         "proc_dev": {
-            proc: {
-                dev: [d.to_dict() for d in diffs]
-                for dev, diffs in sorted(by_dev.items())
-            }
-            for proc, by_dev in sorted(index.proc_dev.items())
+            proc: {dev: [d.to_dict() for d in diffs] for dev, diffs in by_dev.items()}
+            for proc, by_dev in index.proc_dev.items()
         },
-        "proc_req": {
-            proc: sorted(ids) for proc, ids in sorted(index.proc_req.items())
-        },
-        "proc_dep": {
-            proc: {
-                dep: {r: entries for r, entries in sorted(by_release.items())}
-                for dep, by_release in sorted(by_dep.items())
-            }
-            for proc, by_dep in sorted(index.proc_dep.items())
-        },
+        "proc_req": {proc: sorted(ids) for proc, ids in index.proc_req.items()},
+        "proc_dep": index.proc_dep,
     }
+    # sort_keys orders every mapping; only the sets above need sorting
     return json.dumps(data, sort_keys=True, indent=None, separators=(",", ":")) + "\n"
 
 
@@ -301,7 +277,7 @@ def index_from_json(source: str) -> SpecIndex:
             },
             proc_dev={
                 proc: {
-                    dev: [_diff_from_dict(d) for d in diffs]
+                    dev: [BehaviorDiff.from_dict(d) for d in diffs]
                     for dev, diffs in by_dev.items()
                 }
                 for proc, by_dev in data["proc_dev"].items()

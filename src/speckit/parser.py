@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import RegistryError
 from .model import (
@@ -74,6 +74,17 @@ class ParseErrorKind(Enum):
     DUPLICATE_ID = "DuplicateId"
     DANGLING_END = "DanglingEnd"
     UNKNOWN_DEVELOPMENT = "UnknownDevelopment"
+
+
+# Error for a line outside any requirement block that is not blank, a format
+# header, a heading or a block opener: the first pattern that matches wins,
+# and "{line}" in the message stands for the line.
+_STRAY_LINE_ERRORS: tuple[tuple[re.Pattern[str], ParseErrorKind, str], ...] = (
+    (_END_RE, ParseErrorKind.DANGLING_END, "=== END === without open block"),
+    (_VERSION_RE, ParseErrorKind.BAD_REQUIREMENT_HEADER, "version header outside requirement block"),
+    (_MARKERISH_RE, ParseErrorKind.BAD_REQUIREMENT_HEADER, "malformed block marker: {line}"),
+    (re.compile(""), ParseErrorKind.BAD_REQUIREMENT_HEADER, "unexpected text outside requirement block"),
+)
 
 
 @dataclass(frozen=True)
@@ -273,14 +284,20 @@ class _ContentParser:
         return self.stack[0].segments
 
 
+def _parse_lines(
+    numbered_lines: Iterable[tuple[int, str]], end_line: int
+) -> tuple[list[ContentSegment], list[ParseError]]:
+    """Run the tag state machine over (line number, line) pairs."""
+    machine = _ContentParser()
+    for line_no, line in numbered_lines:
+        machine.feed_line(line_no, line)
+    return machine.finish(end_line), machine.errors
+
+
 def parse_content(text: str) -> tuple[list[ContentSegment], list[ParseError]]:
     """Parse one version's content body into segments; errors use 1-based lines."""
-    machine = _ContentParser()
     lines = text.split("\n")
-    for i, line in enumerate(lines, start=1):
-        machine.feed_line(i, line)
-    segments = machine.finish(len(lines))
-    return segments, machine.errors
+    return _parse_lines(enumerate(lines, start=1), len(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +310,6 @@ class _VersionDraft:
     line: int
     first: Optional[ReleaseId]
     last: Optional[ReleaseId]
-    last_open: bool
     content_lines: list[tuple[int, str]] = field(default_factory=list)
 
 
@@ -328,29 +344,16 @@ def parse_document(source: str, name: str = "") -> ParseResult:
     seen_ids: dict[str, int] = {}
     block: Optional[_BlockDraft] = None
 
-    def current_version(b: _BlockDraft) -> Optional[_VersionDraft]:
-        return b.versions[-1] if b.versions else None
-
     def close_block(b: _BlockDraft) -> None:
         """Assemble a requirement from a finished block; drop it on any error."""
         block_errors = list(b.errors)
         versions: list[RequirementVersion] = []
         for draft in b.versions:
-            machine = _ContentParser()
-            for line_no, line in draft.content_lines:
-                machine.feed_line(line_no, line)
             end_line = draft.content_lines[-1][0] if draft.content_lines else draft.line
-            segments = machine.finish(end_line)
-            block_errors.extend(machine.errors)
-            if draft.first is None:
-                continue
-            versions.append(
-                RequirementVersion(
-                    first_release=draft.first,
-                    last_release=draft.last,
-                    content=tuple(segments),
-                )
-            )
+            segments, content_errors = _parse_lines(draft.content_lines, end_line)
+            block_errors.extend(content_errors)
+            if draft.first is not None:
+                versions.append(RequirementVersion(draft.first, draft.last, tuple(segments)))
         if not b.versions:
             block_errors.append(
                 ParseError(
@@ -405,24 +408,18 @@ def parse_document(source: str, name: str = "") -> ParseResult:
                 continue
             m = _VERSION_RE.match(line)
             if m:
-                draft = _VersionDraft(line=line_no, first=None, last=None, last_open=False)
-                try:
-                    draft.first = ReleaseId.parse(m.group(1))
-                except ValueError as exc:
-                    block.errors.append(
-                        ParseError(ParseErrorKind.BAD_RELEASE_ID, line_no, str(exc))
-                    )
-                last_text = m.group(2)
-                if last_text == "open":
-                    draft.last = None
-                else:
+                # first=, then last= (which may be "open"); a bad id stays None
+                releases: list[Optional[ReleaseId]] = [None, None]
+                for i, text in enumerate(m.groups()):
+                    if i == 1 and text == "open":
+                        continue
                     try:
-                        draft.last = ReleaseId.parse(last_text)
+                        releases[i] = ReleaseId.parse(text)
                     except ValueError as exc:
                         block.errors.append(
                             ParseError(ParseErrorKind.BAD_RELEASE_ID, line_no, str(exc))
                         )
-                block.versions.append(draft)
+                block.versions.append(_VersionDraft(line_no, *releases))
                 continue
             m = _REQ_OPEN_RE.match(line)
             if m:
@@ -436,19 +433,16 @@ def parse_document(source: str, name: str = "") -> ParseResult:
                 close_block(block)
                 block = _BlockDraft(line=line_no, req_id=m.group(1))
                 continue
-            version = current_version(block)
-            if version is None:
-                if line:
-                    block.errors.append(
-                        ParseError(
-                            ParseErrorKind.BAD_REQUIREMENT_HEADER,
-                            line_no,
-                            "content before the first version header",
-                        )
+            if line and not block.versions:
+                block.errors.append(
+                    ParseError(
+                        ParseErrorKind.BAD_REQUIREMENT_HEADER,
+                        line_no,
+                        "content before the first version header",
                     )
-                continue
-            if line:
-                version.content_lines.append((line_no, line))
+                )
+            elif line:
+                block.versions[-1].content_lines.append((line_no, line))
             continue
 
         # Outside any requirement block.
@@ -471,38 +465,12 @@ def parse_document(source: str, name: str = "") -> ParseResult:
         if m:
             block = _BlockDraft(line=line_no, req_id=m.group(1))
             continue
-        if _END_RE.match(line):
-            errors.append(
-                ParseError(
-                    ParseErrorKind.DANGLING_END, line_no, "=== END === without open block"
-                )
-            )
-            continue
-        if _VERSION_RE.match(line):
-            errors.append(
-                ParseError(
-                    ParseErrorKind.BAD_REQUIREMENT_HEADER,
-                    line_no,
-                    "version header outside requirement block",
-                )
-            )
-            continue
-        if _MARKERISH_RE.match(line):
-            errors.append(
-                ParseError(
-                    ParseErrorKind.BAD_REQUIREMENT_HEADER,
-                    line_no,
-                    f"malformed block marker: {line}",
-                )
-            )
-            continue
-        errors.append(
-            ParseError(
-                ParseErrorKind.BAD_REQUIREMENT_HEADER,
-                line_no,
-                "unexpected text outside requirement block",
-            )
+        kind, message = next(
+            (kind, message)
+            for pattern, kind, message in _STRAY_LINE_ERRORS
+            if pattern.match(line)
         )
+        errors.append(ParseError(kind, line_no, message.format(line=line)))
 
     if block is not None:
         block.errors.append(

@@ -87,6 +87,19 @@ class BehaviorDiff:
             "causes": sorted(self.causes),
         }
 
+    @classmethod
+    def from_dict(cls, data: dict) -> BehaviorDiff:
+        """The inverse of `to_dict`."""
+        return cls(
+            id=data["id"],
+            release_a=ReleaseId.parse(data["release_a"]),
+            release_b=ReleaseId.parse(data["release_b"]),
+            segments=tuple(
+                DiffSegment(DiffKind(kind), text) for kind, text in data["segments"]
+            ),
+            causes=frozenset(data["causes"]),
+        )
+
 
 def _resolve_segments(
     segments: tuple[ContentSegment, ...],

@@ -1,4 +1,8 @@
-"""Byte-identity oracle: pinned sha256 of four outputs on the seed-42 corpus.
+"""Byte-identity oracle: pinned sha256 of seeded outputs.
+
+Five outputs are pinned on the seed-42 corpus (index JSON, extract JSONL,
+diff sweep, and lint JSON at default and tight limits), and every file
+`write_corpus` writes is pinned for two generator settings.
 
 A change meant to keep behaviour (a speed-up, a refactor) must leave these
 hashes as they are.  A change meant to alter an output updates the hash it
@@ -9,10 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from speckit.dataset import dataset_to_jsonl, extract_all
+from speckit.generator import generate_corpus, write_corpus
 from speckit.index import build_index, index_to_json
 from speckit.lint import LintConfig, lint_corpus
 from speckit.model import DeploymentType, release_universe
@@ -23,6 +29,30 @@ EXTRACT_SHA256 = "6b09632e31244138c23c4db8e4b9b71ab0a7e618d676d9d00a4c1d0d630b7a
 DIFF_SHA256 = "f89750cd9f80ad292e87aee1dc6a9a39e275670091fed6d59c05b7c902e7728f"
 LINT_SHA256 = "9bbf4c0c4740b8c33579a03f5a06339ac34a2dc88270724bba94bc05340539ce"
 LINT_TIGHT_SHA256 = "48dfa553628cfd412880ca6d5241fe0bcdefb9fa6657b2007962cd6810f934ca"
+
+# generate_corpus keyword arguments -> sha256 of each file write_corpus writes
+CORPUS_FILES_SHA256 = {
+    "seed42-size200": (
+        dict(seed=42, size=200),
+        {
+            "SPEC_A.spec": "d192d7ecc6fdabc1c2aa8d7064306ba52bd4a35a35961c77917d790bdc23c25a",
+            "SPEC_B.spec": "78a22c16fc5812f5f6ab7aa59bc9b5eb6425e1b83b9abef4fe04944633cd1d19",
+            "registry.txt": "12b899567c939641c1eeb265cd110e5c0e83d4990a0ab6fe27f0f3b273ad2a82",
+            "lexicon.json": "10b2d1cc6dfa158cb635159a3382ad2f76a3d1752373034f230cc4998b0fa9b5",
+            "ground_truth.json": "38f07e535df33a7a188159d051a137cc702fd4abfe77119fbf86f20732e108b5",
+        },
+    ),
+    "seed5-size300-injections": (
+        dict(seed=5, size=300, dup_pairs=20, overlength=3, alias_usages=30, dispersed_procs=1),
+        {
+            "SPEC_A.spec": "a7490495db205c11c86ba73aa426a289057ae7e438013e760996c8cd11dcbe55",
+            "SPEC_B.spec": "2a0f56e55194fb46d77a3ae5f2874cf661d272267d44f751c88bdd56db689592",
+            "registry.txt": "5f5e85d0d275e57485456b26ca54acff4ff54954131186798ec56afd4d19a144",
+            "lexicon.json": "10b2d1cc6dfa158cb635159a3382ad2f76a3d1752373034f230cc4998b0fa9b5",
+            "ground_truth.json": "14f83c3f04c609b0c9429f07eff5ef83982aa1c28ca7bbb587873c755de636df",
+        },
+    ),
+}
 
 
 def sha256(text: str) -> str:
@@ -79,3 +109,11 @@ def lint_tight_output(bundle) -> str:
 )
 def test_output_sha256_pinned(bundle, output, expected):
     assert sha256(output(bundle)) == expected
+
+
+@pytest.mark.parametrize("setting", sorted(CORPUS_FILES_SHA256))
+def test_corpus_files_sha256_pinned(tmp_path: Path, setting):
+    kwargs, expected = CORPUS_FILES_SHA256[setting]
+    written = write_corpus(generate_corpus(**kwargs), tmp_path)
+    actual = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in written}
+    assert actual == expected

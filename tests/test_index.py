@@ -95,6 +95,39 @@ class TestBuildIndex:
         assert any("old threshold" in s for s in diffs[0].removed())
         assert any("new threshold" in s for s in diffs[0].added())
 
+    def test_dev_diff_filed_under_procedures_of_both_releases(self):
+        # The development swaps the procedure the requirement mentions, so
+        # the diff belongs to the old procedure and to the new one.
+        source = """# Measurements
+
+=== REQ REQ_0001 ===
+--- VERSION first=01R1 last=open ---
+[Before CB00XXXX] The A2 measurement shall stop. [CB00XXXX] The A3 measurement shall start. [End CB00XXXX]
+=== END ===
+"""
+        result = parse_document(source, name="doc")
+        assert result.ok, result.errors
+        registry = DevelopmentRegistry({"CB00XXXX": rel("01R2")})
+        lexicon = build_lexicon({"A2 measurement": [], "A3 measurement": []})
+        index = build_index([result.document], registry, lexicon)
+        assert query_behavior(index, "A3 measurement", rel("01R1")) == []
+        assert query_behavior(index, "A2 measurement", rel("01R2")) == []
+        for proc in ("A2 measurement", "A3 measurement"):
+            diffs = query_dev_changes(index, proc, "CB00XXXX")
+            assert [d.to_dict() for d in diffs] == [
+                {
+                    "id": "REQ_0001",
+                    "release_a": "01R1",
+                    "release_b": "01R2",
+                    "segments": [
+                        ["removed", "The A2 measurement shall stop."],
+                        ["added", "The A3 measurement shall start."],
+                    ],
+                    "causes": ["CB00XXXX"],
+                }
+            ]
+            assert query_requirements(index, proc) == {"REQ_0001"}
+
 
 class TestRepeatedTexts:
     def test_each_distinct_text_analysed_once(self, bundle, corpus_index, monkeypatch):
