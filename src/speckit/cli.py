@@ -82,13 +82,9 @@ def _load_corpus(paths: Sequence[str]) -> tuple[list[SpecDocument], list]:
     docs = []
     errors = []
     for p in paths:
-        name = Path(p).stem
-        result = parse_document(_read_text(p), name=name)
+        result = parse_document(_read_text(p), name=Path(p).stem)
         docs.append(result.document)
-        for err in result.errors:
-            errors.append(
-                err if err.document else type(err)(err.kind, err.line, err.message, name)
-            )
+        errors.extend(result.errors)
     return docs, errors
 
 
@@ -350,40 +346,33 @@ def build_arg_parser() -> argparse.ArgumentParser:
     pb.set_defaults(func=cmd_index_build)
 
     p = sub.add_parser("query", help="query a built (or buildable) index")
+    p.set_defaults(func=cmd_query)
     query_sub = p.add_subparsers(dest="form", required=True)
 
-    def add_query_common(q: argparse.ArgumentParser) -> None:
+    def add_query(form: str, help_text: str) -> argparse.ArgumentParser:
+        q = query_sub.add_parser(form, help=help_text)
         q.add_argument("--index", metavar="FILE", help="index file from `index build`")
         _add_corpus_args(q, required=False)
         q.add_argument("--lexicon", metavar="FILE")
         q.add_argument("--proc", required=True, help="procedure name or alias")
         q.add_argument("--format", choices=["text", "json"], default="text")
+        return q
 
-    q = query_sub.add_parser("behavior", help="how does a procedure behave in a release")
-    add_query_common(q)
+    q = add_query("behavior", "how does a procedure behave in a release")
     q.add_argument("--release", required=True)
-    q.set_defaults(func=cmd_query)
 
-    q = query_sub.add_parser("diff", help="behavior difference between two releases")
-    add_query_common(q)
+    q = add_query("diff", "behavior difference between two releases")
     q.add_argument("--from", dest="release_from", required=True)
     q.add_argument("--to", dest="release_to", required=True)
-    q.set_defaults(func=cmd_query)
 
-    q = query_sub.add_parser("dev", help="changes introduced by a development")
-    add_query_common(q)
+    q = add_query("dev", "changes introduced by a development")
     q.add_argument("--dev", required=True, help="development id, e.g. CB000001")
-    q.set_defaults(func=cmd_query)
 
-    q = query_sub.add_parser("reqs", help="requirements related to a procedure")
-    add_query_common(q)
-    q.set_defaults(func=cmd_query)
+    add_query("reqs", "requirements related to a procedure")
 
-    q = query_sub.add_parser("deployment", help="behavior for SA or NSA")
-    add_query_common(q)
+    q = add_query("deployment", "behavior for SA or NSA")
     q.add_argument("--deployment", choices=["SA", "NSA"], required=True)
     q.add_argument("--release", help="narrow to one release (default: latest)")
-    q.set_defaults(func=cmd_query)
 
     p = sub.add_parser("extract", help="write per-release raw datasets")
     _add_corpus_args(p)

@@ -9,7 +9,7 @@ drop counts are reported alongside the records.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -137,9 +137,7 @@ def write_datasets(datasets: list[ReleaseDataset], out_dir: Path) -> list[Path]:
         written.append(path)
         stats[str(dataset.release)] = {
             "records": len(dataset.records),
-            "total": dataset.stats.total,
-            "dropped_headers": dataset.stats.dropped_headers,
-            "dropped_duplicates": dataset.stats.dropped_duplicates,
+            **asdict(dataset.stats),
         }
     stats_path = out_dir / "stats.json"
     stats_path.write_text(

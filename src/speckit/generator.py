@@ -9,6 +9,7 @@ seeds produce byte-identical corpora.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -294,6 +295,8 @@ def generate_corpus(
     alias_usages: int = 12,
     dispersed_procs: int = 3,
 ) -> CorpusBundle:
+    if min(dup_pairs, overlength, alias_usages, dispersed_procs) < 0:
+        raise ValueError("injection counts must not be negative")
     if dispersed_procs > len(_DISPERSED_SLOTS):
         raise ValueError(f"at most {len(_DISPERSED_SLOTS)} dispersed procedures supported")
     n_injected = dup_pairs + overlength + alias_usages + 4 * dispersed_procs
@@ -309,7 +312,7 @@ def generate_corpus(
     proc_home = {
         canonical: i % len(_SLOTS) for i, canonical in enumerate(normal_procs)
     }
-    proc_cycle = 0
+    procs = itertools.cycle(normal_procs)  # each generated requirement's procedure
     registry_entries: dict[str, ReleaseId] = {}
     slot_reqs: list[list[Requirement]] = [[] for _ in _SLOTS]
 
@@ -396,12 +399,6 @@ def generate_corpus(
                 truth["changes"][f"{a}->{b}"][req_id] = causes
         return req_id
 
-    def next_proc() -> str:
-        nonlocal proc_cycle
-        canonical = normal_procs[proc_cycle % len(normal_procs)]
-        proc_cycle += 1
-        return canonical
-
     def plain_body(surface: str, min_tokens: int) -> list[str]:
         lead = _mention_sentence(rng, surface)
         return [lead] + _filler_sentences(rng, min_tokens - _token_count(lead))
@@ -419,7 +416,7 @@ def generate_corpus(
     # (id, procedure, sentences) of each plain requirement
     plain_sources: list[tuple[str, str, list[str]]] = []
     for _ in range(n_plain):
-        canonical = next_proc()
+        canonical = next(procs)
         sentences = plain_body(canonical, 60)
         req_id = add(canonical, PlainText(" ".join(sentences)))
         plain_sources.append((req_id, canonical, sentences))
@@ -427,7 +424,7 @@ def generate_corpus(
     # --- requirements carrying development blocks ------------------------
     release_cycle = RELEASES[1:]
     for _ in range(n_dev):
-        canonical = next_proc()
+        canonical = next(procs)
         segments: list[ContentSegment] = [PlainText(lead_text(canonical, 30))]
         devs: dict[str, ReleaseId] = {}
         for _ in range(rng.randrange(1, 4)):
@@ -448,7 +445,7 @@ def generate_corpus(
 
     # --- requirements with one deployment span ---------------------------
     for _ in range(n_span):
-        canonical = next_proc()
+        canonical = next(procs)
         dep = rng.choice(list(DeploymentType))
         span_sentence = _sentence(rng)
         add(
@@ -462,7 +459,7 @@ def generate_corpus(
 
     # --- requirements with an already-baselined second version -----------
     for _ in range(n_multi):
-        canonical = next_proc()
+        canonical = next(procs)
         shared = _mention_sentence(rng, canonical)
         old_tail = _sentence(rng)
         new_tail = _sentence(rng) + " " + _sentence(rng)
@@ -476,7 +473,7 @@ def generate_corpus(
 
     # --- injected: over-length requirements ------------------------------
     for _ in range(overlength):
-        canonical = next_proc()
+        canonical = next(procs)
         add(canonical, PlainText(" ".join(plain_body(canonical, 330))), overlength=True)
 
     # --- injected: non-canonical alias usages -----------------------------

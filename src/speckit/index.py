@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import AbstractSet, Optional
+from typing import AbstractSet, Any, Optional
 
 from .errors import UnknownDevelopmentError, UnknownReleaseError
 from .lexicon import Lexicon, find_mentions, phrase_key
@@ -154,15 +154,20 @@ def _changed_diff(
 # ---------------------------------------------------------------------------
 
 
+def _procedure_entry(index: SpecIndex, table: dict[str, Any], procedure: str) -> Any:
+    """`procedure`'s entry in a per-procedure table, or {} if it has none.
+
+    An unknown procedure has no canonical name (None), which no table holds.
+    """
+    return table.get(index.canonical_of(procedure), {})
+
+
 def query_behavior(
     index: SpecIndex, procedure: str, r: ReleaseId
 ) -> list[Entry]:
     """Resolved texts describing `procedure` at release `r`."""
     index._require_release(r)
-    canonical = index.canonical_of(procedure)
-    if canonical is None:
-        return []
-    return list(index.proc_release.get(canonical, {}).get(str(r), []))
+    return list(_procedure_entry(index, index.proc_release, procedure).get(str(r), []))
 
 
 def query_release_diff(
@@ -171,10 +176,7 @@ def query_release_diff(
     """Behavior diffs between releases `a` and `b`, all-unchanged ones omitted."""
     index._require_release(a)
     index._require_release(b)
-    canonical = index.canonical_of(procedure)
-    if canonical is None:
-        return []
-    by_release = index.proc_release.get(canonical, {})
+    by_release = _procedure_entry(index, index.proc_release, procedure)
     ids = sorted(
         {req_id for req_id, _ in by_release.get(str(a), [])}
         | {req_id for req_id, _ in by_release.get(str(b), [])}
@@ -189,18 +191,12 @@ def query_dev_changes(
     """Diffs of `procedure` requirements caused by development `dev`."""
     if dev not in index.registry:
         raise UnknownDevelopmentError(dev)
-    canonical = index.canonical_of(procedure)
-    if canonical is None:
-        return []
-    return list(index.proc_dev.get(canonical, {}).get(dev, []))
+    return list(_procedure_entry(index, index.proc_dev, procedure).get(dev, []))
 
 
 def query_requirements(index: SpecIndex, procedure: str) -> set[str]:
     """Ids of every requirement related to `procedure`."""
-    canonical = index.canonical_of(procedure)
-    if canonical is None:
-        return set()
-    return set(index.proc_req.get(canonical, set()))
+    return set(_procedure_entry(index, index.proc_req, procedure))
 
 
 def query_deployment(
@@ -212,12 +208,8 @@ def query_deployment(
     """Resolved texts for one deployment type, at `r` or the latest release."""
     release = r if r is not None else index.latest_release()
     index._require_release(release)
-    canonical = index.canonical_of(procedure)
-    if canonical is None:
-        return []
-    return list(
-        index.proc_dep.get(canonical, {}).get(dep.value, {}).get(str(release), [])
-    )
+    by_dep = _procedure_entry(index, index.proc_dep, procedure)
+    return list(by_dep.get(dep.value, {}).get(str(release), []))
 
 
 # ---------------------------------------------------------------------------

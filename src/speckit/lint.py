@@ -14,7 +14,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
@@ -65,13 +65,7 @@ SEVERITY_BY_RULE = {
     LintRule.L5_DISPERSION: Severity.LOW,
 }
 
-_RULE_SHORT = {
-    "L1": LintRule.L1_DUPLICATION,
-    "L2": LintRule.L2_LENGTH,
-    "L3": LintRule.L3_STANDARDIZATION,
-    "L4": LintRule.L4_GRAMMAR,
-    "L5": LintRule.L5_DISPERSION,
-}
+_RULE_SHORT = {rule.value[:2]: rule for rule in LintRule}  # "L1" -> L1_DUPLICATION
 
 
 @dataclass(frozen=True)
@@ -94,17 +88,11 @@ class LintFinding:
         data = {
             "rule": self.rule.value,
             "severity": self.severity.value,
-            "document": self.location.document,
-            "requirement": self.location.requirement,
-            "version": self.location.version,
+            **asdict(self.location),
             "message": self.message,
         }
         if self.related is not None:
-            data["related"] = {
-                "document": self.related.document,
-                "requirement": self.related.requirement,
-                "version": self.related.version,
-            }
+            data["related"] = asdict(self.related)
         if self.score is not None:
             data["score"] = self.score
         return data
@@ -125,6 +113,10 @@ def _finding(
         related=related,
         score=score,
     )
+
+
+# The integer settings of LintConfig, as JSON config keys.
+_INT_KEYS = ("shingle_k", "max_tokens", "max_procedures", "max_sections")
 
 
 @dataclass(frozen=True)
@@ -154,7 +146,7 @@ class LintConfig:
         if not isinstance(data, dict):
             raise ValueError("lint config must be a JSON object")
         kwargs = {}
-        for key in ("shingle_k", "max_tokens", "max_procedures", "max_sections"):
+        for key in _INT_KEYS:
             if key in data:
                 if not isinstance(data[key], int) or isinstance(data[key], bool):
                     raise ValueError(f"{key} must be an integer")
@@ -177,14 +169,7 @@ class LintConfig:
                 if not flag:
                     enabled.discard(_RULE_SHORT[name])
             kwargs["enabled"] = frozenset(enabled)
-        unknown = set(data) - {
-            "shingle_k",
-            "dup_threshold",
-            "max_tokens",
-            "max_procedures",
-            "max_sections",
-            "rules",
-        }
+        unknown = set(data) - {*_INT_KEYS, "dup_threshold", "rules"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**kwargs)
@@ -316,16 +301,12 @@ def detect_duplication(
     checked with `jaccard`.
     """
     universe = release_universe(docs, registry)
-    latest = universe[-1] if universe else None
 
     records = []
     for doc, req, version in _iter_versions(docs):
-        ref = version.last_release if version.last_release is not None else latest
-        if ref is None:
-            continue
+        # A closed version holds its last release, an open one the latest.
+        ref = version.last_release if version.last_release is not None else universe[-1]
         resolved = materialize(req, ref, None, registry)
-        if resolved is None:
-            continue
         # Interned tokens share their text strings across records, so the
         # shingle tuples hold no copy per occurrence of a word.
         tokens = normalize(tokenize(resolved.text))
@@ -468,20 +449,14 @@ def check_length(
 # ---------------------------------------------------------------------------
 
 _BRACKET_RE = re.compile(r"\[[^\[\]]{1,40}\]")
-_VARIANT_PATTERNS = (
-    re.compile(r"before\s+cb[0-9a-z]{6}", re.IGNORECASE),
-    re.compile(r"end\s+cb[0-9a-z]{6}", re.IGNORECASE),
-    re.compile(r"cb[0-9a-z]{6}", re.IGNORECASE),
-    re.compile(r"end\s+(?:sa|nsa)", re.IGNORECASE),
-    re.compile(r"sa|nsa", re.IGNORECASE),
-)
+# A tag in any case or spacing: [Before CBxxxxxx], [CBxxxxxx], [End CBxxxxxx],
+# [SA], [NSA], [End SA] or [End NSA].
+_VARIANT_RE = re.compile(r"(?:(?:before|end)\s+)?cb[0-9a-z]{6}|(?:end\s+)?n?sa", re.IGNORECASE)
 _VARIANT_DEV_RE = re.compile(r"cb[0-9a-z]{6}", re.IGNORECASE)
 
 
 def _recognizable_variant(candidate: str) -> bool:
-    inner = candidate[1:-1].strip()
-    collapsed = re.sub(r"\s+", " ", inner)
-    return any(p.fullmatch(collapsed) for p in _VARIANT_PATTERNS)
+    return _VARIANT_RE.fullmatch(candidate[1:-1].strip()) is not None
 
 
 def canonical_phrase(canonical: str) -> str:

@@ -25,7 +25,7 @@ and parsing continues with the next block.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -119,24 +119,20 @@ class ParseResult:
 @dataclass
 class _Frame:
     kind: str  # "root" | "dev" | "span"
-    segments: list[ContentSegment] = field(default_factory=list)
+    # One part, or a dev frame's before-part and, from its [CBxxxxxx] tag on,
+    # its after-part; new segments go to the last part.
+    parts: list[list[ContentSegment]] = field(default_factory=lambda: [[]])
     dev: str = ""
-    phase: str = "before"  # dev frames only
-    after_segments: list[ContentSegment] = field(default_factory=list)
     dep: Optional[DeploymentType] = None
     open_line: int = 0
-    # A frame opened by an invalidly nested tag; flattened on close so that
-    # model invariants are never violated while error recovery continues.
-    bad: bool = False
-
-    def active(self) -> list[ContentSegment]:
-        if self.kind == "dev" and self.phase == "after":
-            return self.after_segments
-        return self.segments
 
 
 class _ContentParser:
-    """State machine over the inline tag grammar, tracking source lines."""
+    """State machine over the inline tag grammar, tracking source lines.
+
+    After the first error, tags are still matched so that every error is
+    found, but no segment is built: the caller drops the block anyway.
+    """
 
     def __init__(self) -> None:
         self.stack: list[_Frame] = [_Frame(kind="root")]
@@ -149,22 +145,20 @@ class _ContentParser:
     def _flush_text(self) -> None:
         text = "".join(self.buffer).strip()
         self.buffer.clear()
-        if text:
-            self.stack[-1].active().append(PlainText(text))
+        if text and not self.errors:
+            self.stack[-1].parts[-1].append(PlainText(text))
 
     def _pop_frame(self) -> None:
         frame = self.stack.pop()
-        parent = self.stack[-1].active()
-        if frame.bad:
-            parent.extend(frame.segments)
-            parent.extend(frame.after_segments)
-        elif frame.kind == "span":
+        if self.errors:
+            return
+        if frame.kind == "span":
             assert frame.dep is not None
-            parent.append(DeploymentSpan(frame.dep, tuple(frame.segments)))
-        elif frame.kind == "dev":
-            parent.append(
-                DevBlock(frame.dev, tuple(frame.segments), tuple(frame.after_segments))
-            )
+            seg: ContentSegment = DeploymentSpan(frame.dep, tuple(frame.parts[0]))
+        else:  # a dev frame closed without error has both parts
+            before, after = frame.parts
+            seg = DevBlock(frame.dev, tuple(before), tuple(after))
+        self.stack[-1].parts[-1].append(seg)
 
     def _close_spans_in_part(self) -> None:
         # Unclosed deployment spans extend to the end of the enclosing part.
@@ -188,21 +182,19 @@ class _ContentParser:
         self._flush_text()
         tag = m.group(0)
         if m.group("before"):
-            dev = m.group("before")
-            nested = any(f.kind == "dev" for f in self.stack)
-            if nested:
+            if any(f.kind == "dev" for f in self.stack):
                 self._error(
                     ParseErrorKind.NESTED_DEV_BLOCK,
                     line,
                     f"{tag} opened inside another development block",
                 )
-            self.stack.append(_Frame(kind="dev", dev=dev, open_line=line, bad=nested))
+            self.stack.append(_Frame(kind="dev", dev=m.group("before"), open_line=line))
         elif m.group("mid"):
             dev = m.group("mid")
             self._close_spans_in_part()
             top = self.stack[-1]
-            if top.kind == "dev" and top.dev == dev and top.phase == "before":
-                top.phase = "after"
+            if top.kind == "dev" and top.dev == dev and len(top.parts) == 1:
+                top.parts.append([])
             elif top.kind == "dev" and top.dev == dev:
                 self._error(
                     ParseErrorKind.UNBALANCED_TAG, line, f"duplicate {tag} tag"
@@ -218,7 +210,7 @@ class _ContentParser:
             self._close_spans_in_part()
             top = self.stack[-1]
             if top.kind == "dev" and top.dev == dev:
-                if top.phase == "before":
+                if len(top.parts) == 1:
                     self._error(
                         ParseErrorKind.UNBALANCED_TAG,
                         line,
@@ -237,67 +229,65 @@ class _ContentParser:
                 )
         elif m.group("dep"):
             dep = DeploymentType(m.group("dep"))
-            nested = any(f.kind == "span" and f.dep is dep for f in self.stack)
-            if nested:
+            if any(f.kind == "span" and f.dep is dep for f in self.stack):
                 self._error(
                     ParseErrorKind.UNBALANCED_TAG,
                     line,
                     f"{tag} opened inside another {tag} span",
                 )
-            self.stack.append(_Frame(kind="span", dep=dep, open_line=line, bad=nested))
+            self.stack.append(_Frame(kind="span", dep=dep, open_line=line))
         else:
             dep = DeploymentType(m.group("end_dep"))
             top = self.stack[-1]
             if top.kind == "span" and top.dep is dep:
                 self._pop_frame()
+                return
+            # The innermost frame that is a dev frame or a `dep` span decides:
+            # a `dep` span open in the current part is improperly nested.
+            in_part = next(
+                (f.kind == "span" for f in reversed(self.stack)
+                 if f.kind == "dev" or f.dep is dep),
+                False,
+            )
+            if in_part:
+                self._error(
+                    ParseErrorKind.UNBALANCED_TAG,
+                    line,
+                    f"{tag} closes an improperly nested span",
+                )
             else:
-                in_part = False
-                for f in reversed(self.stack):
-                    if f.kind == "dev":
-                        break
-                    if f.kind == "span" and f.dep is dep:
-                        in_part = True
-                        break
-                if in_part:
-                    self._error(
-                        ParseErrorKind.UNBALANCED_TAG,
-                        line,
-                        f"{tag} closes an improperly nested span",
-                    )
-                else:
-                    self._error(
-                        ParseErrorKind.DANGLING_END, line, f"{tag} without opener"
-                    )
+                self._error(
+                    ParseErrorKind.DANGLING_END, line, f"{tag} without opener"
+                )
 
-    def finish(self, end_line: int) -> list[ContentSegment]:
+    def finish(self) -> list[ContentSegment]:
         self._flush_text()
         while len(self.stack) > 1:
             top = self.stack[-1]
             if top.kind == "dev":
-                missing = f"[{top.dev}]" if top.phase == "before" else f"[End {top.dev}]"
+                missing = f"[{top.dev}]" if len(top.parts) == 1 else f"[End {top.dev}]"
                 self._error(
                     ParseErrorKind.UNBALANCED_TAG,
-                    top.open_line or end_line,
+                    top.open_line,
                     f"[Before {top.dev}] never closed: missing {missing}",
                 )
             self._pop_frame()
-        return self.stack[0].segments
+        return self.stack[0].parts[0]
 
 
 def _parse_lines(
-    numbered_lines: Iterable[tuple[int, str]], end_line: int
+    numbered_lines: Iterable[tuple[int, str]],
 ) -> tuple[list[ContentSegment], list[ParseError]]:
     """Run the tag state machine over (line number, line) pairs."""
     machine = _ContentParser()
     for line_no, line in numbered_lines:
         machine.feed_line(line_no, line)
-    return machine.finish(end_line), machine.errors
+    return machine.finish(), machine.errors
 
 
 def parse_content(text: str) -> tuple[list[ContentSegment], list[ParseError]]:
     """Parse one version's content body into segments; errors use 1-based lines."""
-    lines = text.split("\n")
-    return _parse_lines(enumerate(lines, start=1), len(lines))
+    return _parse_lines(enumerate(text.split("\n"), start=1))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +297,6 @@ def parse_content(text: str) -> tuple[list[ContentSegment], list[ParseError]]:
 
 @dataclass
 class _VersionDraft:
-    line: int
     first: Optional[ReleaseId]
     last: Optional[ReleaseId]
     content_lines: list[tuple[int, str]] = field(default_factory=list)
@@ -346,14 +335,12 @@ def parse_document(source: str, name: str = "") -> ParseResult:
 
     def close_block(b: _BlockDraft) -> None:
         """Assemble a requirement from a finished block; drop it on any error."""
-        block_errors = list(b.errors)
-        versions: list[RequirementVersion] = []
+        block_errors = b.errors
+        contents: list[list[ContentSegment]] = []
         for draft in b.versions:
-            end_line = draft.content_lines[-1][0] if draft.content_lines else draft.line
-            segments, content_errors = _parse_lines(draft.content_lines, end_line)
+            segments, content_errors = _parse_lines(draft.content_lines)
             block_errors.extend(content_errors)
-            if draft.first is not None:
-                versions.append(RequirementVersion(draft.first, draft.last, tuple(segments)))
+            contents.append(segments)
         if not b.versions:
             block_errors.append(
                 ParseError(
@@ -382,12 +369,15 @@ def parse_document(source: str, name: str = "") -> ParseResult:
         errors.extend(block_errors)
         if block_errors:
             return
-        section_path = tuple(s.title for s in stack)
+        # Every release id parsed, so only the model's range checks can fail.
         try:
             req = Requirement(
                 id=b.req_id,
-                versions=tuple(versions),
-                section_path=section_path,
+                versions=tuple(
+                    RequirementVersion(draft.first, draft.last, tuple(segments))
+                    for draft, segments in zip(b.versions, contents)
+                ),
+                section_path=tuple(s.title for s in stack),
                 source_line=b.line,
             )
         except ValueError as exc:
@@ -419,7 +409,7 @@ def parse_document(source: str, name: str = "") -> ParseResult:
                         block.errors.append(
                             ParseError(ParseErrorKind.BAD_RELEASE_ID, line_no, str(exc))
                         )
-                block.versions.append(_VersionDraft(line_no, *releases))
+                block.versions.append(_VersionDraft(*releases))
                 continue
             m = _REQ_OPEN_RE.match(line)
             if m:
@@ -483,7 +473,7 @@ def parse_document(source: str, name: str = "") -> ParseResult:
         close_block(block)
 
     doc = SpecDocument(name=name, sections=tuple(s.build() for s in roots))
-    return ParseResult(document=doc, errors=errors)
+    return ParseResult(doc, [replace(err, document=name) for err in errors])
 
 
 # ---------------------------------------------------------------------------

@@ -191,13 +191,14 @@ def baseline(
     req: Requirement,
     dev: str,
     registry: DevelopmentRegistry,
-    universe: Optional[list[ReleaseId]] = None,
+    universe: list[ReleaseId],
 ) -> Requirement:
     """Delete `dev`'s tags from the open version, keeping the introduced behavior.
 
     The open version is closed at the release preceding the development's
-    introducing release, and a new open version starting at that release
-    carries the development's after-text inline.
+    introducing release in `universe` (the corpus release universe), and a
+    new open version starting at that release carries the development's
+    after-text inline.
     """
     if dev not in registry:
         raise UnknownDevelopmentError(dev)
@@ -205,13 +206,6 @@ def baseline(
     if open_version is None or dev not in set(iter_dev_ids(open_version.content)):
         raise DevelopmentNotPresentError(req.id, dev)
 
-    if universe is None:
-        releases = registry.releases()
-        for v in req.versions:
-            releases.add(v.first_release)
-            if v.last_release is not None:
-                releases.add(v.last_release)
-        universe = sorted(releases)
     introduced = registry.release_of(dev)
     prev = previous_release(universe, introduced)
     if prev is None or prev < open_version.first_release:

@@ -68,6 +68,23 @@ class TestValidate:
         assert code == 2
         assert "bad:5" in out and "UnbalancedTag" in out
 
+    def test_inverted_range_reported_with_other_errors(self, corpus_dir, capsys):
+        (corpus_dir / "doc.spec").write_text(
+            "# S\n\n=== REQ REQ_0001 ===\n--- VERSION first=02R1 last=01R1 ---\n"
+            "Text.\n=== END ===\n\n=== REQ REQ_0002 ===\n"
+            "--- VERSION first=01R1 last=open ---\n"
+            "[Before CB00XXXX] a [CB00XXXX] b\n=== END ===\n",
+            encoding="utf-8",
+        )
+        code = main(["validate", *corpus_args(corpus_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == (
+            "doc:3: BadReleaseId: version range inverted: 02R1 > 01R1\n"
+            "doc:10: UnbalancedTag: [Before CB00XXXX] never closed: missing [End CB00XXXX]\n"
+        )
+        assert captured.err == "2 error(s)\n"
+
     def test_missing_registry_entry_names_dev(self, corpus_dir, capsys):
         (corpus_dir / "registry.txt").write_text("", encoding="utf-8")
         code = main(["validate", *corpus_args(corpus_dir)])
@@ -396,6 +413,19 @@ class TestGoldenJsonOutputs:
             '["removed", "The old threshold applies."]]}\n'
         )
 
+    def test_query_reqs_golden(self, golden_dir, capsys):
+        main(
+            [
+                "query", "reqs", *corpus_args(golden_dir),
+                "--lexicon", str(golden_dir / "lexicon.json"),
+                "--proc", "A2 measurement for Handover", "--format", "json",
+            ]
+        )
+        assert capsys.readouterr().out == (
+            '{"procedure": "A2 measurement for Handover", '
+            '"requirements": ["REQ_0001", "REQ_0002"]}\n'
+        )
+
     def test_query_behavior_golden(self, golden_dir, capsys):
         main(
             [
@@ -446,6 +476,9 @@ ERROR_CASES = {
         ["validate", "--corpus", "{d}/absent.spec", "--registry", "{d}/registry.txt"], 2
     ),
     "bad-config": (["lint", *CORPUS_ARGS, "--config", "{d}/bad_config.json"], 2),
+    "gen-corpus-negative-count": (
+        ["gen-corpus", "--seed", "1", "--dup-pairs", "-1", "--out", "{d}/gen"], 2
+    ),
     "unknown-release": (
         ["query", "behavior", *CORPUS_ARGS, "--proc", "A2 measurement", "--release", "09R9"],
         3,
@@ -487,6 +520,37 @@ class TestErrorContract:
         assert result.returncode == code
         assert result.stderr.startswith("error: ") and len(result.stderr.splitlines()) == 1
         assert "Traceback" not in result.stderr
+
+
+# Commands that refuse a corpus with parse errors; "{d}" stands for corpus_dir.
+CORPUS_ERROR_COMMANDS = {
+    "lint": ["lint", *CORPUS_ARGS],
+    "index-build": ["index", "build", *CORPUS_ARGS, "--out", "{d}/index.json"],
+    "query-behavior": [
+        "query", "behavior", *CORPUS_ARGS, "--proc", "A2 measurement", "--release", "01R1"
+    ],
+    "extract-all": ["extract", *CORPUS_ARGS, "--all", "--out", "{d}/out"],
+}
+
+
+class TestCorpusErrors:
+    """A corpus with parse errors exits 2 with one `doc:N: Kind: message` line per error."""
+
+    @pytest.mark.parametrize(
+        "argv", CORPUS_ERROR_COMMANDS.values(), ids=CORPUS_ERROR_COMMANDS.keys()
+    )
+    def test_each_error_on_its_own_stderr_line(self, corpus_dir, capsys, argv):
+        # One UnbalancedTag, and a stray end marker after the last block.
+        (corpus_dir / "doc.spec").write_text(
+            CORPUS.replace(" [End CB00XXXX]", "") + "=== END ===\n", encoding="utf-8"
+        )
+        assert main([a.format(d=corpus_dir) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "doc:5: UnbalancedTag: [Before CB00XXXX] never closed: missing [End CB00XXXX]\n"
+            "doc:12: DanglingEnd: === END === without open block\n"
+        )
 
 
 class TestGenCorpus:

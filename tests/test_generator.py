@@ -68,8 +68,15 @@ class TestCorpusValidity:
         assert set(bundle.registry.entries.values()) == set(RELEASES[1:])
 
     def test_too_small_size_rejected(self):
-        with pytest.raises(ValueError):
-            generate_corpus(seed=1, size=30)
+        for kwargs in [
+            {"size": 30},
+            {"dup_pairs": -1},
+            {"overlength": -1},
+            {"alias_usages": -1},
+            {"dispersed_procs": -1},
+        ]:
+            with pytest.raises(ValueError):
+                generate_corpus(seed=1, **{"size": 200, **kwargs})
 
 
 class TestGroundTruth:

@@ -19,7 +19,7 @@ from speckit.index import (
 from speckit.lexicon import build_lexicon
 from speckit.model import DeploymentType, DevelopmentRegistry, ReleaseId
 from speckit.parser import parse_document
-from speckit.resolver import materialize
+from speckit.resolver import DiffKind, materialize
 from support import RELEASES, diff_inputs, reference_diff_texts
 
 CORPUS = """# Measurements
@@ -284,3 +284,45 @@ class TestPersistence:
         a = query_release_diff(again, "A2 measurement", rel("01R1"), rel("01R2"))
         b = query_release_diff(index, "A2 measurement", rel("01R1"), rel("01R2"))
         assert a == b
+
+
+class TestReleaseGap:
+    """A requirement with no version at 01R2, which the registry puts in the universe."""
+
+    GAP_CORPUS = """# Measurements
+
+=== REQ REQ_0001 ===
+--- VERSION first=01R1 last=01R1 ---
+The A2 measurement shall run. The old step applies.
+--- VERSION first=02R1 last=open ---
+The A2 measurement shall run. The new step applies.
+=== END ===
+"""
+
+    @pytest.fixture(scope="class")
+    def gap_index(self):
+        result = parse_document(self.GAP_CORPUS, name="doc")
+        assert result.ok, result.errors
+        registry = DevelopmentRegistry({"CB00XXXX": rel("01R2")})
+        lexicon = build_lexicon({"A2 measurement": []})
+        return build_index([result.document], registry, lexicon)
+
+    def answers(self, index):
+        proc = "A2 measurement"
+        return (
+            query_behavior(index, proc, rel("01R2")),
+            query_release_diff(index, proc, rel("01R1"), rel("01R2")),
+            query_release_diff(index, proc, rel("01R2"), rel("02R1")),
+        )
+
+    def test_gap_answers(self, gap_index):
+        assert [str(r) for r in gap_index.release_universe] == ["01R1", "01R2", "02R1"]
+        at_gap, removed, added = self.answers(gap_index)
+        assert at_gap == []
+        assert [d.id for d in removed] == [d.id for d in added] == ["REQ_0001"]
+        assert {s.kind for s in removed[0].segments} == {DiffKind.REMOVED}
+        assert {s.kind for s in added[0].segments} == {DiffKind.ADDED}
+
+    def test_answers_equal_after_reload(self, gap_index):
+        again = index_from_json(index_to_json(gap_index))
+        assert self.answers(again) == self.answers(gap_index)

@@ -145,6 +145,35 @@ class TestParseContent:
         segments, _ = parse_content("a  |  b")
         assert segments == [PlainText("a  |  b")]
 
+    @pytest.mark.parametrize(
+        "text, kind, message",
+        [
+            (
+                "[Before CB000001] a [CB000001] b [CB000001] c [End CB000001]",
+                ParseErrorKind.UNBALANCED_TAG,
+                "duplicate [CB000001] tag",
+            ),
+            (
+                "a [CB000001] b",
+                ParseErrorKind.UNBALANCED_TAG,
+                "[CB000001] without matching [Before CB000001]",
+            ),
+            (
+                "[Before CB000001] a [CB000001] b [End CB000002] c [End CB000001]",
+                ParseErrorKind.UNBALANCED_TAG,
+                "[End CB000002] does not close open block [Before CB000001]",
+            ),
+            (
+                "[SA] a [NSA] b [End SA] c [End NSA]",
+                ParseErrorKind.UNBALANCED_TAG,
+                "[End SA] closes an improperly nested span",
+            ),
+        ],
+    )
+    def test_error_message(self, text, kind, message):
+        _, errors = parse_content(text)
+        assert [(e.kind, e.line, e.message) for e in errors] == [(kind, 1, message)]
+
 
 class TestParseDocument:
     def test_well_formed_two_versions(self):
@@ -166,6 +195,22 @@ class TestParseDocument:
         result = parse_document(FORMAT_HEADER + "\n")
         assert result.ok
         assert result.document.sections == ()
+
+    def test_block_not_closed_at_end_of_document(self):
+        result = parse_document(WELL_FORMED.replace("=== END ===\n", ""))
+        assert [(e.kind, e.line, e.message) for e in result.errors] == [
+            (
+                ParseErrorKind.BAD_REQUIREMENT_HEADER,
+                5,
+                "requirement REQ_0001 not closed at end of document",
+            )
+        ]
+
+    def test_errors_carry_document_name(self):
+        result = parse_document(WELL_FORMED.replace("first=01R1", "first=1R1"), name="demo")
+        assert [str(e) for e in result.errors] == [
+            "demo:6: BadReleaseId: malformed release id: '1R1'"
+        ]
 
     def test_crlf_accepted(self):
         result = parse_document(WELL_FORMED.replace("\n", "\r\n"), name="demo")
@@ -218,10 +263,17 @@ class TestParseDocument:
         assert [e.kind for e in result.errors] == [ParseErrorKind.DANGLING_END]
 
     def test_overlapping_versions_rejected(self):
-        text = WELL_FORMED.replace("first=01R1 last=01R1", "first=01R1 last=01R2")
-        result = parse_document(text)
-        assert ParseErrorKind.BAD_RELEASE_ID in {e.kind for e in result.errors}
-        assert list(result.document.iter_requirements()) == []
+        # An overlap, and an inverted range: one BadReleaseId at the REQ line.
+        for header, message in [
+            ("first=01R1 last=01R2", "requirement 'REQ_0001' versions overlap at 01R2"),
+            ("first=02R1 last=01R1", "version range inverted: 02R1 > 01R1"),
+        ]:
+            text = WELL_FORMED.replace("first=01R1 last=01R1", header)
+            result = parse_document(text)
+            assert [(e.kind, e.line, e.message) for e in result.errors] == [
+                (ParseErrorKind.BAD_RELEASE_ID, 5, message)
+            ]
+            assert list(result.document.iter_requirements()) == []
 
     def test_malformed_block_never_suppresses_later_blocks(self):
         rng = random.Random(23)

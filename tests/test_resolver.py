@@ -186,11 +186,11 @@ class TestBaseline:
             {"CB00XXXX": rel("01R2"), "CB00YYYY": rel("01R2")}
         )
         with pytest.raises(DevelopmentNotPresentError):
-            baseline(cb_req, "CB00YYYY", reg)
+            baseline(cb_req, "CB00YYYY", reg, universe=list(RELEASES))
 
     def test_unregistered_dev(self, cb_req):
         with pytest.raises(UnknownDevelopmentError):
-            baseline(cb_req, "CB00XXXX", DevelopmentRegistry({}))
+            baseline(cb_req, "CB00XXXX", DevelopmentRegistry({}), universe=list(RELEASES))
 
     def test_equivalence_after_baselining(self, cb_req, cb_registry):
         based = baseline(cb_req, "CB00XXXX", cb_registry, universe=list(RELEASES))
