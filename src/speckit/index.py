@@ -5,14 +5,16 @@ difference between two releases, changes caused by a development, the
 requirements describing a procedure, and behavior per deployment type.
 Procedures are lexicon canonical names; requirements mentioning no known
 procedure are kept under the reserved "(unmapped)" key.  The index is
-rebuilt from scratch on corpus change and persists to a single JSON file.
+rebuilt from scratch on corpus change and persists to a single JSON file,
+which holds each distinct resolved text once, in a sorted "texts" table that
+the other sections refer to by position.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import AbstractSet, Any, Optional
+from typing import AbstractSet, Any, Iterator, Optional
 
 from .errors import UnknownDevelopmentError, UnknownReleaseError
 from .lexicon import Lexicon, find_mentions, phrase_key
@@ -26,7 +28,7 @@ from .model import (
 from .resolver import BehaviorDiff, diff_texts, resolve_details
 from .tokenizer import tokenize
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 UNMAPPED = "(unmapped)"
 
 Entry = tuple[str, str]  # (requirement id, resolved text)
@@ -83,8 +85,11 @@ def build_index(
         proc_dep={},
     )
 
-    # canonical procedures per distinct resolved text: most texts repeat
-    # across releases, so each is tokenized and alias-matched once
+    # Most resolved texts repeat across releases and deployments.  `shared`
+    # holds one str per distinct text, which every entry with that text
+    # stores, and `procs_of` its canonical procedures, so each text is
+    # tokenized and alias-matched once.
+    shared: dict[str, str] = {}
     procs_of: dict[str, set[str]] = {}
 
     for doc in docs:
@@ -94,6 +99,7 @@ def build_index(
                 if details is None:
                     continue
                 text, _contributing, seen = details
+                text = shared.setdefault(text, text)
                 r_key = str(r)
                 index.req_release.setdefault(req.id, {})[r_key] = (text, seen)
 
@@ -110,7 +116,7 @@ def build_index(
                 for dep in DeploymentType:
                     dep_details = resolve_details(req, r, dep, registry)
                     assert dep_details is not None
-                    dep_text = dep_details[0]
+                    dep_text = shared.setdefault(dep_details[0], dep_details[0])
                     for proc in procs:
                         index.proc_dep.setdefault(proc, {}).setdefault(
                             dep.value, {}
@@ -218,53 +224,101 @@ def query_deployment(
 
 
 def index_to_json(index: SpecIndex) -> str:
+    """The index as canonical JSON, each distinct text stored once in "texts"."""
+    texts = sorted(
+        {text for by_release in index.req_release.values() for text, _ in by_release.values()}
+        | {text for entries in _entry_lists(index) for _, text in entries}
+    )
+    position = {text: i for i, text in enumerate(texts)}
+
+    def refs(entries: list[Entry]) -> list[tuple[str, int]]:
+        return [(req_id, position[text]) for req_id, text in entries]
+
     data = {
         "format_version": FORMAT_VERSION,
         "release_universe": [str(r) for r in index.release_universe],
         "registry": {dev: str(r) for dev, r in index.registry.items()},
         "aliases": index.aliases,
+        "texts": texts,
         "req_release": {
             req_id: {
-                r: {"text": text, "devs": sorted(devs)}
+                r: {"text": position[text], "devs": sorted(devs)}
                 for r, (text, devs) in by_release.items()
             }
             for req_id, by_release in index.req_release.items()
         },
-        "proc_release": index.proc_release,
+        "proc_release": {
+            proc: {r: refs(entries) for r, entries in by_release.items()}
+            for proc, by_release in index.proc_release.items()
+        },
         "proc_dev": {
             proc: {dev: [d.to_dict() for d in diffs] for dev, diffs in by_dev.items()}
             for proc, by_dev in index.proc_dev.items()
         },
         "proc_req": {proc: sorted(ids) for proc, ids in index.proc_req.items()},
-        "proc_dep": index.proc_dep,
+        "proc_dep": {
+            proc: {
+                dep: {r: refs(entries) for r, entries in by_release.items()}
+                for dep, by_release in by_dep.items()
+            }
+            for proc, by_dep in index.proc_dep.items()
+        },
     }
     # sort_keys orders every mapping; only the sets above need sorting
     return json.dumps(data, sort_keys=True, indent=None, separators=(",", ":")) + "\n"
 
 
+def _entry_lists(index: SpecIndex) -> Iterator[list[Entry]]:
+    """Every entry list of `proc_release` and `proc_dep`."""
+    for by_release in index.proc_release.values():
+        yield from by_release.values()
+    for by_dep in index.proc_dep.values():
+        for by_release in by_dep.values():
+            yield from by_release.values()
+
+
 def index_from_json(source: str) -> SpecIndex:
-    """Load a persisted index; a wrong-shaped document raises "malformed index"."""
+    """Load a persisted index; a wrong-shaped document raises "malformed index".
+
+    Every entry with the same text holds the same str, taken from the table.
+    """
     data = json.loads(source)
     try:
         version = data.get("format_version")
         if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported index format version: {version!r}")
+            raise ValueError(
+                f"unsupported index format version: {version!r} (this speckit reads "
+                f"version {FORMAT_VERSION}; rebuild the index with `index build`)"
+            )
+        texts = data["texts"]
+        if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+            raise ValueError("malformed index: texts is not a list of strings")
+
+        def text_at(ref: Any) -> str:
+            # bool is an int subclass and a negative index reads from the end
+            if type(ref) is not int or not 0 <= ref < len(texts):
+                raise ValueError(
+                    f"malformed index: text reference {ref!r} is not a position "
+                    f"in the {len(texts)}-entry text table"
+                )
+            return texts[ref]
+
+        def entries(refs: list) -> list[Entry]:
+            return [(req_id, text_at(ref)) for req_id, ref in refs]
+
         return SpecIndex(
             release_universe=[ReleaseId.parse(r) for r in data["release_universe"]],
             registry={dev: ReleaseId.parse(r) for dev, r in data["registry"].items()},
             aliases=dict(data["aliases"]),
             req_release={
                 req_id: {
-                    r: (record["text"], frozenset(record["devs"]))
+                    r: (text_at(record["text"]), frozenset(record["devs"]))
                     for r, record in by_release.items()
                 }
                 for req_id, by_release in data["req_release"].items()
             },
             proc_release={
-                proc: {
-                    r: [(req_id, text) for req_id, text in entries]
-                    for r, entries in by_release.items()
-                }
+                proc: {r: entries(refs) for r, refs in by_release.items()}
                 for proc, by_release in data["proc_release"].items()
             },
             proc_dev={
@@ -277,10 +331,7 @@ def index_from_json(source: str) -> SpecIndex:
             proc_req={proc: set(ids) for proc, ids in data["proc_req"].items()},
             proc_dep={
                 proc: {
-                    dep: {
-                        r: [(req_id, text) for req_id, text in entries]
-                        for r, entries in by_release.items()
-                    }
+                    dep: {r: entries(refs) for r, refs in by_release.items()}
                     for dep, by_release in by_dep.items()
                 }
                 for proc, by_dep in data["proc_dep"].items()

@@ -125,6 +125,8 @@ class _Frame:
     dev: str = ""
     dep: Optional[DeploymentType] = None
     open_line: int = 0
+    # a mistyped [End CBxxxxxx] already reported this unclosed dev frame
+    misclosed: bool = False
 
 
 class _ContentParser:
@@ -223,6 +225,7 @@ class _ContentParser:
                     line,
                     f"{tag} does not close open block [Before {top.dev}]",
                 )
+                top.misclosed = True
             else:
                 self._error(
                     ParseErrorKind.DANGLING_END, line, f"{tag} without opener"
@@ -264,7 +267,7 @@ class _ContentParser:
         self._flush_text()
         while len(self.stack) > 1:
             top = self.stack[-1]
-            if top.kind == "dev":
+            if top.kind == "dev" and not top.misclosed:
                 missing = f"[{top.dev}]" if len(top.parts) == 1 else f"[End {top.dev}]"
                 self._error(
                     ParseErrorKind.UNBALANCED_TAG,

@@ -486,6 +486,13 @@ ERROR_CASES = {
 }
 
 
+# A complete, empty index as format 1 wrote it: every text inline, no "texts" table.
+FORMAT_1_INDEX = (
+    '{"aliases":{},"format_version":1,"proc_dep":{},"proc_dev":{},"proc_release":{},'
+    '"proc_req":{},"registry":{},"release_universe":["01R1"],"req_release":{}}\n'
+)
+
+
 class TestErrorContract:
     """Every failure exits with its documented code and one `error:` line."""
 
@@ -494,7 +501,7 @@ class TestErrorContract:
         (corpus_dir / "latin1.spec").write_bytes("# Zeit\xfcberschreitung\n".encode("latin-1"))
         (corpus_dir / "sub").mkdir()
         (corpus_dir / "conflict.json").write_text('{"A": ["x y"], "B": ["x y"]}', encoding="utf-8")
-        (corpus_dir / "keys.json").write_text('{"format_version": 1}', encoding="utf-8")
+        (corpus_dir / "keys.json").write_text('{"format_version": 2}', encoding="utf-8")
         (corpus_dir / "list.json").write_text("[1]", encoding="utf-8")
         (corpus_dir / "bad_config.json").write_text('{"shingle_k": 0}', encoding="utf-8")
         return corpus_dir
@@ -505,6 +512,15 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_format_1_index_names_its_version(self, tmp_path, capsys):
+        (tmp_path / "v1.json").write_text(FORMAT_1_INDEX, encoding="utf-8")
+        argv = ["query", "reqs", "--index", str(tmp_path / "v1.json"), "--proc", "A2 measurement"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: index: unsupported index format version: 1 ")
+        assert "index build" in err
 
     def test_internal_bug_is_not_swallowed(self, corpus_dir, monkeypatch):
         def broken(*_):

@@ -1,8 +1,9 @@
 """Byte-identity oracle: pinned sha256 of seeded outputs.
 
-Five outputs are pinned on the seed-42 corpus (index JSON, extract JSONL,
-diff sweep, and lint JSON at default and tight limits), and every file
-`write_corpus` writes is pinned for two generator settings.
+Six outputs are pinned on the seed-42 corpus (index JSON, every query
+form's answers over the reloaded index, extract JSONL, diff sweep, and lint
+JSON at default and tight limits), and every file `write_corpus` writes is
+pinned for two generator settings.
 
 A change meant to keep behaviour (a speed-up, a refactor) must leave these
 hashes as they are.  A change meant to alter an output updates the hash it
@@ -19,12 +20,24 @@ import pytest
 
 from speckit.dataset import dataset_to_jsonl, extract_all
 from speckit.generator import generate_corpus, write_corpus
-from speckit.index import build_index, index_to_json
+from speckit.index import (
+    build_index,
+    index_from_json,
+    index_to_json,
+    query_behavior,
+    query_deployment,
+    query_dev_changes,
+    query_release_diff,
+    query_requirements,
+)
 from speckit.lint import LintConfig, lint_corpus
 from speckit.model import DeploymentType, release_universe
 from speckit.resolver import diff_behavior
 
-INDEX_SHA256 = "cddd1df4b4c230514193d974387312c575b65644bc875c50f5c585f0d82788b9"
+# Index format 2 stores each distinct text once, in a "texts" table, so the
+# index JSON changed; the query answers read back from it did not.
+INDEX_SHA256 = "f6c7b66446fbffe8f30a50cf3872bf8290e3f07e5964745c328a554d9ee7bb82"
+QUERY_SHA256 = "4ce569f2692d2c1f4dfcbc6c2b83c31fad5d98312932081e6b75961a9ce07d29"
 EXTRACT_SHA256 = "6b09632e31244138c23c4db8e4b9b71ab0a7e618d676d9d00a4c1d0d630b7a3e"
 DIFF_SHA256 = "f89750cd9f80ad292e87aee1dc6a9a39e275670091fed6d59c05b7c902e7728f"
 LINT_SHA256 = "9bbf4c0c4740b8c33579a03f5a06339ac34a2dc88270724bba94bc05340539ce"
@@ -61,6 +74,31 @@ def sha256(text: str) -> str:
 
 def index_output(bundle) -> str:
     return index_to_json(build_index(bundle.documents, bundle.registry, bundle.lexicon))
+
+
+def query_output(bundle) -> str:
+    """Every query form's answer, per procedure, over the index reloaded from JSON."""
+    index = index_from_json(index_output(bundle))
+    universe = index.release_universe
+    lines = []
+
+    def emit(*key_and_answer) -> None:
+        lines.append(json.dumps(key_and_answer, sort_keys=True, ensure_ascii=False) + "\n")
+
+    for proc in sorted(index.proc_req):
+        emit("reqs", proc, sorted(query_requirements(index, proc)))
+        for r in universe:
+            emit("behavior", proc, str(r), query_behavior(index, proc, r))
+            for dep in DeploymentType:
+                emit("deployment", proc, dep.value, str(r), query_deployment(index, proc, dep, r))
+            for b in universe:
+                diffs = query_release_diff(index, proc, r, b)
+                emit("diff", proc, str(r), str(b), [d.to_dict() for d in diffs])
+        for dep in DeploymentType:
+            emit("deployment", proc, dep.value, None, query_deployment(index, proc, dep))
+        for dev in sorted(index.registry):
+            emit("dev", proc, dev, [d.to_dict() for d in query_dev_changes(index, proc, dev)])
+    return "".join(lines)
 
 
 def extract_output(bundle) -> str:
@@ -100,12 +138,13 @@ def lint_tight_output(bundle) -> str:
     "output, expected",
     [
         (index_output, INDEX_SHA256),
+        (query_output, QUERY_SHA256),
         (extract_output, EXTRACT_SHA256),
         (diff_output, DIFF_SHA256),
         (lint_output, LINT_SHA256),
         (lint_tight_output, LINT_TIGHT_SHA256),
     ],
-    ids=["index-json", "extract-jsonl", "diff-behavior", "lint-json", "lint-json-tight"],
+    ids=["index-json", "query-answers", "extract-jsonl", "diff-behavior", "lint-json", "lint-json-tight"],
 )
 def test_output_sha256_pinned(bundle, output, expected):
     assert sha256(output(bundle)) == expected

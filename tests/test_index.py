@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import pytest
 from hypothesis import given, settings
 
@@ -252,6 +255,45 @@ class TestConsistency:
                     assert resolved.text == text
 
 
+# (section, text reference) pairs that point at no entry of a one-text table
+BAD_TEXT_REFS = [
+    ("req_release", 1),
+    ("req_release", -1),
+    ("req_release", 0.0),
+    ("req_release", "0"),
+    ("req_release", True),
+    ("req_release", None),
+    ("req_release", [0]),
+    ("proc_release", 1),
+    ("proc_release", -1),
+    ("proc_dep", False),
+    ("proc_dep", 7),
+]
+
+
+def _text_ref_blob(section: str, ref) -> str:
+    """A one-requirement format-2 index whose `section` refers to text `ref`."""
+    entries = {
+        "req_release": {"R1": {"01R1": {"devs": [], "text": ref}}},
+        "proc_release": {"P": {"01R1": [["R1", ref]]}},
+        "proc_dep": {"P": {"SA": {"01R1": [["R1", ref]]}}},
+    }
+    data = {
+        "aliases": {},
+        "format_version": 2,
+        "proc_dev": {},
+        "proc_req": {},
+        "registry": {},
+        "release_universe": ["01R1"],
+        "texts": ["one"],
+        "req_release": {},
+        "proc_release": {},
+        "proc_dep": {},
+        section: entries[section],
+    }
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 class TestPersistence:
     def test_json_round_trip(self, small_world):
         _, _, _, index = small_world
@@ -263,17 +305,59 @@ class TestPersistence:
 
     def test_format_version_checked(self, small_world):
         _, _, _, index = small_world
-        blob = index_to_json(index).replace('"format_version":1', '"format_version":99')
-        with pytest.raises(ValueError):
-            index_from_json(blob)
+        for version in (1, 99):
+            blob = index_to_json(index).replace('"format_version":2', f'"format_version":{version}')
+            with pytest.raises(ValueError, match=f"^unsupported index format version: {version} "):
+                index_from_json(blob)
 
     @pytest.mark.parametrize(
         "blob",
-        ['{"format_version": 1}', "[1]", '{"format_version": 1, "release_universe": 7}'],
+        [
+            '{"format_version": 2}',
+            "[1]",
+            '{"format_version": 2, "release_universe": 7}',
+            *(
+                pytest.param(_text_ref_blob(section, ref), id=f"{section}-text-{ref!r}")
+                for section, ref in BAD_TEXT_REFS
+            ),
+            pytest.param(
+                _text_ref_blob("req_release", 0).replace('["one"]', '"one"'),
+                id="texts-not-a-list",
+            ),
+            pytest.param(
+                _text_ref_blob("req_release", 0).replace('["one"]', "[1]"), id="texts-not-strings"
+            ),
+        ],
     )
     def test_wrong_shape_is_malformed_index(self, blob):
         with pytest.raises(ValueError, match="^malformed index: "):
             index_from_json(blob)
+
+    @pytest.mark.parametrize("section", ["req_release", "proc_release", "proc_dep"])
+    def test_valid_text_reference_loads(self, section):
+        index = index_from_json(_text_ref_blob(section, 0))
+        assert index_to_json(index) == _text_ref_blob(section, 0)
+
+    def test_each_text_stored_once(self, corpus_index):
+        data = json.loads(index_to_json(corpus_index))
+        texts = {
+            text for by_release in corpus_index.req_release.values() for text, _ in by_release.values()
+        }
+        assert data["texts"] == sorted(set(data["texts"]))
+        assert texts <= set(data["texts"])
+
+    def test_round_trip_equal_and_shares_texts(self, corpus_index):
+        again = index_from_json(index_to_json(corpus_index))
+        for name in (f.name for f in dataclasses.fields(SpecIndex)):
+            assert getattr(again, name) == getattr(corpus_index, name), name
+        for index in (corpus_index, again):
+            by_text = {}
+            for records in index.req_release.values():
+                for text, _ in records.values():
+                    assert by_text.setdefault(text, text) is text
+            for entries in speckit.index._entry_lists(index):
+                for _, text in entries:
+                    assert by_text.setdefault(text, text) is text
 
     def test_queries_equal_after_reload(self, small_world):
         _, _, _, index = small_world

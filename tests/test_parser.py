@@ -83,6 +83,17 @@ class TestParseContent:
         _, errors = parse_content("[Before CB00XXXX] a [End CB00XXXX]")
         assert ParseErrorKind.UNBALANCED_TAG in {e.kind for e in errors}
 
+    def test_mistyped_end_tag_is_one_error(self):
+        # The block it leaves open is the same defect, not a second one.
+        _, errors = parse_content("[Before CB00XXXX] a [CB00XXXX] b [End CB00YYYY]")
+        assert [(e.kind, e.line, e.message) for e in errors] == [
+            (
+                ParseErrorKind.UNBALANCED_TAG,
+                1,
+                "[End CB00YYYY] does not close open block [Before CB00XXXX]",
+            )
+        ]
+
     def test_dangling_end(self):
         _, errors = parse_content("text [End CB00XXXX] more")
         assert [e.kind for e in errors] == [ParseErrorKind.DANGLING_END]
