@@ -10,17 +10,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Optional
 
 from .errors import UnknownReleaseError
 from .model import DevelopmentRegistry, ReleaseId, SpecDocument, release_universe
 from .parser import render_segments
-from .resolver import materialize
+from .resolver import materialize, resolve_runs
 # `tokenize` is unused here; perfbench/tracer.py wraps speckit.dataset.tokenize by name.
 from .tokenizer import has_tokens, tokenize
 
 DEFAULT_MIN_TOKENS = 5
+
+# One JSONL record: keys in sorted order, json's default separators.
+_RECORD = '{"id": %s, "release": %s, "text": %s}\n'
 
 
 @dataclass(frozen=True)
@@ -37,46 +40,50 @@ class ReleaseDataset:
     stats: DatasetStats
 
 
+def _release_dataset(
+    r: ReleaseId, candidates: list[tuple[str, str, bool]]
+) -> ReleaseDataset:
+    """Release `r`'s dataset from its (id, text, informative) candidates in document order.
+
+    An uninformative text (too few tokens) is a dropped header, and a text
+    already kept is a dropped duplicate.
+    """
+    records: list[tuple[str, str]] = []
+    kept: set[str] = set()
+    dropped_headers = 0
+    dropped_duplicates = 0
+    for req_id, text, informative in candidates:
+        if not informative:
+            dropped_headers += 1
+        elif text in kept:
+            dropped_duplicates += 1
+        else:
+            kept.add(text)
+            records.append((req_id, text))
+    return ReleaseDataset(
+        release=r,
+        records=tuple(records),
+        stats=DatasetStats(len(candidates), dropped_headers, dropped_duplicates),
+    )
+
+
 def extract_release_dataset(
     docs: list[SpecDocument],
     r: ReleaseId,
     registry: DevelopmentRegistry,
     min_tokens: int = DEFAULT_MIN_TOKENS,
-    *,
-    universe: Optional[list[ReleaseId]] = None,
 ) -> ReleaseDataset:
-    """Materialize every requirement valid at `r`, dropping headers and dups.
-
-    `universe` is the corpus release universe when the caller already has it.
-    """
-    if universe is None:
-        universe = release_universe(docs, registry)
-    if r not in universe:
+    """Materialize every requirement valid at `r`, dropping headers and dups."""
+    if r not in release_universe(docs, registry):
         raise UnknownReleaseError(str(r))
-    records: list[tuple[str, str]] = []
-    seen_texts: set[str] = set()
-    total = 0
-    dropped_headers = 0
-    dropped_duplicates = 0
+    candidates = []
     for doc in docs:
         for req in doc.iter_requirements():
             resolved = materialize(req, r, None, registry)
-            if resolved is None:
-                continue
-            total += 1
-            if not has_tokens(resolved.text, min_tokens):
-                dropped_headers += 1
-                continue
-            if resolved.text in seen_texts:
-                dropped_duplicates += 1
-                continue
-            seen_texts.add(resolved.text)
-            records.append((req.id, resolved.text))
-    return ReleaseDataset(
-        release=r,
-        records=tuple(records),
-        stats=DatasetStats(total, dropped_headers, dropped_duplicates),
-    )
+            if resolved is not None:
+                text = resolved.text
+                candidates.append((req.id, text, has_tokens(text, min_tokens)))
+    return _release_dataset(r, candidates)
 
 
 def extract_all(
@@ -84,24 +91,51 @@ def extract_all(
     registry: DevelopmentRegistry,
     min_tokens: int = DEFAULT_MIN_TOKENS,
 ) -> list[ReleaseDataset]:
-    """One dataset per release in the corpus universe."""
+    """One dataset per release in the corpus universe.
+
+    Each requirement is resolved once per run of releases with one text
+    (`resolve_runs`), and each distinct text is checked for tokens once.
+    """
     universe = release_universe(docs, registry)
-    return [
-        extract_release_dataset(docs, r, registry, min_tokens, universe=universe)
-        for r in universe
-    ]
+    position = {r: i for i, r in enumerate(universe)}
+    informative: dict[str, bool] = {}
+    # Per requirement in document order: its id and its runs, the latest
+    # first, as (first position, last position, text, informative).
+    pending: list[tuple[str, list[tuple[int, int, str, bool]]]] = []
+    for doc in docs:
+        for req in doc.iter_requirements():
+            runs = []
+            for first, last, text, _, _ in resolve_runs(req, universe, None, registry):
+                if text not in informative:
+                    informative[text] = has_tokens(text, min_tokens)
+                runs.append((position[first], position[last], text, informative[text]))
+            if runs:
+                runs.reverse()
+                pending.append((req.id, runs))
+    datasets = []
+    for i, r in enumerate(universe):
+        candidates = []
+        for req_id, runs in pending:
+            if runs and runs[-1][1] < i:
+                runs.pop()
+            if runs and runs[-1][0] <= i:
+                _, _, text, ok = runs[-1]
+                candidates.append((req_id, text, ok))
+        datasets.append(_release_dataset(r, candidates))
+    return datasets
 
 
 def dataset_to_jsonl(dataset: ReleaseDataset) -> str:
-    lines = [
-        json.dumps(
-            {"id": req_id, "release": str(dataset.release), "text": text},
-            sort_keys=True,
-            ensure_ascii=False,
-        )
-        for req_id, text in dataset.records
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """One line per record, byte-identical to `json.dumps(record, sort_keys=True,
+    ensure_ascii=False)`: `encode_basestring` is that call's string encoder.
+    """
+    release = encode_basestring(str(dataset.release))
+    return "".join(
+        [
+            _RECORD % (encode_basestring(req_id), release, encode_basestring(text))
+            for req_id, text in dataset.records
+        ]
+    )
 
 
 def naive_dump(docs: list[SpecDocument]) -> str:

@@ -210,9 +210,17 @@ class _ContentParser:
         elif m.group("end_dev"):
             dev = m.group("end_dev")
             self._close_spans_in_part()
+            for opener in reversed(self.stack):
+                if opener.kind == "dev" and opener.dev == dev:
+                    break
+            else:
+                opener = None
             top = self.stack[-1]
-            if top.kind == "dev" and top.dev == dev:
-                if len(top.parts) == 1:
+            if opener is not None:
+                # Frames opened after the matching one were left unclosed.
+                while self.stack[-1] is not opener:
+                    self._abandon_frame()
+                if len(opener.parts) == 1:
                     self._error(
                         ParseErrorKind.UNBALANCED_TAG,
                         line,
@@ -263,18 +271,22 @@ class _ContentParser:
                     ParseErrorKind.DANGLING_END, line, f"{tag} without opener"
                 )
 
+    def _abandon_frame(self) -> None:
+        """Pop the innermost frame, reporting a dev frame left unclosed once."""
+        top = self.stack[-1]
+        if top.kind == "dev" and not top.misclosed:
+            missing = f"[{top.dev}]" if len(top.parts) == 1 else f"[End {top.dev}]"
+            self._error(
+                ParseErrorKind.UNBALANCED_TAG,
+                top.open_line,
+                f"[Before {top.dev}] never closed: missing {missing}",
+            )
+        self._pop_frame()
+
     def finish(self) -> list[ContentSegment]:
         self._flush_text()
         while len(self.stack) > 1:
-            top = self.stack[-1]
-            if top.kind == "dev" and not top.misclosed:
-                missing = f"[{top.dev}]" if len(top.parts) == 1 else f"[End {top.dev}]"
-                self._error(
-                    ParseErrorKind.UNBALANCED_TAG,
-                    top.open_line,
-                    f"[Before {top.dev}] never closed: missing {missing}",
-                )
-            self._pop_frame()
+            self._abandon_frame()
         return self.stack[0].parts[0]
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import AbstractSet, Mapping, Optional
+from typing import AbstractSet, Iterator, Mapping, Optional
 
 from .errors import DevelopmentNotPresentError, UnknownDevelopmentError
 from .model import (
@@ -151,6 +151,42 @@ def resolve_details(
     seen: set[str] = set()
     text = _resolve_segments(version.content, r, dep, registry, contributing, seen)
     return text, contributing, seen
+
+
+def resolve_runs(
+    req: Requirement,
+    universe: list[ReleaseId],
+    dep: Optional[DeploymentType],
+    registry: DevelopmentRegistry,
+) -> Iterator[tuple[ReleaseId, ReleaseId, str, set[str], set[str]]]:
+    """(first, last, text, contributing, seen) per run of `universe` with one text.
+
+    `universe` is ordered.  A run starts at a release where a version of `req`
+    is valid.  It ends before the next release outside that version, and
+    before the earliest later release that introduces a dev in `seen`.
+    DevBlocks never nest, so under one version and deployment the blocks
+    visited do not depend on the release: only such an introduction changes
+    the text.  Each run costs one `resolve_details`, at its first release.
+    """
+    i = 0
+    while i < len(universe):
+        first = universe[i]
+        version = version_at(req, first)
+        if version is None:
+            i += 1
+            continue
+        text, contributing, seen = resolve_details(req, first, dep, registry)
+        stop = min(
+            (r for r in map(registry.release_of, seen) if r > first), default=None
+        )
+        i += 1
+        while (
+            i < len(universe)
+            and version.contains(universe[i])
+            and (stop is None or universe[i] < stop)
+        ):
+            i += 1
+        yield first, universe[i - 1], text, contributing, seen
 
 
 def materialize(

@@ -10,6 +10,7 @@ never discards a digit.
 from __future__ import annotations
 
 import re
+import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -102,20 +103,34 @@ def _lowered_word(text: str) -> Token:
     return Token(text.lower(), TokenKind.WORD)
 
 
+def _composed(text: str) -> str:
+    """`text` in NFC, the form the scan reads.
+
+    `\\w` matches no combining mark, so a decomposed "u" + U+0308 would split
+    the word around it; composed, it is the one letter "ü".  Most text is
+    already NFC, and the check costs far less than normalizing.
+    """
+    if unicodedata.is_normalized("NFC", text):
+        return text
+    return unicodedata.normalize("NFC", text)
+
+
 def tokenize(text: str) -> list[Token]:
     """Split text into classified tokens; pure, deterministic, digit-preserving.
 
-    Tokens are immutable and interned: equal tokens from any call may be the
-    same object.
+    The text is read in NFC, so canonically equivalent texts give equal
+    tokens.  Tokens are immutable and interned: equal tokens from any call
+    may be the same object.
     """
-    return [_token(m.group(), m.lastgroup) for m in _SCAN_RE.finditer(text)]
+    return [_token(m.group(), m.lastgroup) for m in _SCAN_RE.finditer(_composed(text))]
 
 
 def has_tokens(text: str, count: int) -> bool:
     """Whether `tokenize(text)` has at least `count` tokens, scanning no further."""
     if count <= 0:
         return True
-    return next(islice(_SCAN_RE.finditer(text), count - 1, None), None) is not None
+    matches = _SCAN_RE.finditer(_composed(text))
+    return next(islice(matches, count - 1, None), None) is not None
 
 
 def normalize(tokens: list[Token]) -> list[Token]:

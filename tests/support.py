@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import unicodedata
 from functools import lru_cache
 from typing import AbstractSet, Mapping, Optional
 
@@ -12,8 +13,11 @@ from speckit.model import (
     DeploymentSpan,
     DeploymentType,
     DevBlock,
+    DevelopmentRegistry,
     PlainText,
     ReleaseId,
+    Requirement,
+    RequirementVersion,
     merge_adjacent_plain,
 )
 from speckit.resolver import BehaviorDiff, DiffKind, lcs_diff, split_sentences
@@ -48,6 +52,66 @@ def segment_trees(
                 body = segment_trees(deps | {dep}, in_dev, depth + 1)
                 options.append(st.builds(DeploymentSpan, st.just(dep), body))
     return st.lists(st.one_of(options), max_size=3).map(merge_adjacent_plain)
+
+
+# Six releases: version bounds, universes and dev introductions draw from them.
+RELEASE_POOL = tuple(
+    ReleaseId.parse(r) for r in ("01R1", "01R2", "01R3", "02R1", "02R2", "03R1")
+)
+
+
+@st.composite
+def universes(draw):
+    """An ordered, non-empty subset of RELEASE_POOL."""
+    return sorted(draw(st.sets(st.sampled_from(RELEASE_POOL), min_size=1)))
+
+
+@st.composite
+def registries(draw):
+    """Every id in DEV_IDS introduced at a release of RELEASE_POOL."""
+    return DevelopmentRegistry(
+        {dev: draw(st.sampled_from(RELEASE_POOL)) for dev in DEV_IDS}
+    )
+
+
+@st.composite
+def versioned_requirements(draw):
+    """A requirement with 1-3 versions over RELEASE_POOL, gaps between them allowed.
+
+    Each release of the pool is skipped, continues the current version or
+    starts a new one; the last version may be open.
+    """
+    steps = draw(
+        st.lists(
+            st.sampled_from(("gap", "continue", "new")),
+            min_size=len(RELEASE_POOL),
+            max_size=len(RELEASE_POOL),
+        )
+    )
+    bounds: list[list[int]] = []
+    current = False
+    for i, step in enumerate(steps):
+        if step == "gap":
+            current = False
+        elif step == "continue" and current:
+            bounds[-1][1] = i
+        elif len(bounds) < 3:
+            bounds.append([i, i])
+            current = True
+        else:
+            current = False
+    if not bounds:
+        bounds = [[0, 0]]
+    open_last = draw(st.booleans())
+    versions = tuple(
+        RequirementVersion(
+            RELEASE_POOL[first],
+            None if open_last and k == len(bounds) - 1 else RELEASE_POOL[last],
+            tuple(draw(segment_trees())),
+        )
+        for k, (first, last) in enumerate(bounds)
+    )
+    return Requirement(id="REQ_0001", versions=versions, section_path=("S",))
 
 
 # Texts that split into few, often repeated, sentences.  None, empty and blank
@@ -113,9 +177,12 @@ _REFERENCE_SCAN_RE = re.compile(
 
 
 def reference_tokenize(text: str) -> list[Token]:
-    """`tokenizer.tokenize` without interning: a new `Token` for every match."""
+    """`tokenizer.tokenize` without interning: a new `Token` for every match.
+
+    Like `tokenize`, it scans the text in NFC, normalizing unconditionally.
+    """
     tokens: list[Token] = []
-    for m in _REFERENCE_SCAN_RE.finditer(text):
+    for m in _REFERENCE_SCAN_RE.finditer(unicodedata.normalize("NFC", text)):
         kind = m.lastgroup
         if kind == "space":
             continue

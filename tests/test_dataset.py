@@ -1,8 +1,14 @@
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import speckit.resolver
 from speckit.dataset import (
+    DatasetStats,
+    ReleaseDataset,
     dataset_to_jsonl,
     extract_all,
     extract_release_dataset,
@@ -10,10 +16,11 @@ from speckit.dataset import (
     write_datasets,
 )
 from speckit.errors import UnknownReleaseError
-from speckit.model import DevelopmentRegistry, ReleaseId
+from speckit.model import DevelopmentRegistry, ReleaseId, Section, SpecDocument, release_universe
 from speckit.parser import parse_document
 from speckit.resolver import baseline
 from speckit.tokenizer import TAG_RE
+from support import RELEASE_POOL, registries, versioned_requirements
 
 
 def rel(text):
@@ -95,6 +102,95 @@ class TestExtract:
         datasets = extract_all([], registry)
         assert len(datasets) == 1
         assert datasets[0].records == ()
+
+
+class TestChangePointExtraction:
+    RUNS_CORPUS = """# Section
+
+=== REQ REQ_0001 ===
+--- VERSION first=01R1 last=open ---
+The timer starts [Before CB00XXXX] once per cycle. [CB00XXXX] twice per cycle. [End CB00XXXX]
+=== END ===
+
+=== REQ REQ_0002 ===
+--- VERSION first=01R1 last=01R2 ---
+The counter resets at every frame boundary.
+--- VERSION first=01R4 last=open ---
+The counter resets at every slot boundary.
+=== END ===
+
+=== REQ REQ_0003 ===
+--- VERSION first=01R1 last=open ---
+The window holds one report per period.
+=== END ===
+"""
+
+    def test_one_resolve_per_run(self, monkeypatch):
+        result = parse_document(self.RUNS_CORPUS, name="doc")
+        assert result.ok
+        docs = [result.document]
+        registry = DevelopmentRegistry({"CB00XXXX": rel("01R3")})
+        resolve = speckit.resolver.resolve_details
+        calls = []
+
+        def counting(req, r, dep, registry):
+            calls.append((req.id, str(r)))
+            return resolve(req, r, dep, registry)
+
+        monkeypatch.setattr(speckit.resolver, "resolve_details", counting)
+        datasets = extract_all(docs, registry)
+        # Runs: REQ_0001 01R1-01R2 and 01R3-01R4 (CB00XXXX), REQ_0002 01R1-01R2
+        # and 01R4, REQ_0003 01R1-01R4; 11 (requirement, release) pairs.
+        assert sorted(calls) == [
+            ("REQ_0001", "01R1"), ("REQ_0001", "01R3"),
+            ("REQ_0002", "01R1"), ("REQ_0002", "01R4"),
+            ("REQ_0003", "01R1"),
+        ]
+        monkeypatch.undo()
+        assert datasets == [
+            extract_release_dataset(docs, r, registry) for r in release_universe(docs, registry)
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(versioned_requirements(), min_size=1, max_size=4),
+        registries(),
+        st.integers(0, 6),
+    )
+    def test_extract_all_equals_one_release_at_a_time(self, reqs, registry, min_tokens):
+        reqs = [replace(req, id=f"REQ_{i:04d}") for i, req in enumerate(reqs)]
+        docs = [
+            SpecDocument("a", (Section("S", tuple(reqs[:2])),)),
+            SpecDocument("b", (Section("S", tuple(reqs[2:])),)),
+        ]
+        universe = release_universe(docs, registry)
+        assert extract_all(docs, registry, min_tokens) == [
+            extract_release_dataset(docs, r, registry, min_tokens) for r in universe
+        ]
+
+
+# Characters json escapes or passes through: quotes, backslashes, control
+# characters, U+2028/U+2029, non-BMP and non-ASCII letters.
+JSON_EDGE_TEXT = st.text(
+    alphabet=st.sampled_from(
+        ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\b", "\t", "\n", "\r",
+         "\u2028", "\u2029", "\U0001f600", "\U00010348", "\u00e9", "\ufeff", "a", " "]
+    )
+)
+
+
+class TestJsonlTemplate:
+    @given(
+        st.lists(st.tuples(st.one_of(st.text(), JSON_EDGE_TEXT), st.one_of(st.text(), JSON_EDGE_TEXT))),
+        st.sampled_from(RELEASE_POOL),
+    )
+    def test_equals_json_dumps(self, records, release):
+        dataset = ReleaseDataset(release, tuple(records), DatasetStats(len(records), 0, 0))
+        lines = [
+            json.dumps({"id": i, "release": str(release), "text": t}, sort_keys=True, ensure_ascii=False)
+            for i, t in records
+        ]
+        assert dataset_to_jsonl(dataset) == "\n".join(lines) + ("\n" if lines else "")
 
 
 class TestDatasetProperties:

@@ -94,6 +94,49 @@ class TestParseContent:
             )
         ]
 
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            # [End CB00XXXX] closes its own block, so only the nested block
+            # it skips is unclosed; CB00XXXX's missing [CB00XXXX] is its own defect.
+            (
+                "[Before CB00XXXX] a\n[Before CB00YYYY] b [CB00YYYY] c\n[End CB00XXXX]",
+                [
+                    (ParseErrorKind.NESTED_DEV_BLOCK, 2,
+                     "[Before CB00YYYY] opened inside another development block"),
+                    (ParseErrorKind.UNBALANCED_TAG, 2,
+                     "[Before CB00YYYY] never closed: missing [End CB00YYYY]"),
+                    (ParseErrorKind.UNBALANCED_TAG, 3,
+                     "[End CB00XXXX] before the [CB00XXXX] tag"),
+                ],
+            ),
+            (
+                "[Before CB00XXXX] a [CB00XXXX] [SA] b\n[Before CB00YYYY] c\n[End CB00XXXX] d",
+                [
+                    (ParseErrorKind.NESTED_DEV_BLOCK, 2,
+                     "[Before CB00YYYY] opened inside another development block"),
+                    (ParseErrorKind.UNBALANCED_TAG, 2,
+                     "[Before CB00YYYY] never closed: missing [CB00YYYY]"),
+                ],
+            ),
+            # A skipped block already reported by a mistyped end tag is not reported again.
+            (
+                "[Before CB00XXXX] a [CB00XXXX] b [Before CB00YYYY] c [CB00YYYY] d "
+                "[End CB00ZZZZ] [End CB00XXXX]",
+                [
+                    (ParseErrorKind.NESTED_DEV_BLOCK, 1,
+                     "[Before CB00YYYY] opened inside another development block"),
+                    (ParseErrorKind.UNBALANCED_TAG, 1,
+                     "[End CB00ZZZZ] does not close open block [Before CB00YYYY]"),
+                ],
+            ),
+        ],
+        ids=["nested-block-skipped", "span-and-block-skipped", "skipped-block-already-reported"],
+    )
+    def test_end_tag_closes_outer_block(self, text, want):
+        _, errors = parse_content(text)
+        assert [(e.kind, e.line, e.message) for e in errors] == want
+
     def test_dangling_end(self):
         _, errors = parse_content("text [End CB00XXXX] more")
         assert [e.kind for e in errors] == [ParseErrorKind.DANGLING_END]

@@ -29,6 +29,7 @@ from speckit.resolver import (
     lcs_diff,
     materialize,
     resolve_details,
+    resolve_runs,
     split_sentences,
 )
 from speckit.tokenizer import TAG_RE
@@ -37,7 +38,10 @@ from support import (
     RELEASES as TREE_RELEASES,
     diff_inputs,
     reference_diff_texts,
+    registries,
     segment_trees,
+    universes,
+    versioned_requirements,
 )
 
 
@@ -346,3 +350,42 @@ class TestResolutionPurity:
                 assert not TAG_RE.search(text), (r, dep, text)
             [(_, record)] = extract_release_dataset(docs, r, registry, min_tokens=0).records
             assert not TAG_RE.search(record), (r, record)
+
+
+class TestResolveRuns:
+    @settings(max_examples=200, deadline=None)
+    @given(versioned_requirements(), universes(), registries())
+    def test_runs_cover_valid_releases_with_direct_resolution(self, req, universe, registry):
+        valid = [r for r in universe if version_at(req, r) is not None]
+        for dep in (None, DeploymentType.SA, DeploymentType.NSA):
+            runs = list(resolve_runs(req, universe, dep, registry))
+            covered = []
+            for first, last, text, contributing, seen in runs:
+                assert first <= last
+                assert not covered or covered[-1] < first
+                members = [r for r in universe if first <= r <= last]
+                assert members[0] == first and members[-1] == last
+                covered += members
+                for r in members:
+                    assert resolve_details(req, r, dep, registry) == (text, contributing, seen)
+            assert covered == valid
+
+    def test_run_ends_at_version_end_and_dev_introduction(self):
+        registry = DevelopmentRegistry({"CB00XXXX": rel("01R3")})
+        req = Requirement(
+            id="REQ_0001",
+            versions=(
+                RequirementVersion(rel("01R1"), rel("01R1"), (PlainText("a"),)),
+                RequirementVersion(rel("01R2"), None, CB_EXAMPLE),
+            ),
+        )
+        universe = [rel(r) for r in ("01R1", "01R2", "01R3", "01R4")]
+        runs = [
+            (str(first), str(last), text, contributing, seen)
+            for first, last, text, contributing, seen in resolve_runs(req, universe, None, registry)
+        ]
+        assert runs == [
+            ("01R1", "01R1", "a", set(), set()),
+            ("01R2", "01R2", "u old v", set(), {"CB00XXXX"}),
+            ("01R3", "01R4", "u new v", {"CB00XXXX"}, {"CB00XXXX"}),
+        ]

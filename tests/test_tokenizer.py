@@ -1,5 +1,6 @@
 import random
 import re
+import unicodedata
 from collections import Counter
 from itertools import islice, product
 from string import ascii_lowercase
@@ -22,6 +23,9 @@ from support import reference_normalize, reference_tokenize
 
 # Tags, ids, numbers, words in each case, punctuation and whitespace.
 TECHNICAL_TEXT = st.text(alphabet="ab 1.[]CBSA\t,", max_size=30)
+# Letters with combining marks that compose with some of them (and one,
+# U+20DD, that composes with none), in either order.
+MARKED_TEXT = st.text(alphabet="aeuAUcq1 .\u0308\u0301\u0327\u20dd\u00fc\u00c4", max_size=20)
 
 
 def kinds(text: str) -> list[tuple[str, TokenKind]]:
@@ -88,6 +92,12 @@ class TestClassification:
             (".", TokenKind.PUNCT),
         ]
 
+    def test_decomposed_word_is_one_token(self):
+        assert kinds("Zeitu\u0308berschreitung tritt") == [
+            ("Zeit\u00fcberschreitung", TokenKind.WORD),
+            ("tritt", TokenKind.WORD),
+        ]
+
     def test_non_ascii_camel_case_identifier_is_one_token(self):
         assert kinds("messungÄndernSA") == [("messungÄndernSA", TokenKind.IDENTIFIER)]
 
@@ -144,10 +154,21 @@ class TestProperties:
     @given(st.text())
     def test_unicode_text_keeps_digits_and_characters(self, text):
         joined = "".join(t.text for t in tokenize(text))
+        composed = unicodedata.normalize("NFC", text)
         assert Counter(c for c in joined if c.isdigit()) == Counter(
-            c for c in text if c.isdigit()
+            c for c in composed if c.isdigit()
         )
-        assert joined == "".join(text.split())
+        assert joined == "".join(composed.split())
+
+    @given(st.one_of(st.text(), MARKED_TEXT))
+    def test_canonically_equivalent_texts_tokenize_equal(self, text):
+        nfd = unicodedata.normalize("NFD", text)
+        assert tokenize(nfd) == tokenize(unicodedata.normalize("NFC", text))
+
+    @given(st.one_of(st.text(), MARKED_TEXT), st.integers(-1, 8))
+    def test_has_tokens_counts_like_tokenize_on_decomposed_text(self, text, count):
+        for form in (text, unicodedata.normalize("NFD", text)):
+            assert has_tokens(form, count) == (len(tokenize(form)) >= count)
 
     @given(
         st.sampled_from(("", "CB", "cb", "Cb", "01R", "99r", "12R3", "REQ_", "req_", "A")),
