@@ -15,9 +15,10 @@ from pathlib import Path
 
 from .errors import UnknownReleaseError
 from .model import DevelopmentRegistry, ReleaseId, SpecDocument, release_universe
+# `render_segments` and `tokenize` are unused here; perfbench/tracer.py wraps
+# speckit.dataset.render_segments and speckit.dataset.tokenize by name.
 from .parser import render_segments
 from .resolver import materialize, resolve_runs
-# `tokenize` is unused here; perfbench/tracer.py wraps speckit.dataset.tokenize by name.
 from .tokenizer import has_tokens, tokenize
 
 DEFAULT_MIN_TOKENS = 5
@@ -136,28 +137,6 @@ def dataset_to_jsonl(dataset: ReleaseDataset) -> str:
             for req_id, text in dataset.records
         ]
     )
-
-
-def naive_dump(docs: list[SpecDocument]) -> str:
-    """Every version of every requirement, tags and all: the baseline to beat."""
-    lines = []
-    for doc in docs:
-        for req in doc.iter_requirements():
-            for version in req.versions:
-                last = "open" if version.last_release is None else str(version.last_release)
-                lines.append(
-                    json.dumps(
-                        {
-                            "id": req.id,
-                            "first": str(version.first_release),
-                            "last": last,
-                            "text": render_segments(version.content),
-                        },
-                        sort_keys=True,
-                        ensure_ascii=False,
-                    )
-                )
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def write_datasets(datasets: list[ReleaseDataset], out_dir: Path) -> list[Path]:

@@ -29,7 +29,6 @@ from .model import (
     RequirementVersion,
     Section,
     SpecDocument,
-    merge_adjacent_plain,
 )
 from .parser import dump_registry, serialize
 from .tokenizer import tokenize, normalize
@@ -165,110 +164,6 @@ def _fresh_sentence(rng: random.Random, avoid: str) -> str:
     while sentence == avoid:
         sentence = _sentence(rng)
     return sentence
-
-
-# ---------------------------------------------------------------------------
-# Object-level generators (also used directly by tests)
-# ---------------------------------------------------------------------------
-
-
-def random_tagged_requirement(
-    rng: random.Random,
-    req_id: str,
-    n_devblocks: int,
-    dev_start: int = 1,
-) -> tuple[Requirement, dict[str, ReleaseId]]:
-    """One open-version requirement carrying `n_devblocks` development blocks.
-
-    Returns the requirement plus the registry entries for its developments,
-    each introduced at a random release after the first.
-    """
-    registry: dict[str, ReleaseId] = {}
-    segments: list[ContentSegment] = [PlainText(_sentence(rng))]
-    for i in range(n_devblocks):
-        dev = f"CB{dev_start + i:06d}"
-        registry[dev] = rng.choice(RELEASES[1:])
-        before: list[ContentSegment] = [PlainText(_sentence(rng))]
-        after: list[ContentSegment] = [PlainText(_sentence(rng))]
-        if rng.random() < 0.3:
-            dep = rng.choice(list(DeploymentType))
-            after.append(DeploymentSpan(dep, (PlainText(_sentence(rng)),)))
-        segments.append(DevBlock(dev, tuple(before), tuple(after)))
-        segments.append(PlainText(_sentence(rng)))
-    if rng.random() < 0.3:
-        dep = rng.choice(list(DeploymentType))
-        segments.append(DeploymentSpan(dep, (PlainText(_sentence(rng)),)))
-        segments.append(PlainText(_sentence(rng)))
-    version = RequirementVersion(
-        first_release=RELEASES[0], last_release=None, content=tuple(segments)
-    )
-    req = Requirement(id=req_id, versions=(version,), section_path=("Generated",))
-    return req, registry
-
-
-def random_document(rng: random.Random, name: str, req_start: int = 1) -> SpecDocument:
-    """A random well-formed document in canonical form, for round-trip testing."""
-    counter = req_start
-
-    def _content() -> tuple[ContentSegment, ...]:
-        segments: list[ContentSegment] = [PlainText(_sentence(rng))]
-        for _ in range(rng.randrange(3)):
-            roll = rng.random()
-            if roll < 0.4:
-                dev = f"CB{rng.randrange(10**6):06d}"
-                segments.append(
-                    DevBlock(
-                        dev,
-                        (PlainText(_sentence(rng)),),
-                        (PlainText(_sentence(rng)),),
-                    )
-                )
-            elif roll < 0.7:
-                dep = rng.choice(list(DeploymentType))
-                segments.append(DeploymentSpan(dep, (PlainText(_sentence(rng)),)))
-            else:
-                segments.append(PlainText(_sentence(rng)))
-        if not isinstance(segments[-1], PlainText):
-            segments.append(PlainText(_sentence(rng)))
-        return merge_adjacent_plain(segments)
-
-    def make_requirement(path: tuple[str, ...]) -> Requirement:
-        nonlocal counter
-        req_id = f"REQ_{counter:04d}"
-        counter += 1
-        versions: list[RequirementVersion] = []
-        start = 0
-        while start < len(RELEASES):
-            first = RELEASES[start]
-            if rng.random() < 0.6 or start == len(RELEASES) - 1:
-                versions.append(
-                    RequirementVersion(first_release=first, last_release=None, content=_content())
-                )
-                break
-            end = rng.randrange(start, len(RELEASES) - 1)
-            versions.append(
-                RequirementVersion(
-                    first_release=first, last_release=RELEASES[end], content=_content()
-                )
-            )
-            start = end + 1
-            if rng.random() < 0.3:
-                break
-        return Requirement(id=req_id, versions=tuple(versions), section_path=path)
-
-    def make_section(level: int, prefix: tuple[str, ...]) -> Section:
-        title = f"Section {rng.randrange(1000)}"
-        path = prefix + (title,)
-        requirements = tuple(
-            make_requirement(path) for _ in range(rng.randrange(1, 4))
-        )
-        subsections = ()
-        if level < 2 and rng.random() < 0.4:
-            subsections = (make_section(level + 1, path),)
-        return Section(title=title, requirements=requirements, subsections=subsections)
-
-    sections = tuple(make_section(1, ()) for _ in range(rng.randrange(1, 4)))
-    return SpecDocument(name=name, sections=sections)
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,17 @@ import json
 from dataclasses import dataclass
 
 from .errors import ConflictingAliasError
-from .tokenizer import Token, TokenKind, tokenize
+from .tokenizer import Token, tokenize
 
 AliasKey = tuple[str, ...]
 
 
 def match_key(token: Token) -> str:
-    return token.text.lower() if token.kind is TokenKind.WORD else token.text
+    return token.key
 
 
 def phrase_key(text: str) -> AliasKey:
-    return tuple(match_key(t) for t in tokenize(text))
+    return tuple(t.key for t in tokenize(text))
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def find_mentions(tokens: list[Token], lexicon: Lexicon) -> list[Mention]:
     n = len(tokens)
     if not lexicon.reverse:
         return mentions
-    keys = [match_key(t) for t in tokens]
+    keys = [t.key for t in tokens]
     reverse, lengths = lexicon.reverse, lexicon.lengths
     i = 0
     while i < n:

@@ -230,11 +230,9 @@ def analyse_versions(
 
 def shingle_set(tokens: list[Token], k: int) -> frozenset[tuple[str, ...]]:
     texts = [t.text for t in tokens]
-    if not texts:
-        return frozenset()
     if len(texts) < k:
-        return frozenset({tuple(texts)})
-    return frozenset(tuple(texts[i : i + k]) for i in range(len(texts) - k + 1))
+        return frozenset({tuple(texts)} if texts else ())
+    return frozenset(zip(*(texts[i:] for i in range(k))))
 
 
 def jaccard(a: frozenset, b: frozenset) -> float:
@@ -288,6 +286,14 @@ def _min_overlap(size: int, threshold: float) -> int:
     return overlap
 
 
+def _rarest_first(shingles: frozenset, frequency: Counter) -> list:
+    """`shingles` by (frequency, shingle): a set's members are distinct, so a
+    stable sort of the sorted set by frequency gives that order."""
+    ranked = sorted(shingles)
+    ranked.sort(key=frequency.__getitem__)
+    return ranked
+
+
 def detect_duplication(
     docs: list[SpecDocument],
     registry: DevelopmentRegistry,
@@ -329,7 +335,7 @@ def detect_duplication(
     frequency = Counter(s for record in records for s in record["shingles"])
     prefixes = []
     for record in records:
-        ranked = sorted(record["shingles"], key=lambda s: (frequency[s], s))
+        ranked = _rarest_first(record["shingles"], frequency)
         size = len(ranked)
         if size:
             prefixes.append(ranked[: size - _min_overlap(size, config.dup_threshold) + 1])

@@ -382,9 +382,12 @@ def parse_document(source: str, name: str = "") -> ParseResult:
                 )
             )
         errors.extend(block_errors)
-        if block_errors:
+        # The model's range checks need every release id (a bad one is None, as
+        # an open last one is); they run even beside the block's other errors.
+        if block_errors and (
+            not b.versions or any(e.kind is ParseErrorKind.BAD_RELEASE_ID for e in block_errors)
+        ):
             return
-        # Every release id parsed, so only the model's range checks can fail.
         try:
             req = Requirement(
                 id=b.req_id,
@@ -399,6 +402,8 @@ def parse_document(source: str, name: str = "") -> ParseResult:
             errors.append(
                 ParseError(ParseErrorKind.BAD_RELEASE_ID, b.line, str(exc))
             )
+            return
+        if block_errors:
             return
         seen_ids[b.req_id] = b.line
         stack[-1].requirements.append(req)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import islice
@@ -34,10 +34,14 @@ class TokenKind(Enum):
 class Token:
     text: str
     kind: TokenKind
+    # What the lexicon compares: a Word lowercased, any other kind verbatim.
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.text:
             raise ValueError("token text must be non-empty")
+        key = self.text.lower() if self.kind is TokenKind.WORD else self.text
+        object.__setattr__(self, "key", key)
 
 
 # Canonical tag grammar: exact case, single internal space.
@@ -50,13 +54,14 @@ TAG_PATTERN = (
 )
 TAG_RE = re.compile(TAG_PATTERN)
 
-_SCAN_RE = re.compile(
-    rf"(?P<tag>{TAG_PATTERN})"
-    r"|(?P<number>\d+\.\d+)"
-    r"|(?P<chunk>\w+)"
-    r"|(?P<punct>\S)"
-)
-# No alternative matches whitespace, so `finditer` steps over it.
+# Scan alternatives in precedence order; none matches whitespace, so a scan
+# steps over it.  `_TOKEN_RE` has no groups, so `findall` returns the token
+# strings.  `_SCAN_RE` names the alternatives: `fullmatch(value).lastgroup` is
+# the one the scan matched `value` with, since an earlier one that matched all
+# of `value` would have matched it there first.
+_ALTERNATIVES = {"tag": TAG_PATTERN, "number": r"\d+\.\d+", "chunk": r"\w+", "punct": r"\S"}
+_TOKEN_RE = re.compile("|".join(f"(?:{p})" for p in _ALTERNATIVES.values()))
+_SCAN_RE = re.compile("|".join(f"(?P<{name}>{p})" for name, p in _ALTERNATIVES.items()))
 
 _GROUP_KIND = {"tag": TokenKind.TAG, "number": TokenKind.NUMBER, "punct": TokenKind.PUNCT}
 
@@ -64,7 +69,7 @@ _GROUP_KIND = {"tag": TokenKind.TAG, "number": TokenKind.NUMBER, "punct": TokenK
 # vocabulary (191 distinct tokens over the 1,200 requirements of gen-corpus
 # seed 1), so equal tokens share one object.  The bound keeps a long-lived
 # process from holding every token it has seen: full, the two tables hold
-# about 7 MB of 12-character words.
+# about 8 MB of 12-character words.
 _INTERN_MAXSIZE = 16384
 
 
@@ -92,8 +97,9 @@ def _classify_chunk(text: str) -> TokenKind:
 
 
 @lru_cache(maxsize=_INTERN_MAXSIZE)
-def _token(value: str, group: str) -> Token:
-    """The one shared token for `value` matched by the scan group `group`."""
+def _token(value: str) -> Token:
+    """The one shared token for the scanned token string `value`."""
+    group = _SCAN_RE.fullmatch(value).lastgroup
     return Token(value, _GROUP_KIND.get(group) or _classify_chunk(value))
 
 
@@ -122,14 +128,14 @@ def tokenize(text: str) -> list[Token]:
     tokens.  Tokens are immutable and interned: equal tokens from any call
     may be the same object.
     """
-    return [_token(m.group(), m.lastgroup) for m in _SCAN_RE.finditer(_composed(text))]
+    return list(map(_token, _TOKEN_RE.findall(_composed(text))))
 
 
 def has_tokens(text: str, count: int) -> bool:
     """Whether `tokenize(text)` has at least `count` tokens, scanning no further."""
     if count <= 0:
         return True
-    matches = _SCAN_RE.finditer(_composed(text))
+    matches = _TOKEN_RE.finditer(_composed(text))
     return next(islice(matches, count - 1, None), None) is not None
 
 

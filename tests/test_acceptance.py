@@ -7,8 +7,8 @@ lines; every criterion is exact (text equality, exact counts, exact sets).
 import random
 from collections import Counter
 
-from speckit.dataset import dataset_to_jsonl, extract_all, naive_dump, write_datasets
-from speckit.generator import RELEASES, random_document, random_tagged_requirement
+from speckit.dataset import dataset_to_jsonl, extract_all, write_datasets
+from speckit.generator import RELEASES
 from speckit.index import (
     UNMAPPED,
     query_behavior,
@@ -22,6 +22,7 @@ from speckit.model import DeploymentType, DevelopmentRegistry, ReleaseId
 from speckit.parser import parse_document, serialize
 from speckit.resolver import baseline, materialize
 from speckit.tokenizer import TAG_RE, TokenKind, tokenize
+from support import naive_dump, random_document, random_tagged_requirement
 
 DEPLOYMENTS = (None, DeploymentType.SA, DeploymentType.NSA)
 

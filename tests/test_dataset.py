@@ -12,7 +12,6 @@ from speckit.dataset import (
     dataset_to_jsonl,
     extract_all,
     extract_release_dataset,
-    naive_dump,
     write_datasets,
 )
 from speckit.errors import UnknownReleaseError
@@ -20,7 +19,7 @@ from speckit.model import DevelopmentRegistry, ReleaseId, Section, SpecDocument,
 from speckit.parser import parse_document
 from speckit.resolver import baseline
 from speckit.tokenizer import TAG_RE
-from support import RELEASE_POOL, registries, versioned_requirements
+from support import RELEASE_POOL, naive_dump, registries, versioned_requirements
 
 
 def rel(text):

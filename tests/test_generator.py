@@ -9,8 +9,6 @@ from speckit.generator import (
     _FILLER_NOUNS,
     _FILLER_VERBS,
     generate_corpus,
-    random_document,
-    random_tagged_requirement,
     write_corpus,
 )
 from speckit.lexicon import find_mentions
@@ -18,6 +16,7 @@ from speckit.lint import jaccard, shingle_set
 from speckit.model import DevelopmentRegistry
 from speckit.parser import parse_document, validate_corpus
 from speckit.tokenizer import normalize, tokenize
+from support import random_document, random_tagged_requirement
 
 
 class TestDeterminism:

@@ -14,7 +14,7 @@ from speckit.lexicon import (
     match_key,
     phrase_key,
 )
-from speckit.tokenizer import tokenize
+from speckit.tokenizer import TokenKind, tokenize
 
 
 class TestLoadLexicon:
@@ -129,11 +129,18 @@ class TestFindMentions:
         lex = build_lexicon({})
         assert find_mentions(tokenize("any text at all"), lex) == []
 
+    def test_match_key_is_the_token_key(self):
+        tokens = tokenize("The A2 Measurement, activateMeasurementSA [SA] REQ_0001")
+        assert [match_key(t) for t in tokens] == [
+            "the", "A2", "measurement", ",", "activateMeasurementSA", "[SA]", "REQ_0001"
+        ]
+        assert all(match_key(t) is t.key for t in tokens)
+
 
 def reference_find_mentions(tokens, lexicon) -> list[Mention]:
     """Leftmost-longest matching that tries every alias length at every position."""
     longest = max((len(key) for key in lexicon.reverse), default=0)
-    keys = [match_key(t) for t in tokens]
+    keys = [t.text.lower() if t.kind is TokenKind.WORD else t.text for t in tokens]
     mentions = []
     i = 0
     while i < len(tokens):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from speckit.lint import (
     Location,
     Severity,
     _prefix_renames,
+    _rarest_first,
     analyse_versions,
     check_dispersion,
     check_grammar,
@@ -28,7 +30,7 @@ from speckit.lint import (
 from speckit.model import DevelopmentRegistry, ReleaseId
 from speckit.parser import parse_document
 from speckit.resolver import materialize
-from speckit.tokenizer import TokenKind, normalize, tokenize
+from speckit.tokenizer import Token, TokenKind, normalize, tokenize
 
 
 def doc_from(name: str, body: str):
@@ -94,6 +96,37 @@ class TestJaccard:
     def test_identical_texts_are_one(self):
         tokens = normalize(tokenize("one two three four five six"))
         assert jaccard(shingle_set(tokens, 5), shingle_set(tokens, 5)) == 1.0
+
+
+def slice_shingle_set(texts: list[str], k: int) -> frozenset[tuple[str, ...]]:
+    """`shingle_set` as a comprehension over slices, on the token texts."""
+    if not texts:
+        return frozenset()
+    if len(texts) < k:
+        return frozenset({tuple(texts)})
+    return frozenset(tuple(texts[i : i + k]) for i in range(len(texts) - k + 1))
+
+
+SHINGLE_WORDS = st.sampled_from(["a", "b", "the", "A2", "x_y", "REQ_0001"])
+
+
+class TestShingleKernel:
+    @given(st.integers(1, 6), st.data())
+    def test_shingle_set_equals_slice_comprehension(self, k, data):
+        n = data.draw(st.integers(0, k + 3))
+        texts = data.draw(st.lists(SHINGLE_WORDS, min_size=n, max_size=n))
+        tokens = [Token(text, TokenKind.WORD) for text in texts]
+        assert shingle_set(tokens, k) == slice_shingle_set(texts, k)
+
+    @given(
+        st.frozensets(st.lists(SHINGLE_WORDS, min_size=1, max_size=3).map(tuple), max_size=12),
+        st.data(),
+    )
+    def test_rarest_first_orders_by_frequency_then_shingle(self, shingles, data):
+        frequency = Counter({s: data.draw(st.integers(1, 4)) for s in sorted(shingles)})
+        assert _rarest_first(shingles, frequency) == sorted(
+            shingles, key=lambda s: (frequency[s], s)
+        )
 
 
 class TestDuplication:

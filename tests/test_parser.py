@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 
 from speckit.errors import RegistryError
-from speckit.generator import random_document
 from speckit.model import (
     DeploymentSpan,
     DeploymentType,
@@ -28,7 +27,7 @@ from speckit.parser import (
     serialize,
     validate_corpus,
 )
-from support import segment_trees
+from support import random_document, segment_trees
 
 WELL_FORMED = """=== SPEC FORMAT 1 ===
 
@@ -328,6 +327,38 @@ class TestParseDocument:
                 (ParseErrorKind.BAD_RELEASE_ID, 5, message)
             ]
             assert list(result.document.iter_requirements()) == []
+
+    def test_model_rejection_reported_beside_tag_error(self):
+        # The inverted range and the unclosed dev block are two defects of one
+        # block: both are reported, and the block is dropped.
+        text = WELL_FORMED.replace("first=01R1 last=01R1", "first=02R1 last=01R1").replace(
+            "The first behavior applies here.", "[Before CB00XXXX] old [CB00XXXX] new"
+        )
+        result = parse_document(text)
+        assert [(e.kind, e.line, e.message) for e in result.errors] == [
+            (
+                ParseErrorKind.UNBALANCED_TAG,
+                7,
+                "[Before CB00XXXX] never closed: missing [End CB00XXXX]",
+            ),
+            (ParseErrorKind.BAD_RELEASE_ID, 5, "version range inverted: 02R1 > 01R1"),
+        ]
+        assert list(result.document.iter_requirements()) == []
+
+    def test_model_rejection_skipped_when_a_release_id_is_malformed(self):
+        # With a release id missing, the range checks have nothing to check.
+        text = WELL_FORMED.replace("first=01R1 last=01R1", "first=02R1 last=x").replace(
+            "first=01R2 last=open", "first=01R1 last=open"
+        )
+        assert [(e.kind, e.line, e.message) for e in parse_document(text).errors] == [
+            (ParseErrorKind.BAD_RELEASE_ID, 6, "malformed release id: 'x'")
+        ]
+
+    def test_block_without_versions_is_one_error(self):
+        result = parse_document("# S\n\n=== REQ REQ_0001 ===\n=== END ===\n")
+        assert [(e.kind, e.line, e.message) for e in result.errors] == [
+            (ParseErrorKind.BAD_REQUIREMENT_HEADER, 3, "requirement REQ_0001 has no versions")
+        ]
 
     def test_malformed_block_never_suppresses_later_blocks(self):
         rng = random.Random(23)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from speckit.dataset import extract_release_dataset
 from speckit.errors import DevelopmentNotPresentError, UnknownDevelopmentError
-from speckit.generator import RELEASES, random_tagged_requirement
+from speckit.generator import RELEASES
 from speckit.model import (
     DeploymentSpan,
     DeploymentType,
@@ -37,6 +37,7 @@ from support import (
     DEV_IDS,
     RELEASES as TREE_RELEASES,
     diff_inputs,
+    random_tagged_requirement,
     reference_diff_texts,
     registries,
     segment_trees,

@@ -5,6 +5,7 @@ from collections import Counter
 from itertools import islice, product
 from string import ascii_lowercase
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -251,6 +252,12 @@ class TestInterning:
         assert normalize(tokenize(text)) == want
         assert normalize(tokenize(text)) == want
 
+    @given(st.one_of(st.text(), TECHNICAL_TEXT))
+    def test_one_entry_per_distinct_token_string(self, text):
+        _token.cache_clear()
+        tokens = tokenize(text)
+        assert _token.cache_info().currsize == len({t.text for t in tokens})
+
     def test_equal_chunks_share_one_token(self):
         assert tokenize("the timer expires")[1] is tokenize("timer again")[0]
         assert normalize(tokenize("Timer"))[0] is normalize(tokenize("stop Timer"))[1]
@@ -267,3 +274,31 @@ class TestInterning:
         # The first word was evicted; it is built again, equal.
         first = words[0]
         assert normalize(tokenize(first)) == reference_normalize(reference_tokenize(first))
+
+
+def expected_key(token: Token) -> str:
+    return token.text.lower() if token.kind is TokenKind.WORD else token.text
+
+
+class TestMatchKey:
+    @given(st.one_of(st.text(), TECHNICAL_TEXT, MARKED_TEXT))
+    def test_scanned_tokens_carry_their_key(self, text):
+        for t in tokenize(text):
+            assert t.key == expected_key(t)
+
+    @given(st.text(min_size=1), st.sampled_from(TokenKind))
+    def test_hand_built_tokens_carry_their_key(self, text, kind):
+        t = Token(text, kind)
+        assert t.key == expected_key(t)
+
+    def test_key_changes_no_equality_hash_or_repr(self):
+        t = Token("a", TokenKind.WORD)
+        assert t == Token("a", TokenKind.WORD) == Token(text="a", kind=TokenKind.WORD)
+        assert t != Token("a", TokenKind.IDENTIFIER)
+        assert Token("A", TokenKind.WORD) != Token("a", TokenKind.WORD)
+        assert hash(t) == hash(("a", TokenKind.WORD))
+        assert repr(t) == "Token(text='a', kind=<TokenKind.WORD: 'word'>)"
+
+    def test_key_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            Token("a", TokenKind.WORD, "a")
