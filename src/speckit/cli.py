@@ -59,6 +59,10 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _print_json(obj: dict) -> None:
+    print(json.dumps(obj, sort_keys=True, ensure_ascii=False))
+
+
 def _read_text(path: str) -> str:
     """The file at `path` as UTF-8; a decoding failure names the file."""
     try:
@@ -145,18 +149,14 @@ def cmd_resolve(args: argparse.Namespace) -> int:
     if resolved is None:
         return _fail(EXIT_UNKNOWN, f"{args.id} is not valid at release {release}")
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "id": resolved.id,
-                    "release": str(resolved.release),
-                    "deployment": resolved.deployment.value if resolved.deployment else "both",
-                    "text": resolved.text,
-                    "contributing_devs": sorted(resolved.contributing_devs),
-                },
-                sort_keys=True,
-                ensure_ascii=False,
-            )
+        _print_json(
+            {
+                "id": resolved.id,
+                "release": str(resolved.release),
+                "deployment": resolved.deployment.value if resolved.deployment else "both",
+                "text": resolved.text,
+                "contributing_devs": sorted(resolved.contributing_devs),
+            }
         )
     else:
         print(resolved.text)
@@ -171,7 +171,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     findings = lint_corpus(docs, registry, lexicon, config)
     if args.format == "json":
         for finding in findings:
-            print(json.dumps(finding.to_dict(), sort_keys=True, ensure_ascii=False))
+            _print_json(finding.to_dict())
     else:
         for finding in findings:
             loc = finding.location
@@ -210,13 +210,7 @@ def _obtain_index(args: argparse.Namespace) -> SpecIndex:
 def _print_entries(entries: list[tuple[str, str]], release: str, fmt: str, deployment: str = "both") -> None:
     if fmt == "json":
         for req_id, text in entries:
-            print(
-                json.dumps(
-                    {"id": req_id, "release": release, "deployment": deployment, "text": text},
-                    sort_keys=True,
-                    ensure_ascii=False,
-                )
-            )
+            _print_json({"id": req_id, "release": release, "deployment": deployment, "text": text})
     else:
         for req_id, text in entries:
             print(f"{req_id}: {text}")
@@ -225,7 +219,7 @@ def _print_entries(entries: list[tuple[str, str]], release: str, fmt: str, deplo
 def _print_diffs(diffs: list[BehaviorDiff], fmt: str) -> None:
     if fmt == "json":
         for diff in diffs:
-            print(json.dumps(diff.to_dict(), sort_keys=True, ensure_ascii=False))
+            _print_json(diff.to_dict())
     else:
         marks = {DiffKind.ADDED: "+", DiffKind.REMOVED: "-", DiffKind.UNCHANGED: "="}
         for diff in diffs:
@@ -250,13 +244,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     elif args.form == "reqs":
         ids = sorted(query_requirements(index, args.proc))
         if args.format == "json":
-            print(
-                json.dumps(
-                    {"procedure": args.proc, "requirements": ids},
-                    sort_keys=True,
-                    ensure_ascii=False,
-                )
-            )
+            _print_json({"procedure": args.proc, "requirements": ids})
         else:
             for req_id in ids:
                 print(req_id)

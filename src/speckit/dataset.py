@@ -15,8 +15,8 @@ from pathlib import Path
 
 from .errors import UnknownReleaseError
 from .model import DevelopmentRegistry, ReleaseId, SpecDocument, release_universe
-# `render_segments` and `tokenize` are unused here; perfbench/tracer.py wraps
-# speckit.dataset.render_segments and speckit.dataset.tokenize by name.
+# `materialize`, `render_segments` and `tokenize` are unused here;
+# perfbench/tracer.py wraps them by name as speckit.dataset attributes.
 from .parser import render_segments
 from .resolver import materialize, resolve_runs
 from .tokenizer import has_tokens, tokenize
@@ -68,23 +68,43 @@ def _release_dataset(
     )
 
 
+def _extract(
+    docs: list[SpecDocument],
+    releases: list[ReleaseId],
+    registry: DevelopmentRegistry,
+    min_tokens: int,
+) -> list[ReleaseDataset]:
+    """One dataset per release of the ordered `releases`.
+
+    Each requirement is resolved once per run of releases with one text
+    (`resolve_runs`), and each distinct text is checked for tokens once.
+    """
+    if min_tokens < 0:
+        raise ValueError("min_tokens must not be negative")
+    position = {r: i for i, r in enumerate(releases)}
+    candidates: list[list[tuple[str, str, bool]]] = [[] for _ in releases]
+    informative: dict[str, bool] = {}
+    for doc in docs:
+        for req in doc.iter_requirements():
+            for first, last, text, _, _ in resolve_runs(req, releases, None, registry):
+                if text not in informative:
+                    informative[text] = has_tokens(text, min_tokens)
+                row = (req.id, text, informative[text])
+                for i in range(position[first], position[last] + 1):
+                    candidates[i].append(row)
+    return [_release_dataset(r, rows) for r, rows in zip(releases, candidates)]
+
+
 def extract_release_dataset(
     docs: list[SpecDocument],
     r: ReleaseId,
     registry: DevelopmentRegistry,
     min_tokens: int = DEFAULT_MIN_TOKENS,
 ) -> ReleaseDataset:
-    """Materialize every requirement valid at `r`, dropping headers and dups."""
+    """Resolve every requirement valid at `r`, dropping headers and dups."""
     if r not in release_universe(docs, registry):
         raise UnknownReleaseError(str(r))
-    candidates = []
-    for doc in docs:
-        for req in doc.iter_requirements():
-            resolved = materialize(req, r, None, registry)
-            if resolved is not None:
-                text = resolved.text
-                candidates.append((req.id, text, has_tokens(text, min_tokens)))
-    return _release_dataset(r, candidates)
+    return _extract(docs, [r], registry, min_tokens)[0]
 
 
 def extract_all(
@@ -92,38 +112,8 @@ def extract_all(
     registry: DevelopmentRegistry,
     min_tokens: int = DEFAULT_MIN_TOKENS,
 ) -> list[ReleaseDataset]:
-    """One dataset per release in the corpus universe.
-
-    Each requirement is resolved once per run of releases with one text
-    (`resolve_runs`), and each distinct text is checked for tokens once.
-    """
-    universe = release_universe(docs, registry)
-    position = {r: i for i, r in enumerate(universe)}
-    informative: dict[str, bool] = {}
-    # Per requirement in document order: its id and its runs, the latest
-    # first, as (first position, last position, text, informative).
-    pending: list[tuple[str, list[tuple[int, int, str, bool]]]] = []
-    for doc in docs:
-        for req in doc.iter_requirements():
-            runs = []
-            for first, last, text, _, _ in resolve_runs(req, universe, None, registry):
-                if text not in informative:
-                    informative[text] = has_tokens(text, min_tokens)
-                runs.append((position[first], position[last], text, informative[text]))
-            if runs:
-                runs.reverse()
-                pending.append((req.id, runs))
-    datasets = []
-    for i, r in enumerate(universe):
-        candidates = []
-        for req_id, runs in pending:
-            if runs and runs[-1][1] < i:
-                runs.pop()
-            if runs and runs[-1][0] <= i:
-                _, _, text, ok = runs[-1]
-                candidates.append((req_id, text, ok))
-        datasets.append(_release_dataset(r, candidates))
-    return datasets
+    """One dataset per release in the corpus universe."""
+    return _extract(docs, release_universe(docs, registry), registry, min_tokens)
 
 
 def dataset_to_jsonl(dataset: ReleaseDataset) -> str:

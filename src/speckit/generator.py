@@ -447,21 +447,14 @@ def generate_corpus(
 def write_corpus(bundle: CorpusBundle, out_dir: Path) -> list[Path]:
     """Write corpus files, registry, lexicon and ground truth under `out_dir`."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    files = sorted(bundle.sources.items()) + [
+        ("registry.txt", bundle.registry_text),
+        ("lexicon.json", bundle.lexicon_text),
+        ("ground_truth.json", json.dumps(bundle.ground_truth, indent=2, sort_keys=True) + "\n"),
+    ]
     written = []
-    for filename, text in sorted(bundle.sources.items()):
+    for filename, text in files:
         path = out_dir / filename
         path.write_text(text, encoding="utf-8")
         written.append(path)
-    registry_path = out_dir / "registry.txt"
-    registry_path.write_text(bundle.registry_text, encoding="utf-8")
-    written.append(registry_path)
-    lexicon_path = out_dir / "lexicon.json"
-    lexicon_path.write_text(bundle.lexicon_text, encoding="utf-8")
-    written.append(lexicon_path)
-    truth_path = out_dir / "ground_truth.json"
-    truth_path.write_text(
-        json.dumps(bundle.ground_truth, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    written.append(truth_path)
     return written

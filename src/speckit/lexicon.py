@@ -18,10 +18,6 @@ from .tokenizer import Token, tokenize
 AliasKey = tuple[str, ...]
 
 
-def match_key(token: Token) -> str:
-    return token.key
-
-
 def phrase_key(text: str) -> AliasKey:
     return tuple(t.key for t in tokenize(text))
 

@@ -54,8 +54,10 @@ class Severity(Enum):
 
     @property
     def rank(self) -> int:
-        return {"Low": 0, "Medium": 1, "High": 2}[self.value]
+        return _SEVERITY_RANK[self]
 
+
+_SEVERITY_RANK = {Severity.LOW: 0, Severity.MEDIUM: 1, Severity.HIGH: 2}
 
 SEVERITY_BY_RULE = {
     LintRule.L1_DUPLICATION: Severity.HIGH,
@@ -78,11 +80,14 @@ class Location:
 @dataclass(frozen=True)
 class LintFinding:
     rule: LintRule
-    severity: Severity
     location: Location
     message: str
     related: Optional[Location] = None
     score: Optional[float] = None
+
+    @property
+    def severity(self) -> Severity:
+        return SEVERITY_BY_RULE[self.rule]
 
     def to_dict(self) -> dict:
         data = {
@@ -96,23 +101,6 @@ class LintFinding:
         if self.score is not None:
             data["score"] = self.score
         return data
-
-
-def _finding(
-    rule: LintRule,
-    location: Location,
-    message: str,
-    related: Optional[Location] = None,
-    score: Optional[float] = None,
-) -> LintFinding:
-    return LintFinding(
-        rule=rule,
-        severity=SEVERITY_BY_RULE[rule],
-        location=location,
-        message=message,
-        related=related,
-        score=score,
-    )
 
 
 # The integer settings of LintConfig, as JSON config keys.
@@ -360,7 +348,7 @@ def detect_duplication(
                 continue
             score = round(similarity, 4)
             findings.append(
-                _finding(
+                LintFinding(
                     LintRule.L1_DUPLICATION,
                     a["location"],
                     f"near-duplicate of {b['req_id']} "
@@ -373,7 +361,7 @@ def detect_duplication(
             if renames:
                 detail = ", ".join(f"{x} / {y}" for x, y in renames)
                 findings.append(
-                    _finding(
+                    LintFinding(
                         LintRule.L1_DUPLICATION,
                         a["location"],
                         f"renamed-parameter duplication of {b['req_id']}: {detail}",
@@ -401,7 +389,7 @@ def check_length(
         analysis = analyses[version]
         if analysis.token_count > config.max_tokens:
             findings.append(
-                _finding(
+                LintFinding(
                     LintRule.L2_LENGTH,
                     loc,
                     f"version has {analysis.token_count} tokens "
@@ -412,7 +400,7 @@ def check_length(
         procedures = {m.canonical for m in analysis.mentions}
         if len(procedures) > config.max_procedures:
             findings.append(
-                _finding(
+                LintFinding(
                     LintRule.L2_LENGTH,
                     loc,
                     f"version covers {len(procedures)} procedures "
@@ -428,7 +416,7 @@ def check_length(
         ]
         if DeploymentType.SA in spans and DeploymentType.NSA in spans:
             findings.append(
-                _finding(
+                LintFinding(
                     LintRule.L2_LENGTH,
                     loc,
                     "version mixes SA and NSA deployment behavior",
@@ -439,7 +427,7 @@ def check_length(
             )
             if alternations > 1:
                 findings.append(
-                    _finding(
+                    LintFinding(
                         LintRule.L2_LENGTH,
                         loc,
                         f"deployment behavior alternates {alternations} times "
@@ -489,7 +477,7 @@ def check_standardization(
                         )
                     if mention.surface != phrase:
                         findings.append(
-                            _finding(
+                            LintFinding(
                                 LintRule.L3_STANDARDIZATION,
                                 loc,
                                 f"non-canonical name {mention.surface!r}; "
@@ -503,7 +491,7 @@ def check_standardization(
                         continue
                     if _recognizable_variant(candidate):
                         findings.append(
-                            _finding(
+                            LintFinding(
                                 LintRule.L3_STANDARDIZATION,
                                 loc,
                                 f"non-canonical tag style {candidate!r}",
@@ -519,7 +507,7 @@ def check_standardization(
             for dev, forms in sorted(styles.items()):
                 if len(forms) > 1:
                     findings.append(
-                        _finding(
+                        LintFinding(
                             LintRule.L3_STANDARDIZATION,
                             Location(doc.name, req.id),
                             f"development {dev} tagged in {len(forms)} styles "
@@ -540,7 +528,7 @@ def check_grammar(doc_name: str, req: Requirement) -> list[LintFinding]:
     findings: list[LintFinding] = []
     if not is_valid_requirement_id(req.id):
         findings.append(
-            _finding(
+            LintFinding(
                 LintRule.L4_GRAMMAR,
                 Location(doc_name, req.id),
                 f"requirement id {req.id!r} violates the id grammar "
@@ -557,7 +545,7 @@ def check_grammar(doc_name: str, req: Requirement) -> list[LintFinding]:
             ):
                 flagged_devs.add(block.dev)
                 findings.append(
-                    _finding(
+                    LintFinding(
                         LintRule.L4_GRAMMAR,
                         loc,
                         f"development id {block.dev} contains lowercase letters",
@@ -565,7 +553,7 @@ def check_grammar(doc_name: str, req: Requirement) -> list[LintFinding]:
                 )
             if not block.before:
                 findings.append(
-                    _finding(
+                    LintFinding(
                         LintRule.L4_GRAMMAR,
                         loc,
                         f"development block {block.dev} has an empty before-part",
@@ -573,7 +561,7 @@ def check_grammar(doc_name: str, req: Requirement) -> list[LintFinding]:
                 )
             if not block.after:
                 findings.append(
-                    _finding(
+                    LintFinding(
                         LintRule.L4_GRAMMAR,
                         loc,
                         f"development block {block.dev} has an empty after-part",
@@ -582,7 +570,7 @@ def check_grammar(doc_name: str, req: Requirement) -> list[LintFinding]:
         leaves = _plain_texts(version.content)
         if leaves and not leaves[-1].rstrip().endswith(_TERMINAL_PUNCT):
             findings.append(
-                _finding(
+                LintFinding(
                     LintRule.L4_GRAMMAR,
                     loc,
                     "version content does not end with terminal punctuation",
@@ -620,7 +608,7 @@ def check_dispersion(
             f"{doc}:{'/'.join(path) or '(root)'}" for doc, path in sorted(spots)
         )
         findings.append(
-            _finding(
+            LintFinding(
                 LintRule.L5_DISPERSION,
                 first_seen[canonical],
                 f"procedure {canonical!r} is mentioned in {len(spots)} sections "

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Mapping, Optional, Union
@@ -42,11 +43,7 @@ class ReleaseId:
 
 def compare_releases(a: ReleaseId, b: ReleaseId) -> int:
     """Total order on releases: -1 if a < b, 0 if equal, 1 if a > b."""
-    if (a.major, a.revision) < (b.major, b.revision):
-        return -1
-    if (a.major, a.revision) > (b.major, b.revision):
-        return 1
-    return 0
+    return (a > b) - (a < b)
 
 
 def is_valid_development_id(text: str) -> bool:
@@ -271,9 +268,5 @@ def release_universe(
 
 def previous_release(universe: list[ReleaseId], r: ReleaseId) -> Optional[ReleaseId]:
     """The release immediately before `r` in the ordered universe, if any."""
-    prev = None
-    for candidate in sorted(universe):
-        if candidate >= r:
-            break
-        prev = candidate
-    return prev
+    i = bisect_left(universe, r)
+    return universe[i - 1] if i else None

@@ -13,6 +13,7 @@ from typing import AbstractSet, Mapping, Optional
 from hypothesis import strategies as st
 
 from speckit import generator
+from speckit.dataset import DEFAULT_MIN_TOKENS, DatasetStats, ReleaseDataset
 from speckit.generator import _sentence
 from speckit.model import (
     ContentSegment,
@@ -29,8 +30,8 @@ from speckit.model import (
     merge_adjacent_plain,
 )
 from speckit.parser import render_segments
-from speckit.resolver import BehaviorDiff, DiffKind, lcs_diff, split_sentences
-from speckit.tokenizer import TAG_PATTERN, Token, TokenKind, _classify_chunk
+from speckit.resolver import BehaviorDiff, DiffKind, lcs_diff, materialize, split_sentences
+from speckit.tokenizer import TAG_PATTERN, Token, TokenKind, _classify_chunk, has_tokens
 
 DEV_IDS = ("CB000001", "CB00XXXX")
 RELEASES = tuple(ReleaseId.parse(r) for r in ("01R1", "01R2", "02R1", "02R2"))
@@ -344,3 +345,30 @@ def naive_dump(docs: list[SpecDocument]) -> str:
                     )
                 )
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def reference_release_dataset(
+    docs: list[SpecDocument],
+    r: ReleaseId,
+    registry: DevelopmentRegistry,
+    min_tokens: int = DEFAULT_MIN_TOKENS,
+) -> ReleaseDataset:
+    """Release `r`'s dataset the direct way: materialize every requirement at
+    `r` in document order, then drop headers and exact duplicates."""
+    records: list[tuple[str, str]] = []
+    kept: set[str] = set()
+    total = headers = duplicates = 0
+    for doc in docs:
+        for req in doc.iter_requirements():
+            resolved = materialize(req, r, None, registry)
+            if resolved is None:
+                continue
+            total += 1
+            if not has_tokens(resolved.text, min_tokens):
+                headers += 1
+            elif resolved.text in kept:
+                duplicates += 1
+            else:
+                kept.add(resolved.text)
+                records.append((req.id, resolved.text))
+    return ReleaseDataset(r, tuple(records), DatasetStats(total, headers, duplicates))

@@ -476,6 +476,9 @@ ERROR_CASES = {
         ["validate", "--corpus", "{d}/absent.spec", "--registry", "{d}/registry.txt"], 2
     ),
     "bad-config": (["lint", *CORPUS_ARGS, "--config", "{d}/bad_config.json"], 2),
+    "extract-negative-min-tokens": (
+        ["extract", *CORPUS_ARGS, "--all", "--min-tokens", "-3", "--out", "{d}/ds"], 2
+    ),
     "gen-corpus-negative-count": (
         ["gen-corpus", "--seed", "1", "--dup-pairs", "-1", "--out", "{d}/gen"], 2
     ),

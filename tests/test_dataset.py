@@ -19,7 +19,13 @@ from speckit.model import DevelopmentRegistry, ReleaseId, Section, SpecDocument,
 from speckit.parser import parse_document
 from speckit.resolver import baseline
 from speckit.tokenizer import TAG_RE
-from support import RELEASE_POOL, naive_dump, registries, versioned_requirements
+from support import (
+    RELEASE_POOL,
+    naive_dump,
+    reference_release_dataset,
+    registries,
+    versioned_requirements,
+)
 
 
 def rel(text):
@@ -145,10 +151,14 @@ The window holds one report per period.
             ("REQ_0002", "01R1"), ("REQ_0002", "01R4"),
             ("REQ_0003", "01R1"),
         ]
+        # One release: one resolve per requirement valid at it (REQ_0002 is not).
+        calls.clear()
+        single = extract_release_dataset(docs, rel("01R3"), registry)
+        assert calls == [("REQ_0001", "01R3"), ("REQ_0003", "01R3")]
         monkeypatch.undo()
-        assert datasets == [
-            extract_release_dataset(docs, r, registry) for r in release_universe(docs, registry)
-        ]
+        universe = release_universe(docs, registry)
+        assert datasets == [reference_release_dataset(docs, r, registry) for r in universe]
+        assert single == reference_release_dataset(docs, rel("01R3"), registry)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -162,10 +172,14 @@ The window holds one report per period.
             SpecDocument("a", (Section("S", tuple(reqs[:2])),)),
             SpecDocument("b", (Section("S", tuple(reqs[2:])),)),
         ]
-        universe = release_universe(docs, registry)
-        assert extract_all(docs, registry, min_tokens) == [
-            extract_release_dataset(docs, r, registry, min_tokens) for r in universe
+        want = [
+            reference_release_dataset(docs, r, registry, min_tokens)
+            for r in release_universe(docs, registry)
         ]
+        assert extract_all(docs, registry, min_tokens) == want
+        assert [
+            extract_release_dataset(docs, d.release, registry, min_tokens) for d in want
+        ] == want
 
 
 # Characters json escapes or passes through: quotes, backslashes, control

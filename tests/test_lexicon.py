@@ -11,7 +11,6 @@ from speckit.lexicon import (
     dump_lexicon,
     find_mentions,
     load_lexicon,
-    match_key,
     phrase_key,
 )
 from speckit.tokenizer import TokenKind, tokenize
@@ -131,10 +130,9 @@ class TestFindMentions:
 
     def test_match_key_is_the_token_key(self):
         tokens = tokenize("The A2 Measurement, activateMeasurementSA [SA] REQ_0001")
-        assert [match_key(t) for t in tokens] == [
+        assert [t.key for t in tokens] == [
             "the", "A2", "measurement", ",", "activateMeasurementSA", "[SA]", "REQ_0001"
         ]
-        assert all(match_key(t) is t.key for t in tokens)
 
 
 def reference_find_mentions(tokens, lexicon) -> list[Mention]:

@@ -66,6 +66,12 @@ class TestSeverities:
     def test_rank_order(self):
         assert Severity.HIGH.rank > Severity.MEDIUM.rank > Severity.LOW.rank
 
+    @pytest.mark.parametrize("rule", list(LintRule))
+    def test_finding_severity_comes_from_its_rule(self, rule):
+        finding = LintFinding(rule, Location("doc", "REQ_0001"), "message")
+        assert finding.severity is SEVERITY_BY_RULE[rule]
+        assert finding.to_dict()["severity"] == SEVERITY_BY_RULE[rule].value
+
 
 class TestJaccard:
     def brute_force(self, tokens_a, tokens_b, k):
@@ -224,14 +230,14 @@ def brute_force_duplication(docs, config: LintConfig) -> list[LintFinding]:
         score = round(similarity, 4)
         message = f"near-duplicate of {loc_b.requirement} (shingle Jaccard {score})"
         findings.append(
-            LintFinding(LintRule.L1_DUPLICATION, Severity.HIGH, loc_a, message, loc_b, score)
+            LintFinding(LintRule.L1_DUPLICATION, loc_a, message, loc_b, score)
         )
         renames = _prefix_renames(ids_a, ids_b)
         if renames:
             detail = ", ".join(f"{x} / {y}" for x, y in renames)
             message = f"renamed-parameter duplication of {loc_b.requirement}: {detail}"
             findings.append(
-                LintFinding(LintRule.L1_DUPLICATION, Severity.HIGH, loc_a, message, loc_b, score)
+                LintFinding(LintRule.L1_DUPLICATION, loc_a, message, loc_b, score)
             )
     return findings
 

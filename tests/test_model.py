@@ -71,6 +71,10 @@ class TestReleaseId:
         universe = [rel("01R1"), rel("01R2"), rel("02R1")]
         assert previous_release(universe, rel("02R1")) == rel("01R2")
         assert previous_release(universe, rel("01R1")) is None
+        # bisect edges: not in the universe, before the first, after the last
+        assert previous_release(universe, rel("01R5")) == rel("01R2")
+        assert previous_release(universe, rel("00R3")) is None
+        assert previous_release(universe, rel("03R1")) == rel("02R1")
 
 
 class TestVersionAt:
