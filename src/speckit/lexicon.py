@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress, count
 
 from .errors import ConflictingAliasError
 from .tokenizer import Token, tokenize
@@ -56,7 +57,7 @@ def build_lexicon(entries: dict[str, list[str]]) -> Lexicon:
         for phrase in phrases:
             key = phrase_key(phrase)
             if not key:
-                raise ConflictingAliasError(phrase, canonical, "(empty alias)")
+                raise ValueError(f"alias {phrase!r} of {canonical!r} has no tokens")
             existing = reverse.get(key)
             if existing is not None and existing != canonical:
                 raise ConflictingAliasError(phrase, existing, canonical)
@@ -95,30 +96,26 @@ def dump_lexicon(lexicon: Lexicon) -> str:
 def find_mentions(tokens: list[Token], lexicon: Lexicon) -> list[Mention]:
     """Leftmost-longest alias matching over a token stream.
 
-    Only the lengths of the aliases that start with the token at a position
-    are tried there, longest first; a token that starts no alias costs one
-    dict lookup.
+    Only the positions whose token starts an alias are visited, and there
+    only the lengths of the aliases it starts, longest first.  A position
+    inside the last mention is skipped, as a left-to-right scan would.
     """
     mentions: list[Mention] = []
-    n = len(tokens)
     if not lexicon.reverse:
         return mentions
+    n = len(tokens)
     keys = [t.key for t in tokens]
     reverse, lengths = lexicon.reverse, lexicon.lengths
-    i = 0
-    while i < n:
-        hit = None
-        for length in lengths.get(keys[i], ()):
+    end = 0
+    for i in compress(count(), map(lengths.__contains__, keys)):
+        if i < end:
+            continue
+        for length in lengths[keys[i]]:
             if length <= n - i:
                 canonical = reverse.get(tuple(keys[i : i + length]))
                 if canonical is not None:
-                    hit = (canonical, length)
+                    end = i + length
+                    surface = " ".join(t.text for t in tokens[i:end])
+                    mentions.append(Mention(canonical, surface, (i, end)))
                     break
-        if hit is None:
-            i += 1
-            continue
-        canonical, length = hit
-        surface = " ".join(t.text for t in tokens[i : i + length])
-        mentions.append(Mention(canonical=canonical, surface=surface, token_span=(i, i + length)))
-        i += length
     return mentions

@@ -16,6 +16,7 @@ import re
 from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterator, Optional
 
 from .lexicon import Lexicon, Mention, find_mentions
@@ -202,9 +203,10 @@ def analyse_versions(
     token list at once would raise the lint call's peak memory.
     """
     analyses: dict[RequirementVersion, VersionAnalysis] = {}
+    tag = TokenKind.TAG
     for _doc, _req, version in _iter_versions(docs):
         text = " ".join(_plain_texts(version.content))
-        tokens = [t for t in tokenize(text) if t.kind is not TokenKind.TAG]
+        tokens = [t for t in tokenize(text) if t.kind is not tag]
         analyses[version] = VersionAnalysis(
             len(tokens), tuple(find_mentions(tokens, lexicon))
         )
@@ -297,6 +299,7 @@ def detect_duplication(
     universe = release_universe(docs, registry)
 
     records = []
+    identifier = TokenKind.IDENTIFIER
     for doc, req, version in _iter_versions(docs):
         # A closed version holds its last release, an open one the latest.
         ref = version.last_release if version.last_release is not None else universe[-1]
@@ -309,9 +312,7 @@ def detect_duplication(
                 "location": Location(doc.name, req.id, _version_label(version)),
                 "req_id": req.id,
                 "shingles": shingle_set(tokens, config.shingle_k),
-                "identifiers": {
-                    t.text for t in tokens if t.kind is TokenKind.IDENTIFIER
-                },
+                "identifiers": {t.text for t in tokens if t.kind is identifier},
             }
         )
 
@@ -320,7 +321,7 @@ def detect_duplication(
     # |S| - overlap + 1 shingles meet.  Rarest first keeps the postings short.
     # Empty sets pair with each other at Jaccard 1.0; the empty tuple is never
     # a shingle, so it keys them alone.
-    frequency = Counter(s for record in records for s in record["shingles"])
+    frequency = Counter(chain.from_iterable(record["shingles"] for record in records))
     prefixes = []
     for record in records:
         ranked = _rarest_first(record["shingles"], frequency)

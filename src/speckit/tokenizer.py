@@ -14,7 +14,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 
 from .model import DEVELOPMENT_ID_RE, RELEASE_ID_RE, REQUIREMENT_ID_RE
 
@@ -65,12 +65,16 @@ _SCAN_RE = re.compile("|".join(f"(?P<{name}>{p})" for name, p in _ALTERNATIVES.i
 
 _GROUP_KIND = {"tag": TokenKind.TAG, "number": TokenKind.NUMBER, "punct": TokenKind.PUNCT}
 
-# Entries kept by each intern table.  Specification text repeats a small
-# vocabulary (191 distinct tokens over the 1,200 requirements of gen-corpus
-# seed 1), so equal tokens share one object.  The bound keeps a long-lived
-# process from holding every token it has seen: full, the two tables hold
-# about 8 MB of 12-character words.
+# Entries kept by each memo table.  Specification text repeats a small
+# vocabulary (191 distinct whitespace chunks over the 1,200 requirements of
+# gen-corpus seed 1), so each chunk is scanned once and equal tokens share one
+# object.  The bound keeps a long-lived process from holding every chunk it
+# has seen.
 _INTERN_MAXSIZE = 16384
+
+# Longest whitespace chunk that `tokenize` memoizes; a text with a longer one
+# is scanned whole, so one long run cannot pin megabytes in the chunk table.
+_CHUNK_MAXLEN = 64
 
 
 def _classify_chunk(text: str) -> TokenKind:
@@ -104,6 +108,12 @@ def _token(value: str) -> Token:
 
 
 @lru_cache(maxsize=_INTERN_MAXSIZE)
+def _chunk_tokens(chunk: str) -> tuple[Token, ...]:
+    """The tokens of the whitespace-free, tag-free `chunk`."""
+    return tuple(map(_token, _TOKEN_RE.findall(chunk)))
+
+
+@lru_cache(maxsize=_INTERN_MAXSIZE)
 def _lowered_word(text: str) -> Token:
     """The one shared lowercased Word token for the Word `text`."""
     return Token(text.lower(), TokenKind.WORD)
@@ -127,8 +137,19 @@ def tokenize(text: str) -> list[Token]:
     The text is read in NFC, so canonically equivalent texts give equal
     tokens.  Tokens are immutable and interned: equal tokens from any call
     may be the same object.
+
+    No token spans whitespace except a tag, so a text without "[" is the
+    concatenation of its whitespace chunks' tokens, and a chunk is scanned
+    once while the chunk table holds it.  (`str.split` and `\\s` agree on
+    every code point.)
     """
-    return list(map(_token, _TOKEN_RE.findall(_composed(text))))
+    text = _composed(text)
+    if "[" not in text:
+        chunks = text.split()
+        # A text within the cap holds no longer chunk, and skips the `max`.
+        if len(text) <= _CHUNK_MAXLEN or max(map(len, chunks), default=0) <= _CHUNK_MAXLEN:
+            return list(chain.from_iterable(map(_chunk_tokens, chunks)))
+    return list(map(_token, _TOKEN_RE.findall(text)))
 
 
 def has_tokens(text: str, count: int) -> bool:
@@ -141,8 +162,10 @@ def has_tokens(text: str, count: int) -> bool:
 
 def normalize(tokens: list[Token]) -> list[Token]:
     """Lowercase Word tokens, drop Punct; everything technical stays verbatim."""
+    # Each `TokenKind.X` is a descriptor call; read the two members once.
+    word, punct = TokenKind.WORD, TokenKind.PUNCT
     return [
-        _lowered_word(tok.text) if tok.kind is TokenKind.WORD else tok
+        _lowered_word(tok.text) if tok.kind is word else tok
         for tok in tokens
-        if tok.kind is not TokenKind.PUNCT
+        if tok.kind is not punct
     ]

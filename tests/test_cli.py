@@ -28,12 +28,12 @@ REGISTRY = "CB00XXXX 01R2\n"
 LEXICON = '{"A2 measurement": ["A2 measurement for Handover"]}\n'
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    """`python -m speckit.cli ARGS` in a child process that imports this same speckit."""
+def run_cli(*args: str, module: str = "speckit.cli") -> subprocess.CompletedProcess:
+    """`python -m MODULE ARGS` in a child process that imports this same speckit."""
     paths = [str(Path(speckit.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     return subprocess.run(
-        [sys.executable, "-m", "speckit.cli", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", module, *args], capture_output=True, text=True, env=env
     )
 
 
@@ -463,6 +463,14 @@ ERROR_CASES = {
         ["query", "reqs", *CORPUS_ARGS, "--lexicon", "{d}/conflict.json", "--proc", "A"],
         2,
     ),
+    "query-corpus-empty-alias": (
+        ["query", "reqs", *CORPUS_ARGS, "--lexicon", "{d}/empty_alias.json", "--proc", "A"],
+        2,
+    ),
+    "query-corpus-blank-alias": (
+        ["query", "reqs", *CORPUS_ARGS, "--lexicon", "{d}/blank_alias.json", "--proc", "A"],
+        2,
+    ),
     "index-missing-keys": (
         ["query", "reqs", "--index", "{d}/keys.json", "--proc", "A2 measurement"], 2
     ),
@@ -504,6 +512,8 @@ class TestErrorContract:
         (corpus_dir / "latin1.spec").write_bytes("# Zeit\xfcberschreitung\n".encode("latin-1"))
         (corpus_dir / "sub").mkdir()
         (corpus_dir / "conflict.json").write_text('{"A": ["x y"], "B": ["x y"]}', encoding="utf-8")
+        (corpus_dir / "empty_alias.json").write_text('{"A": [""]}', encoding="utf-8")
+        (corpus_dir / "blank_alias.json").write_text('{"A": [" "]}', encoding="utf-8")
         (corpus_dir / "keys.json").write_text('{"format_version": 2}', encoding="utf-8")
         (corpus_dir / "list.json").write_text("[1]", encoding="utf-8")
         (corpus_dir / "bad_config.json").write_text('{"shingle_k": 0}', encoding="utf-8")
@@ -532,6 +542,11 @@ class TestErrorContract:
         monkeypatch.setattr(cli, "validate_corpus", broken)
         with pytest.raises(KeyError):
             main(["validate", *corpus_args(corpus_dir)])
+
+    def test_empty_alias_names_its_canonical(self, error_dir, capsys):
+        argv, code = ERROR_CASES["query-corpus-empty-alias"]
+        assert main([a.format(d=error_dir) for a in argv]) == code
+        assert capsys.readouterr().err == "error: lexicon: alias '' of 'A' has no tokens\n"
 
     def test_process_exit_status(self, error_dir):
         argv, code = ERROR_CASES["corpus-not-utf8"]
@@ -600,3 +615,8 @@ class TestGenCorpus:
         result = run_cli("gen-corpus", "--seed", "3", "--size", "80", "--out", str(tmp_path))
         assert result.returncode == 0
         assert (tmp_path / "ground_truth.json").exists()
+
+    def test_package_runs_as_a_module(self):
+        result = run_cli("--help", module="speckit")
+        assert result.returncode == 0
+        assert result.stdout.startswith("usage: speckit ")

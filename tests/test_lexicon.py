@@ -40,6 +40,13 @@ class TestLoadLexicon:
         message = str(exc.value)
         assert "handover preparation" in message and "cell reselection" in message
 
+    @pytest.mark.parametrize("alias", ["", " ", "\t\n"])
+    def test_alias_without_tokens_is_refused(self, alias):
+        with pytest.raises(ValueError) as exc:
+            load_lexicon(json.dumps({"A": [alias]}))
+        assert str(exc.value) == f"alias {alias!r} of 'A' has no tokens"
+        assert not isinstance(exc.value, ConflictingAliasError)
+
     def test_case_insensitive_word_keys(self):
         lex = build_lexicon({"cell reselection": []})
         assert lex.canonical_of("Cell Reselection") == "cell reselection"

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from speckit.model import DEVELOPMENT_ID_RE, RELEASE_ID_RE, REQUIREMENT_ID_RE
 from speckit.tokenizer import (
+    _CHUNK_MAXLEN,
     Token,
     TokenKind,
+    _chunk_tokens,
     _classify_chunk,
     _lowered_word,
     _token,
@@ -24,6 +26,19 @@ from support import reference_normalize, reference_tokenize
 
 # Tags, ids, numbers, words in each case, punctuation and whitespace.
 TECHNICAL_TEXT = st.text(alphabet="ab 1.[]CBSA\t,", max_size=30)
+# Bracket-free text, so `tokenize` reads it chunk by chunk: words, ids,
+# numbers, punctuation, a combining mark, and every class of whitespace.
+CHUNKED_TEXT = st.lists(
+    st.sampled_from(
+        (
+            "timer", "Timer", "TIMER", "A2", "activateMeasurementSA", "CB00ABCD",
+            "01R1", "REQ_0001", "42", "1.5", "1.", ".", ",", "-", "_", "u", "\u0308",
+            " ", "\t", "\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f",
+            "\x85", "\xa0", "\u1680", "\u2028", "\u3000",
+        )
+    ),
+    max_size=30,
+).map("".join)
 # Letters with combining marks that compose with some of them (and one,
 # U+20DD, that composes with none), in either order.
 MARKED_TEXT = st.text(alphabet="aeuAUcq1 .\u0308\u0301\u0327\u20dd\u00fc\u00c4", max_size=20)
@@ -180,7 +195,7 @@ class TestProperties:
             assert _classify_chunk(chunk) == reference_classify_chunk(chunk)
 
     @given(
-        st.one_of(st.text(), TECHNICAL_TEXT),
+        st.one_of(st.text(), TECHNICAL_TEXT, CHUNKED_TEXT),
         st.integers(-1, 8),
     )
     def test_has_tokens_counts_like_tokenize(self, text, count):
@@ -234,27 +249,54 @@ class TestNormalize:
 
 def clear_intern_tables() -> None:
     _token.cache_clear()
+    _chunk_tokens.cache_clear()
     _lowered_word.cache_clear()
 
 
+class TestChunks:
+    @pytest.mark.parametrize(
+        "text", ["x[End SA]y", "a [Before CB00ABCD] b", "see [1]", "[SA]\u3000[End\u3000SA]"]
+    )
+    def test_text_with_a_bracket_equals_reference(self, text):
+        clear_intern_tables()
+        assert tokenize(text) == reference_tokenize(text)
+
+    def test_chunk_over_the_cap_is_not_memoized(self):
+        clear_intern_tables()
+        text = "A2" * _CHUNK_MAXLEN + ", timer"
+        assert tokenize(text) == reference_tokenize(text)
+        assert _chunk_tokens.cache_info().currsize == 0
+
+    def test_long_blank_text_has_no_tokens(self):
+        assert tokenize(" " * (2 * _CHUNK_MAXLEN)) == []
+
+    def test_chunk_at_the_cap_is_memoized(self):
+        clear_intern_tables()
+        text = "a" * _CHUNK_MAXLEN + "\ttimer"
+        assert tokenize(text) == reference_tokenize(text)
+        assert _chunk_tokens.cache_info().currsize == 2
+
+
 class TestInterning:
-    @given(st.one_of(st.text(), TECHNICAL_TEXT))
+    @given(st.one_of(st.text(), TECHNICAL_TEXT, CHUNKED_TEXT))
     def test_tokenize_equals_reference_cold_then_warm(self, text):
         clear_intern_tables()
         want = reference_tokenize(text)
         assert tokenize(text) == want
         assert tokenize(text) == want
 
-    @given(st.one_of(st.text(), TECHNICAL_TEXT))
+    @given(st.one_of(st.text(), TECHNICAL_TEXT, CHUNKED_TEXT))
     def test_normalize_equals_reference(self, text):
         clear_intern_tables()
         want = reference_normalize(reference_tokenize(text))
         assert normalize(tokenize(text)) == want
         assert normalize(tokenize(text)) == want
 
-    @given(st.one_of(st.text(), TECHNICAL_TEXT))
+    @given(st.one_of(st.text(), TECHNICAL_TEXT, CHUNKED_TEXT))
     def test_one_entry_per_distinct_token_string(self, text):
+        # A memoized chunk hands out its tokens without a `_token` lookup.
         _token.cache_clear()
+        _chunk_tokens.cache_clear()
         tokens = tokenize(text)
         assert _token.cache_info().currsize == len({t.text for t in tokens})
 
@@ -268,7 +310,7 @@ class TestInterning:
         text = " ".join(words)
         assert tokenize(text) == reference_tokenize(text)
         assert normalize(tokenize(text)) == reference_normalize(reference_tokenize(text))
-        for table in (_token, _lowered_word):
+        for table in (_token, _chunk_tokens, _lowered_word):
             info = table.cache_info()
             assert info.currsize == info.maxsize == maxsize
         # The first word was evicted; it is built again, equal.
