@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress, count
 
 from .errors import ConflictingAliasError
@@ -18,8 +19,15 @@ from .tokenizer import Token, tokenize
 
 AliasKey = tuple[str, ...]
 
+# Entries kept by the phrase-key memo.  A long-lived process asks for the few
+# phrases of its queries again and again; the bound keeps one that is asked
+# for ever new phrases from holding all of them.
+_PHRASE_MAXSIZE = 4096
 
+
+@lru_cache(maxsize=_PHRASE_MAXSIZE)
 def phrase_key(text: str) -> AliasKey:
+    """The match key of `text`: its tokens' keys, in order."""
     return tuple(t.key for t in tokenize(text))
 
 

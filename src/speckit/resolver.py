@@ -13,7 +13,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import AbstractSet, Iterator, Mapping, Optional
+from functools import lru_cache
+from itertools import repeat
+from typing import AbstractSet, Any, Iterator, Mapping, Optional, Sequence
 
 from .errors import DevelopmentNotPresentError, UnknownDevelopmentError
 from .model import (
@@ -33,6 +35,11 @@ from .model import (
 )
 
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.;])\s+")
+# Entries kept by each sentence table.  Most diffs compare texts that repeat
+# across releases and requirements (about 3,700 distinct texts over the
+# 15,000 diffs of the long-history benchmark), so each is split once.  The
+# bound keeps a long-lived process from holding every text it has diffed.
+_SENTENCE_MAXSIZE = 4096
 # Stands in for resolve_details' answer where no version is valid.
 _UNRESOLVED: tuple[None, frozenset[str], frozenset[str]] = (None, frozenset(), frozenset())
 
@@ -54,13 +61,29 @@ class DiffKind(Enum):
     UNCHANGED = "unchanged"
 
 
-@dataclass(frozen=True)
+_DIFF_KINDS = {kind.value: kind for kind in DiffKind}
+
+
+@dataclass(frozen=True, slots=True)
 class DiffSegment:
     kind: DiffKind
     text: str
 
 
-@dataclass(frozen=True)
+def _segment_from(item: Any) -> DiffSegment:
+    """The segment a `BehaviorDiff.to_dict` pair `[kind value, text]` stands for."""
+    # Plain checks and a dict lookup: `match` or `DiffKind(kind)` cost twice as much.
+    if type(item) is list and len(item) == 2:
+        kind, text = item
+        if type(kind) is str and type(text) is str and kind in _DIFF_KINDS:
+            return DiffSegment(_DIFF_KINDS[kind], text)
+    raise TypeError(
+        f"diff segment {item!r} is not a [kind, text] pair of strings "
+        f"with kind one of {', '.join(_DIFF_KINDS)}"
+    )
+
+
+@dataclass(frozen=True, slots=True)
 class BehaviorDiff:
     id: str
     release_a: ReleaseId
@@ -89,14 +112,12 @@ class BehaviorDiff:
 
     @classmethod
     def from_dict(cls, data: dict) -> BehaviorDiff:
-        """The inverse of `to_dict`."""
+        """The inverse of `to_dict`; a malformed segment raises TypeError."""
         return cls(
             id=data["id"],
             release_a=ReleaseId.parse(data["release_a"]),
             release_b=ReleaseId.parse(data["release_b"]),
-            segments=tuple(
-                DiffSegment(DiffKind(kind), text) for kind, text in data["segments"]
-            ),
+            segments=tuple(map(_segment_from, data["segments"])),
             causes=frozenset(data["causes"]),
         )
 
@@ -269,12 +290,24 @@ def baseline(
     )
 
 
+@lru_cache(maxsize=_SENTENCE_MAXSIZE)
+def _sentences(text: str) -> tuple[str, ...]:
+    """`text`'s sentences, as `split_sentences` gives them."""
+    return tuple(filter(None, _SENTENCE_SPLIT_RE.split(text)))
+
+
+@lru_cache(maxsize=_SENTENCE_MAXSIZE)
+def _unchanged(text: str) -> tuple[DiffSegment, ...]:
+    """`text`'s sentences as unchanged segments: the diff of `text` with itself."""
+    return tuple(map(DiffSegment, repeat(DiffKind.UNCHANGED), _sentences(text)))
+
+
 def split_sentences(text: str) -> list[str]:
     """Sentence-ish segments: split after '.'/';' followed by whitespace."""
-    return [s for s in _SENTENCE_SPLIT_RE.split(text) if s]
+    return list(_sentences(text))
 
 
-def lcs_diff(a: list[str], b: list[str]) -> list[DiffSegment]:
+def lcs_diff(a: Sequence[str], b: Sequence[str]) -> list[DiffSegment]:
     """LCS-aligned diff with a swap-symmetric tie break.
 
     At DP ties the lexicographically larger element is dropped, which makes
@@ -333,12 +366,12 @@ def diff_texts(
     dev_releases: Mapping[str, ReleaseId],
 ) -> BehaviorDiff:
     """Build a BehaviorDiff from two already-resolved texts."""
-    sentences_a = split_sentences(text_a) if text_a is not None else []
     if text_b == text_a:
         # The LCS backtrack over equal inputs only moves diagonally.
-        segments = tuple(DiffSegment(DiffKind.UNCHANGED, s) for s in sentences_a)
+        segments = _unchanged(text_a) if text_a is not None else ()
         return BehaviorDiff(req_id, release_a, release_b, segments, frozenset())
-    sentences_b = split_sentences(text_b) if text_b is not None else []
+    sentences_a = _sentences(text_a) if text_a is not None else ()
+    sentences_b = _sentences(text_b) if text_b is not None else ()
     segments = tuple(lcs_diff(sentences_a, sentences_b))
     causes: set[str] = set()
     if any(s.kind is not DiffKind.UNCHANGED for s in segments):

@@ -3,7 +3,9 @@ implementations and seeded document generators."""
 
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 import random
 import re
 import unicodedata
@@ -12,6 +14,7 @@ from typing import AbstractSet, Mapping, Optional
 
 from hypothesis import strategies as st
 
+import speckit
 from speckit import generator
 from speckit.dataset import DEFAULT_MIN_TOKENS, DatasetStats, ReleaseDataset
 from speckit.generator import _sentence
@@ -30,7 +33,7 @@ from speckit.model import (
     merge_adjacent_plain,
 )
 from speckit.parser import render_segments
-from speckit.resolver import BehaviorDiff, DiffKind, lcs_diff, materialize, split_sentences
+from speckit.resolver import BehaviorDiff, DiffKind, lcs_diff, materialize
 from speckit.tokenizer import TAG_PATTERN, Token, TokenKind, _classify_chunk, has_tokens
 
 DEV_IDS = ("CB000001", "CB00XXXX")
@@ -148,6 +151,10 @@ def diff_inputs(draw):
     return ("REQ_0001", release_a, release_b, text_a, text_b, draw(devs), draw(devs), dev_releases)
 
 
+def _reference_sentences(text: str) -> list[str]:
+    return [s for s in re.split(r"(?<=[.;])\s+", text) if s]
+
+
 def reference_diff_texts(
     req_id: str,
     release_a: ReleaseId,
@@ -158,9 +165,12 @@ def reference_diff_texts(
     devs_b: AbstractSet[str],
     dev_releases: Mapping[str, ReleaseId],
 ) -> BehaviorDiff:
-    """`resolver.diff_texts` without its equal-text path: always the LCS table."""
-    sentences_a = split_sentences(text_a) if text_a is not None else []
-    sentences_b = split_sentences(text_b) if text_b is not None else []
+    """`resolver.diff_texts` without its equal-text path: always the LCS table.
+
+    It splits sentences itself, so no memo of the resolver feeds both sides.
+    """
+    sentences_a = _reference_sentences(text_a) if text_a is not None else []
+    sentences_b = _reference_sentences(text_b) if text_b is not None else []
     segments = tuple(lcs_diff(sentences_a, sentences_b))
     causes: set[str] = set()
     if any(s.kind is not DiffKind.UNCHANGED for s in segments):
@@ -175,6 +185,29 @@ def reference_diff_texts(
         segments=segments,
         causes=frozenset(causes),
     )
+
+
+def memo_tables() -> dict[str, object]:
+    """Every module-level `lru_cache` wrapper of the `speckit` package, by name.
+
+    A wrapper that a module imports from another is listed once, under the
+    module that defines it.
+    """
+    tables = {}
+    for info in pkgutil.iter_modules(speckit.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"speckit.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                tables[f"{module.__name__}.{name}"] = value
+    return tables
+
+
+def clear_intern_tables() -> None:
+    """Empty every memo table of `speckit`, so a test can start cold."""
+    for table in memo_tables().values():
+        table.cache_clear()
 
 
 _REFERENCE_SCAN_RE = re.compile(

@@ -445,6 +445,12 @@ class TestGoldenJsonOutputs:
 
 # Each case: argv with "{d}" standing for the error_dir fixture, and the exit code.
 CORPUS_ARGS = ["--corpus", "{d}/doc.spec", "--registry", "{d}/registry.txt"]
+# Diff segments of an index's proc_dev that no `BehaviorDiff.to_dict` writes.
+BAD_SEGMENTS = {
+    "index-segment-text-not-a-string": ["added", 5],
+    "index-segment-unknown-kind": ["bogus", "t"],
+    "index-segment-not-a-pair": ["added"],
+}
 ERROR_CASES = {
     "corpus-not-utf8": (
         ["validate", "--corpus", "{d}/latin1.spec", "--registry", "{d}/registry.txt"], 2
@@ -494,7 +500,26 @@ ERROR_CASES = {
         ["query", "behavior", *CORPUS_ARGS, "--proc", "A2 measurement", "--release", "09R9"],
         3,
     ),
+    **{
+        case: (
+            ["query", "dev", "--index", f"{{d}}/{case}.json", "--proc", "P",
+             "--dev", "CB00XXXX", "--format", "json"],
+            2,
+        )
+        for case in BAD_SEGMENTS
+    },
 }
+
+
+def index_with_segment(segment) -> str:
+    """A complete format-2 index holding one diff, whose one segment is `segment`."""
+    diff = {"causes": ["CB00XXXX"], "id": "R1", "release_a": "01R1", "release_b": "01R1",
+            "segments": [segment]}
+    return json.dumps(
+        {"aliases": {"p": "P"}, "format_version": 2, "proc_dep": {}, "proc_dev": {"P": {"CB00XXXX": [diff]}},
+         "proc_release": {}, "proc_req": {}, "registry": {"CB00XXXX": "01R1"},
+         "release_universe": ["01R1"], "req_release": {}, "texts": []}
+    )
 
 
 # A complete, empty index as format 1 wrote it: every text inline, no "texts" table.
@@ -517,6 +542,8 @@ class TestErrorContract:
         (corpus_dir / "keys.json").write_text('{"format_version": 2}', encoding="utf-8")
         (corpus_dir / "list.json").write_text("[1]", encoding="utf-8")
         (corpus_dir / "bad_config.json").write_text('{"shingle_k": 0}', encoding="utf-8")
+        for case, segment in BAD_SEGMENTS.items():
+            (corpus_dir / f"{case}.json").write_text(index_with_segment(segment), encoding="utf-8")
         return corpus_dir
 
     @pytest.mark.parametrize("argv, code", ERROR_CASES.values(), ids=ERROR_CASES.keys())
@@ -525,6 +552,21 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", BAD_SEGMENTS)
+    def test_bad_diff_segment_is_a_malformed_index(self, error_dir, capsys, case):
+        argv, code = ERROR_CASES[case]
+        assert main([a.format(d=error_dir) for a in argv]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: index: malformed index: ")
+        assert repr(BAD_SEGMENTS[case]) in err
+
+    def test_good_diff_segment_loads(self, tmp_path, capsys):
+        (tmp_path / "index.json").write_text(index_with_segment(["added", "t"]), encoding="utf-8")
+        argv = ["query", "dev", "--index", str(tmp_path / "index.json"), "--proc", "P",
+                "--dev", "CB00XXXX", "--format", "json"]
+        assert main(argv) == 0
+        assert '["added", "t"]' in capsys.readouterr().out
 
     def test_format_1_index_names_its_version(self, tmp_path, capsys):
         (tmp_path / "v1.json").write_text(FORMAT_1_INDEX, encoding="utf-8")

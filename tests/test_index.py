@@ -23,7 +23,7 @@ from speckit.lexicon import build_lexicon
 from speckit.model import DeploymentType, DevelopmentRegistry, ReleaseId
 from speckit.parser import parse_document
 from speckit.resolver import DiffKind, materialize
-from support import RELEASES, diff_inputs, reference_diff_texts
+from support import RELEASES, clear_intern_tables, diff_inputs, reference_diff_texts
 
 CORPUS = """# Measurements
 
@@ -244,6 +244,39 @@ class TestQueries:
             query_deployment(index, "A2 measurement", DeploymentType.SA, rel("09R9"))
 
 
+class TestCanonicalOf:
+    @pytest.fixture(scope="class")
+    def askers(self, small_world):
+        docs, registry, _, _ = small_world
+        lexicon = build_lexicon(
+            {"A2 measurement": ["A2 measurement for Handover"], "Zeitüberschreitung": ["timer expiry"]}
+        )
+        index = build_index(docs, registry, lexicon)
+        loaded = index_from_json(index_to_json(index))
+        return lexicon.canonical_of, index.canonical_of, loaded.canonical_of
+
+    @pytest.mark.parametrize(
+        "phrase, want",
+        [
+            ("A2 measurement", "A2 measurement"),
+            ("A2 Measurement For handover", "A2 measurement"),
+            ("Timer Expiry", "Zeitüberschreitung"),
+            ("Zeitu\u0308berschreitung", "Zeitüberschreitung"),
+            ("B3 measurement", None),
+            (UNMAPPED, None),
+        ],
+    )
+    def test_index_agrees_with_lexicon_cold_and_warm(self, askers, phrase, want):
+        lexicon_ask, *index_asks = askers
+        for ask in askers:
+            clear_intern_tables()
+            assert ask(phrase) == ask(phrase)
+        assert lexicon_ask(phrase) == want
+        # The index keeps requirements that mention no procedure under UNMAPPED.
+        for ask in index_asks:
+            assert ask(phrase) == (UNMAPPED if phrase == UNMAPPED else want)
+
+
 class TestConsistency:
     def test_index_adds_no_information(self, small_world):
         docs, registry, lexicon, index = small_world
@@ -294,6 +327,21 @@ def _text_ref_blob(section: str, ref) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _diff_segment_blob(segment) -> str:
+    """A one-diff format-2 index whose diff holds the one segment `segment`."""
+    data = json.loads(_text_ref_blob("req_release", 0))
+    data["registry"] = {"CB00XXXX": "01R1"}
+    diff = {
+        "causes": ["CB00XXXX"],
+        "id": "R1",
+        "release_a": "01R1",
+        "release_b": "01R1",
+        "segments": [segment],
+    }
+    data["proc_dev"] = {"P": {"CB00XXXX": [diff]}}
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 class TestPersistence:
     def test_json_round_trip(self, small_world):
         _, _, _, index = small_world
@@ -327,11 +375,21 @@ class TestPersistence:
             pytest.param(
                 _text_ref_blob("req_release", 0).replace('["one"]', "[1]"), id="texts-not-strings"
             ),
+            pytest.param(_diff_segment_blob(["added", 5]), id="segment-text-not-a-string"),
+            pytest.param(_diff_segment_blob(["bogus", "t"]), id="segment-unknown-kind"),
+            pytest.param(_diff_segment_blob(["added"]), id="segment-not-a-pair"),
+            pytest.param(_diff_segment_blob("added"), id="segment-a-string"),
         ],
     )
     def test_wrong_shape_is_malformed_index(self, blob):
         with pytest.raises(ValueError, match="^malformed index: "):
             index_from_json(blob)
+
+    def test_valid_diff_segment_loads(self):
+        blob = _diff_segment_blob(["added", "t"])
+        index = index_from_json(blob)
+        assert index.proc_dev["P"]["CB00XXXX"][0].added() == ["t"]
+        assert index_to_json(index) == blob
 
     @pytest.mark.parametrize("section", ["req_release", "proc_release", "proc_dep"])
     def test_valid_text_reference_loads(self, section):

@@ -14,6 +14,7 @@ from speckit.lexicon import (
     phrase_key,
 )
 from speckit.tokenizer import TokenKind, tokenize
+from support import clear_intern_tables, reference_tokenize
 
 
 class TestLoadLexicon:
@@ -40,12 +41,25 @@ class TestLoadLexicon:
         message = str(exc.value)
         assert "handover preparation" in message and "cell reselection" in message
 
+    def test_conflicting_alias_with_warm_keys(self):
+        phrase_key("the shared alias")
+        phrase_key("The Shared Alias")
+        with pytest.raises(ConflictingAliasError):
+            build_lexicon({"a": ["the shared alias"], "b": ["The Shared Alias"]})
+
     @pytest.mark.parametrize("alias", ["", " ", "\t\n"])
     def test_alias_without_tokens_is_refused(self, alias):
         with pytest.raises(ValueError) as exc:
             load_lexicon(json.dumps({"A": [alias]}))
         assert str(exc.value) == f"alias {alias!r} of 'A' has no tokens"
         assert not isinstance(exc.value, ConflictingAliasError)
+
+    @given(st.text(alphabet="aA2 .\u0308\u00fc", max_size=12))
+    def test_phrase_key_equals_reference_cold_then_warm(self, text):
+        clear_intern_tables()
+        want = tuple(t.key for t in reference_tokenize(text))
+        assert phrase_key(text) == want
+        assert phrase_key(text) == want
 
     def test_case_insensitive_word_keys(self):
         lex = build_lexicon({"cell reselection": []})

@@ -22,7 +22,10 @@ from speckit.model import (
     version_at,
 )
 from speckit.resolver import (
+    _SENTENCE_MAXSIZE,
     DiffKind,
+    _sentences,
+    _unchanged,
     baseline,
     diff_behavior,
     diff_texts,
@@ -36,6 +39,7 @@ from speckit.tokenizer import TAG_RE
 from support import (
     DEV_IDS,
     RELEASES as TREE_RELEASES,
+    clear_intern_tables,
     diff_inputs,
     random_tagged_requirement,
     reference_diff_texts,
@@ -311,6 +315,36 @@ class TestDiffTexts:
     @settings(max_examples=300)
     @given(diff_inputs())
     def test_equals_always_lcs_reference(self, args):
+        clear_intern_tables()
+        want = reference_diff_texts(*args)
+        assert diff_texts(*args) == want
+        assert diff_texts(*args) == want
+
+    def test_equals_reference_after_eviction(self):
+        registry = {"CB00XXXX": rel("01R2")}
+
+        def check(text_a, text_b):
+            args = ("REQ_0001", rel("01R1"), rel("01R2"), text_a, text_b,
+                    frozenset(registry), frozenset(), registry)
+            assert diff_texts(*args) == reference_diff_texts(*args)
+
+        texts = [f"Step {i}. Then {i + 1};" for i in range(_SENTENCE_MAXSIZE + 1)]
+        clear_intern_tables()
+        for text_a, text_b in zip(texts, texts[1:]):
+            check(text_a, text_a)
+            check(text_a, text_b)
+        for table in (_sentences, _unchanged):
+            assert table.cache_info().currsize == _SENTENCE_MAXSIZE
+        # The first text was evicted from both tables; it is split again, equal.
+        check(texts[0], texts[0])
+        check(texts[0], texts[-1])
+
+    def test_mutating_a_split_changes_no_later_answer(self):
+        text = "First step. Second step;"
+        split_sentences(text).append("third step.")
+        split_sentences(text).clear()
+        assert split_sentences(text) == ["First step.", "Second step;"]
+        args = ("REQ_0001", rel("01R1"), rel("01R2"), text, text, frozenset(), frozenset(), {})
         assert diff_texts(*args) == reference_diff_texts(*args)
 
     def test_equal_texts_unchanged_without_causes(self):

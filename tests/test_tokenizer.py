@@ -22,7 +22,7 @@ from speckit.tokenizer import (
     normalize,
     tokenize,
 )
-from support import reference_normalize, reference_tokenize
+from support import clear_intern_tables, reference_normalize, reference_tokenize
 
 # Tags, ids, numbers, words in each case, punctuation and whitespace.
 TECHNICAL_TEXT = st.text(alphabet="ab 1.[]CBSA\t,", max_size=30)
@@ -245,12 +245,6 @@ class TestNormalize:
     def test_technical_kinds_verbatim(self):
         tokens = tokenize("REQ_0001 CB00XXXX 01R2 42")
         assert normalize(tokens) == tokens
-
-
-def clear_intern_tables() -> None:
-    _token.cache_clear()
-    _chunk_tokens.cache_clear()
-    _lowered_word.cache_clear()
 
 
 class TestChunks:
