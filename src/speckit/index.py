@@ -13,8 +13,9 @@ the other sections refer to by position.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
-from typing import AbstractSet, Any, Iterator, Optional
+from typing import AbstractSet, Any, Iterable, Iterator, Optional
 
 from .errors import UnknownDevelopmentError, UnknownReleaseError
 from .lexicon import Lexicon, find_mentions, phrase_key
@@ -124,10 +125,8 @@ def build_index(
 
     for a, b in zip(universe, universe[1:]):
         a_key, b_key = str(a), str(b)
-        for req_id, records in index.req_release.items():
-            diff = _changed_diff(index, req_id, a, b)
-            if diff is None:
-                continue
+        for diff in _changed_diffs(index, index.req_release, a, b):
+            records = index.req_release[diff.id]
             # procedures at either release: a change can move the mentions
             procs = {
                 proc
@@ -142,17 +141,20 @@ def build_index(
     return index
 
 
-def _changed_diff(
-    index: SpecIndex, req_id: str, a: ReleaseId, b: ReleaseId
-) -> Optional[BehaviorDiff]:
-    """`req_id`'s diff between releases `a` and `b`, or None if nothing changed."""
-    records = index.req_release.get(req_id, {})
-    text_a, devs_a = records.get(str(a), _ABSENT)
-    text_b, devs_b = records.get(str(b), _ABSENT)
-    if text_a == text_b:  # both absent, or equal: nothing changed
-        return None
-    diff = diff_texts(req_id, a, b, text_a, text_b, devs_a, devs_b, index.registry)
-    return diff if diff.has_changes else None
+def _changed_diffs(
+    index: SpecIndex, req_ids: Iterable[str], a: ReleaseId, b: ReleaseId
+) -> Iterator[BehaviorDiff]:
+    """The diff between releases `a` and `b` of each of `req_ids` that changed."""
+    a_key, b_key = str(a), str(b)
+    for req_id in req_ids:
+        records = index.req_release.get(req_id, {})
+        text_a, devs_a = records.get(a_key, _ABSENT)
+        text_b, devs_b = records.get(b_key, _ABSENT)
+        if text_a == text_b:  # both absent, or equal: nothing changed
+            continue
+        diff = diff_texts(req_id, a, b, text_a, text_b, devs_a, devs_b, index.registry)
+        if diff.has_changes:
+            yield diff
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +189,7 @@ def query_release_diff(
         {req_id for req_id, _ in by_release.get(str(a), [])}
         | {req_id for req_id, _ in by_release.get(str(b), [])}
     )
-    diffs = (_changed_diff(index, req_id, a, b) for req_id in ids)
-    return [diff for diff in diffs if diff is not None]
+    return list(_changed_diffs(index, ids, a, b))
 
 
 def query_dev_changes(
@@ -283,22 +284,22 @@ def index_from_json(source: str) -> SpecIndex:
     Every entry with the same text holds the same str, taken from the table.
     """
     data = json.loads(source)
+    if type(data) is not dict:
+        raise ValueError("malformed index: the document is not a JSON object")
+    version = data.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported index format version: {version!r} (this speckit reads "
+            f"version {FORMAT_VERSION}; rebuild the index with `index build`)"
+        )
     try:
-        version = data.get("format_version")
-        if version != FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported index format version: {version!r} (this speckit reads "
-                f"version {FORMAT_VERSION}; rebuild the index with `index build`)"
-            )
-        texts = data["texts"]
-        if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
-            raise ValueError("malformed index: texts is not a list of strings")
+        texts = _strings(data["texts"], "texts")
 
         def text_at(ref: Any) -> str:
             # bool is an int subclass and a negative index reads from the end
             if type(ref) is not int or not 0 <= ref < len(texts):
                 raise ValueError(
-                    f"malformed index: text reference {ref!r} is not a position "
+                    f"text reference {ref!r} is not a position "
                     f"in the {len(texts)}-entry text table"
                 )
             return texts[ref]
@@ -306,13 +307,16 @@ def index_from_json(source: str) -> SpecIndex:
         def entries(refs: list) -> list[Entry]:
             return [(req_id, text_at(ref)) for req_id, ref in refs]
 
+        aliases = data["aliases"]
+        if type(aliases) is not dict or not all(type(c) is str for c in aliases.values()):
+            raise ValueError(f"aliases {reprlib.repr(aliases)} is not an object of strings")
         return SpecIndex(
             release_universe=[ReleaseId.parse(r) for r in data["release_universe"]],
             registry={dev: ReleaseId.parse(r) for dev, r in data["registry"].items()},
-            aliases=dict(data["aliases"]),
+            aliases=aliases,
             req_release={
                 req_id: {
-                    r: (text_at(record["text"]), frozenset(record["devs"]))
+                    r: (text_at(record["text"]), frozenset(_strings(record["devs"], "devs")))
                     for r, record in by_release.items()
                 }
                 for req_id, by_release in data["req_release"].items()
@@ -328,7 +332,7 @@ def index_from_json(source: str) -> SpecIndex:
                 }
                 for proc, by_dev in data["proc_dev"].items()
             },
-            proc_req={proc: set(ids) for proc, ids in data["proc_req"].items()},
+            proc_req={proc: set(_strings(ids, "ids")) for proc, ids in data["proc_req"].items()},
             proc_dep={
                 proc: {
                     dep: {r: entries(refs) for r, refs in by_release.items()}
@@ -337,5 +341,14 @@ def index_from_json(source: str) -> SpecIndex:
                 for proc, by_dep in data["proc_dep"].items()
             },
         )
+    except ValueError as exc:  # a failed check, or a malformed release id
+        raise ValueError(f"malformed index: {exc}") from exc
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed index: {type(exc).__name__}: {exc}") from exc
+
+
+def _strings(value: Any, what: str) -> list[str]:
+    """`value` if it is a list of strings; anything else raises ValueError naming `what`."""
+    if type(value) is list and all(type(s) is str for s in value):
+        return value
+    raise ValueError(f"{what} {reprlib.repr(value)} is not a list of strings")

@@ -112,13 +112,20 @@ class BehaviorDiff:
 
     @classmethod
     def from_dict(cls, data: dict) -> BehaviorDiff:
-        """The inverse of `to_dict`; a malformed segment raises TypeError."""
+        """The inverse of `to_dict`.
+
+        A malformed segment or cause raises TypeError, a malformed release id
+        ValueError.
+        """
+        causes = data["causes"]
+        if type(causes) is not list or not all(type(dev) is str for dev in causes):
+            raise TypeError(f"diff causes {causes!r} are not a list of development ids")
         return cls(
             id=data["id"],
             release_a=ReleaseId.parse(data["release_a"]),
             release_b=ReleaseId.parse(data["release_b"]),
             segments=tuple(map(_segment_from, data["segments"])),
-            causes=frozenset(data["causes"]),
+            causes=frozenset(causes),
         )
 
 
@@ -313,7 +320,32 @@ def lcs_diff(a: Sequence[str], b: Sequence[str]) -> list[DiffSegment]:
     At DP ties the lexicographically larger element is dropped, which makes
     the alignment invariant under swapping the inputs: the added segments of
     diff(a, b) equal the removed segments of diff(b, a) in order.
+
+    Equal ends are peeled first, with the same result: the backtrack matches
+    a common suffix first, and a shared first sentence found nowhere else on
+    either side adds one to every inner cell and can pair with nothing else.
     """
+    end_a, end_b = len(a), len(b)
+    while end_a and end_b and a[end_a - 1] == b[end_b - 1]:
+        end_a -= 1
+        end_b -= 1
+    start = 0
+    while (
+        start < end_a
+        and start < end_b
+        and a[start] == b[start]
+        and a[start] not in a[start + 1 : end_a]
+        and a[start] not in b[start + 1 : end_b]
+    ):
+        start += 1
+    ops = list(map(DiffSegment, repeat(DiffKind.UNCHANGED), a[:start]))
+    ops += _table_diff(a[start:end_a], b[start:end_b])
+    ops += map(DiffSegment, repeat(DiffKind.UNCHANGED), a[end_a:])
+    return ops
+
+
+def _table_diff(a: Sequence[str], b: Sequence[str]) -> list[DiffSegment]:
+    """`lcs_diff` by the full (len(a) + 1) x (len(b) + 1) table, nothing peeled."""
     n, m = len(a), len(b)
     table = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
@@ -374,7 +406,7 @@ def diff_texts(
     sentences_b = _sentences(text_b) if text_b is not None else ()
     segments = tuple(lcs_diff(sentences_a, sentences_b))
     causes: set[str] = set()
-    if any(s.kind is not DiffKind.UNCHANGED for s in segments):
+    if sentences_a != sentences_b:  # exactly when some segment is not unchanged
         for dev in devs_a | devs_b:
             introduced = dev_releases[dev]
             if (introduced <= release_a) != (introduced <= release_b):

@@ -10,7 +10,7 @@ import random
 import re
 import unicodedata
 from functools import lru_cache
-from typing import AbstractSet, Mapping, Optional
+from typing import AbstractSet, Mapping, Optional, Sequence
 
 from hypothesis import strategies as st
 
@@ -33,7 +33,7 @@ from speckit.model import (
     merge_adjacent_plain,
 )
 from speckit.parser import render_segments
-from speckit.resolver import BehaviorDiff, DiffKind, lcs_diff, materialize
+from speckit.resolver import BehaviorDiff, DiffKind, DiffSegment, materialize
 from speckit.tokenizer import TAG_PATTERN, Token, TokenKind, _classify_chunk, has_tokens
 
 DEV_IDS = ("CB000001", "CB00XXXX")
@@ -155,6 +155,42 @@ def _reference_sentences(text: str) -> list[str]:
     return [s for s in re.split(r"(?<=[.;])\s+", text) if s]
 
 
+def reference_lcs_diff(a: Sequence[str], b: Sequence[str]) -> list[DiffSegment]:
+    """`resolver.lcs_diff` without peeling equal ends: always the full table."""
+    n, m = len(a), len(b)
+    table = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            if a[i - 1] == b[j - 1]:
+                table[i][j] = table[i - 1][j - 1] + 1
+            else:
+                table[i][j] = max(table[i - 1][j], table[i][j - 1])
+
+    ops: list[DiffSegment] = []
+    i, j = n, m
+    while i > 0 and j > 0:
+        if a[i - 1] == b[j - 1]:
+            ops.append(DiffSegment(DiffKind.UNCHANGED, a[i - 1]))
+            i -= 1
+            j -= 1
+        elif table[i - 1][j] > table[i][j - 1]:
+            ops.append(DiffSegment(DiffKind.REMOVED, a[i - 1]))
+            i -= 1
+        elif table[i - 1][j] < table[i][j - 1]:
+            ops.append(DiffSegment(DiffKind.ADDED, b[j - 1]))
+            j -= 1
+        elif a[i - 1] > b[j - 1]:  # at a tie the larger sentence is dropped
+            ops.append(DiffSegment(DiffKind.REMOVED, a[i - 1]))
+            i -= 1
+        else:
+            ops.append(DiffSegment(DiffKind.ADDED, b[j - 1]))
+            j -= 1
+    ops += (DiffSegment(DiffKind.REMOVED, a[k]) for k in reversed(range(i)))
+    ops += (DiffSegment(DiffKind.ADDED, b[k]) for k in reversed(range(j)))
+    ops.reverse()
+    return ops
+
+
 def reference_diff_texts(
     req_id: str,
     release_a: ReleaseId,
@@ -165,13 +201,14 @@ def reference_diff_texts(
     devs_b: AbstractSet[str],
     dev_releases: Mapping[str, ReleaseId],
 ) -> BehaviorDiff:
-    """`resolver.diff_texts` without its equal-text path: always the LCS table.
+    """`resolver.diff_texts` without its equal-text path: always the full LCS table.
 
-    It splits sentences itself, so no memo of the resolver feeds both sides.
+    It splits sentences itself and finds changes by scanning the segments, so
+    no memo or shortcut of the resolver feeds both sides.
     """
     sentences_a = _reference_sentences(text_a) if text_a is not None else []
     sentences_b = _reference_sentences(text_b) if text_b is not None else []
-    segments = tuple(lcs_diff(sentences_a, sentences_b))
+    segments = tuple(reference_lcs_diff(sentences_a, sentences_b))
     causes: set[str] = set()
     if any(s.kind is not DiffKind.UNCHANGED for s in segments):
         for dev in devs_a | devs_b:
@@ -185,6 +222,31 @@ def reference_diff_texts(
         segments=segments,
         causes=frozenset(causes),
     )
+
+
+# (JSON path, value) edits that make a one-diff index malformed.  Each path
+# exists in the test indexes that hold a diff of "R1" under procedure "P" and
+# development "CB00XXXX", and a "req_release" record of "R1" at "01R1".
+MALFORMED_INDEX_EDITS = {
+    "diff-causes-not-strings": (("proc_dev", "P", "CB00XXXX", 0, "causes"), [5]),
+    "record-devs-not-strings": (("req_release", "R1", "01R1", "devs"), [5]),
+    "aliases-a-list-of-pairs": (("aliases",), [["p", "P"]]),
+    "proc-req-not-strings": (("proc_req", "P"), [5]),
+    "universe-bad-release": (("release_universe", 0), "x"),
+    "registry-bad-release": (("registry", "CB00XXXX"), "x"),
+    "diff-bad-release": (("proc_dev", "P", "CB00XXXX", 0, "release_a"), "x"),
+}
+
+
+def json_with(source: str, path: tuple, value: object) -> str:
+    """The JSON document `source` with the value at `path` replaced by `value`."""
+    data = json.loads(source)
+    *parents, last = path
+    node = data
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return json.dumps(data)
 
 
 def memo_tables() -> dict[str, object]:

@@ -10,6 +10,7 @@ import speckit
 from speckit import cli
 from speckit.cli import main
 from speckit.generator import generate_corpus
+from support import MALFORMED_INDEX_EDITS, json_with
 
 CORPUS = """# Measurements
 
@@ -451,6 +452,8 @@ BAD_SEGMENTS = {
     "index-segment-unknown-kind": ["bogus", "t"],
     "index-segment-not-a-pair": ["added"],
 }
+# Values of an index that no `index_to_json` writes, at their JSON paths.
+MALFORMED_VALUES = {f"index-{case}": edit for case, edit in MALFORMED_INDEX_EDITS.items()}
 ERROR_CASES = {
     "corpus-not-utf8": (
         ["validate", "--corpus", "{d}/latin1.spec", "--registry", "{d}/registry.txt"], 2
@@ -506,7 +509,7 @@ ERROR_CASES = {
              "--dev", "CB00XXXX", "--format", "json"],
             2,
         )
-        for case in BAD_SEGMENTS
+        for case in [*BAD_SEGMENTS, *MALFORMED_VALUES]
     },
 }
 
@@ -518,7 +521,8 @@ def index_with_segment(segment) -> str:
     return json.dumps(
         {"aliases": {"p": "P"}, "format_version": 2, "proc_dep": {}, "proc_dev": {"P": {"CB00XXXX": [diff]}},
          "proc_release": {}, "proc_req": {}, "registry": {"CB00XXXX": "01R1"},
-         "release_universe": ["01R1"], "req_release": {}, "texts": []}
+         "release_universe": ["01R1"], "req_release": {"R1": {"01R1": {"devs": [], "text": 0}}},
+         "texts": ["t"]}
     )
 
 
@@ -544,6 +548,9 @@ class TestErrorContract:
         (corpus_dir / "bad_config.json").write_text('{"shingle_k": 0}', encoding="utf-8")
         for case, segment in BAD_SEGMENTS.items():
             (corpus_dir / f"{case}.json").write_text(index_with_segment(segment), encoding="utf-8")
+        for case, (path, value) in MALFORMED_VALUES.items():
+            index = json_with(index_with_segment(["added", "t"]), path, value)
+            (corpus_dir / f"{case}.json").write_text(index, encoding="utf-8")
         return corpus_dir
 
     @pytest.mark.parametrize("argv, code", ERROR_CASES.values(), ids=ERROR_CASES.keys())
@@ -560,6 +567,14 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err.startswith("error: index: malformed index: ")
         assert repr(BAD_SEGMENTS[case]) in err
+
+    @pytest.mark.parametrize("case", MALFORMED_VALUES)
+    def test_wrong_value_is_a_malformed_index(self, error_dir, capsys, case):
+        argv, code = ERROR_CASES[case]
+        assert main([a.format(d=error_dir) for a in argv]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: index: malformed index: ")
+        assert repr(MALFORMED_VALUES[case][1]) in err
 
     def test_good_diff_segment_loads(self, tmp_path, capsys):
         (tmp_path / "index.json").write_text(index_with_segment(["added", "t"]), encoding="utf-8")

@@ -9,7 +9,7 @@ from speckit.errors import UnknownDevelopmentError, UnknownReleaseError
 from speckit.index import (
     UNMAPPED,
     SpecIndex,
-    _changed_diff,
+    _changed_diffs,
     build_index,
     index_from_json,
     index_to_json,
@@ -23,7 +23,14 @@ from speckit.lexicon import build_lexicon
 from speckit.model import DeploymentType, DevelopmentRegistry, ReleaseId
 from speckit.parser import parse_document
 from speckit.resolver import DiffKind, materialize
-from support import RELEASES, clear_intern_tables, diff_inputs, reference_diff_texts
+from support import (
+    MALFORMED_INDEX_EDITS,
+    RELEASES,
+    clear_intern_tables,
+    diff_inputs,
+    json_with,
+    reference_diff_texts,
+)
 
 CORPUS = """# Measurements
 
@@ -172,7 +179,7 @@ class TestRepeatedTexts:
         want = reference_diff_texts(
             req_id, a, b, stored_a, stored_b, held_a, held_b, dev_releases
         )
-        assert _changed_diff(index, req_id, a, b) == (want if want.has_changes else None)
+        assert list(_changed_diffs(index, [req_id], a, b)) == ([want] if want.has_changes else [])
 
 
 class TestQueries:
@@ -384,6 +391,13 @@ class TestPersistence:
     def test_wrong_shape_is_malformed_index(self, blob):
         with pytest.raises(ValueError, match="^malformed index: "):
             index_from_json(blob)
+
+    @pytest.mark.parametrize("case", MALFORMED_INDEX_EDITS)
+    def test_wrong_value_is_malformed_index(self, case):
+        path, value = MALFORMED_INDEX_EDITS[case]
+        with pytest.raises(ValueError, match="^malformed index: ") as raised:
+            index_from_json(json_with(_diff_segment_blob(["added", "t"]), path, value))
+        assert repr(value) in str(raised.value)
 
     def test_valid_diff_segment_loads(self):
         blob = _diff_segment_blob(["added", "t"])

@@ -1,9 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import speckit.resolver
 from speckit.dataset import extract_release_dataset
 from speckit.errors import DevelopmentNotPresentError, UnknownDevelopmentError
 from speckit.generator import RELEASES
@@ -24,6 +25,7 @@ from speckit.model import (
 from speckit.resolver import (
     _SENTENCE_MAXSIZE,
     DiffKind,
+    DiffSegment,
     _sentences,
     _unchanged,
     baseline,
@@ -43,6 +45,7 @@ from support import (
     diff_inputs,
     random_tagged_requirement,
     reference_diff_texts,
+    reference_lcs_diff,
     registries,
     segment_trees,
     universes,
@@ -267,6 +270,57 @@ class TestLcsDiff:
             assert [s.text for s in ab if s.kind is DiffKind.REMOVED] == [
                 s.text for s in ba if s.kind is DiffKind.ADDED
             ]
+
+
+def _sentence_list_pairs(alphabet_size: int):
+    sentences = st.lists(st.sampled_from("xyzw"[:alphabet_size]), max_size=12)
+    return st.tuples(sentences, sentences)
+
+
+# Sentence lists over 2 to 4 distinct sentences: repeats are the hard case for
+# peeling equal ends.
+_SMALL_ALPHABET_PAIRS = st.integers(2, 4).flatmap(_sentence_list_pairs)
+
+
+class TestTrimmedLcsDiff:
+    """`lcs_diff` peels equal ends before its table; the output must not change."""
+
+    @settings(max_examples=1000)
+    @given(_SMALL_ALPHABET_PAIRS)
+    @example((["x", "x"], ["x"]))
+    @example((["x", "y", "x"], ["x", "z"]))
+    @example((["x", "y"], ["x", "y", "x"]))
+    @example((["x", "x", "x"], ["x", "x", "x"]))
+    def test_equals_untrimmed_reference(self, pair):
+        a, b = pair
+        assert lcs_diff(a, b) == reference_lcs_diff(a, b)
+
+    def test_repeated_first_sentence_is_not_peeled(self):
+        assert lcs_diff(["x", "x"], ["x"]) == [
+            DiffSegment(DiffKind.REMOVED, "x"),
+            DiffSegment(DiffKind.UNCHANGED, "x"),
+        ]
+
+    @pytest.mark.parametrize("changed", [0, 1000, 1999])
+    def test_one_changed_sentence_builds_a_one_cell_table(self, monkeypatch, changed):
+        """Two 2,000-sentence lists that differ in one sentence fill no 2,000 x 2,000 table."""
+        sizes = []
+        table_diff = speckit.resolver._table_diff
+
+        def recording(a, b):
+            sizes.append((len(a), len(b)))
+            return table_diff(a, b)
+
+        monkeypatch.setattr(speckit.resolver, "_table_diff", recording)
+        a = [f"Step {i}." for i in range(2000)]
+        b = a[:changed] + ["Another step."] + a[changed + 1 :]
+        got = lcs_diff(a, b)
+        assert sizes == [(1, 1)]
+        assert got == (
+            [DiffSegment(DiffKind.UNCHANGED, s) for s in a[:changed]]
+            + reference_lcs_diff(a[changed : changed + 1], b[changed : changed + 1])
+            + [DiffSegment(DiffKind.UNCHANGED, s) for s in a[changed + 1 :]]
+        )
 
 
 class TestDiffBehavior:
