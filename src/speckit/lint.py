@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import chain
-from typing import Iterator, Optional
+from typing import AbstractSet, Iterator, Optional
 
 from .lexicon import Lexicon, Mention, find_mentions
 from .model import (
@@ -37,6 +37,8 @@ from .model import (
 )
 from .parser import render_segments
 from .resolver import materialize
+# `normalize` is unused here; perfbench/tracer.py wraps it by name as a
+# speckit.lint attribute.
 from .tokenizer import TAG_RE, Token, TokenKind, normalize, tokenize
 
 
@@ -225,7 +227,7 @@ def shingle_set(tokens: list[Token], k: int) -> frozenset[tuple[str, ...]]:
     return frozenset(zip(*(texts[i:] for i in range(k))))
 
 
-def jaccard(a: frozenset, b: frozenset) -> float:
+def jaccard(a: AbstractSet, b: AbstractSet) -> float:
     if not a and not b:
         return 1.0
     union = len(a | b)
@@ -276,12 +278,41 @@ def _min_overlap(size: int, threshold: float) -> int:
     return overlap
 
 
-def _rarest_first(shingles: frozenset, frequency: Counter) -> list:
+def _rarest_first(shingles: AbstractSet, frequency: Counter) -> list:
     """`shingles` by (frequency, shingle): a set's members are distinct, so a
     stable sort of the sorted set by frequency gives that order."""
     ranked = sorted(shingles)
     ranked.sort(key=frequency.__getitem__)
     return ranked
+
+
+# Code points per position of an L1 shingle code: each token key becomes a
+# fixed-width string of digits in this radix.  ASCII digits keep every
+# shingle in CPython's compact ASCII form, which is the smallest even at two
+# code points per key: a 5-key shingle takes 59 bytes as ten ASCII code
+# points, 78 as five with one above 127, 84 with one above 255
+# (`sys.getsizeof`, CPython 3.11).
+_RADIX = 0x80
+
+
+def _codes(vocabulary: list[str]) -> tuple[dict[str, str], int]:
+    """A fixed-width code per key of the sorted `vocabulary`, and its width.
+
+    Codes are the keys' ranks written big-endian in `_RADIX` digits, so two
+    code strings compare as the key sequences they spell out: a shingle
+    string sorts where its token tuple would.
+    """
+    width = 1
+    while _RADIX**width < len(vocabulary):
+        width += 1
+    codes = {}
+    for rank, key in enumerate(vocabulary):
+        digits = []
+        for _ in range(width):
+            rank, digit = divmod(rank, _RADIX)
+            digits.append(chr(digit))
+        codes[key] = "".join(reversed(digits))
+    return codes, width
 
 
 def detect_duplication(
@@ -295,44 +326,68 @@ def detect_duplication(
     Similarity Search", WWW 2007): it reports the same pairs as comparing
     every pair, but only pairs whose rarest-first shingle prefixes meet are
     checked with `jaccard`.
+
+    A shingle is `shingle_k` consecutive non-punctuation token keys (a word
+    lowercased, as `normalize` gives it), or all of a record's keys when it
+    has fewer.  Each record spells its keys as one string of per-call codes
+    (`_codes`), and a shingle is a slice of `shingle_k` codes: a `str`, whose
+    hash is computed once, where `shingle_set` builds a tuple.  The map is
+    one-to-one and keeps the tuples' order, so every Jaccard value and every
+    candidate pair stay the same.
     """
     universe = release_universe(docs, registry)
 
-    records = []
-    identifier = TokenKind.IDENTIFIER
+    records = []  # (location, requirement id, identifier set)
+    keyed = []  # each record's non-punctuation token keys
+    punct, identifier = TokenKind.PUNCT, TokenKind.IDENTIFIER
     for doc, req, version in _iter_versions(docs):
         # A closed version holds its last release, an open one the latest.
         ref = version.last_release if version.last_release is not None else universe[-1]
         resolved = materialize(req, ref, None, registry)
-        # Interned tokens share their text strings across records, so the
-        # shingle tuples hold no copy per occurrence of a word.
-        tokens = normalize(tokenize(resolved.text))
+        tokens = tokenize(resolved.text)
         records.append(
-            {
-                "location": Location(doc.name, req.id, _version_label(version)),
-                "req_id": req.id,
-                "shingles": shingle_set(tokens, config.shingle_k),
-                "identifiers": {t.text for t in tokens if t.kind is identifier},
-            }
+            (
+                Location(doc.name, req.id, _version_label(version)),
+                req.id,
+                {t.text for t in tokens if t.kind is identifier},
+            )
         )
+        keyed.append([t.key for t in tokens if t.kind is not punct])
+
+    codes, width = _codes(sorted(set(chain.from_iterable(keyed))))
+    span = config.shingle_k * width
+    shingle_sets = []
+    for keys in keyed:
+        text = "".join(map(codes.__getitem__, keys))
+        if len(text) < span:
+            shingle_sets.append({text} if text else set())
+        else:
+            shingle_sets.append(
+                {text[i : i + span] for i in range(0, len(text) - span + 1, width)}
+            )
+    del codes, keyed
 
     # Two sets with Jaccard >= t share at least _min_overlap(|S|, t) shingles
     # of each set S, so under one global order their prefixes of
     # |S| - overlap + 1 shingles meet.  Rarest first keeps the postings short.
-    # Empty sets pair with each other at Jaccard 1.0; the empty tuple is never
-    # a shingle, so it keys them alone.
-    frequency = Counter(chain.from_iterable(record["shingles"] for record in records))
+    # A shingle seen once sorts first in every prefix and pairs with nothing,
+    # so only the rest of a prefix is posted, and a record whose prefix is
+    # all unique shingles gets no postings.  Empty sets pair with each other
+    # at Jaccard 1.0; no shingle is empty, so "" keys them alone.
+    frequency = Counter(chain.from_iterable(shingle_sets))
+    repeated = {shingle for shingle, count in frequency.items() if count > 1}
     prefixes = []
-    for record in records:
-        ranked = _rarest_first(record["shingles"], frequency)
-        size = len(ranked)
-        if size:
-            prefixes.append(ranked[: size - _min_overlap(size, config.dup_threshold) + 1])
-        else:
-            prefixes.append([()])
-    del frequency
+    for shingles in shingle_sets:
+        size = len(shingles)
+        if not size:
+            prefixes.append([""])
+            continue
+        shared = shingles & repeated
+        posted = len(shared) - _min_overlap(size, config.dup_threshold) + 1
+        prefixes.append(_rarest_first(shared, frequency)[:posted] if posted > 0 else [])
+    del frequency, repeated
 
-    postings: dict[tuple[str, ...], list[int]] = {}
+    postings: dict[str, list[int]] = {}
     for j, prefix in enumerate(prefixes):
         for shingle in prefix:
             postings.setdefault(shingle, []).append(j)
@@ -341,32 +396,32 @@ def detect_duplication(
     for i, prefix in enumerate(prefixes):
         candidates = {j for shingle in prefix for j in postings[shingle] if j > i}
         for j in sorted(candidates):
-            a, b = records[i], records[j]
-            if a["req_id"] == b["req_id"]:
+            loc_a, id_a, ids_a = records[i]
+            loc_b, id_b, ids_b = records[j]
+            if id_a == id_b:
                 continue
-            similarity = jaccard(a["shingles"], b["shingles"])
+            similarity = jaccard(shingle_sets[i], shingle_sets[j])
             if similarity < config.dup_threshold:
                 continue
             score = round(similarity, 4)
             findings.append(
                 LintFinding(
                     LintRule.L1_DUPLICATION,
-                    a["location"],
-                    f"near-duplicate of {b['req_id']} "
-                    f"(shingle Jaccard {score})",
-                    related=b["location"],
+                    loc_a,
+                    f"near-duplicate of {id_b} (shingle Jaccard {score})",
+                    related=loc_b,
                     score=score,
                 )
             )
-            renames = _prefix_renames(a["identifiers"], b["identifiers"])
+            renames = _prefix_renames(ids_a, ids_b)
             if renames:
                 detail = ", ".join(f"{x} / {y}" for x, y in renames)
                 findings.append(
                     LintFinding(
                         LintRule.L1_DUPLICATION,
-                        a["location"],
-                        f"renamed-parameter duplication of {b['req_id']}: {detail}",
-                        related=b["location"],
+                        loc_a,
+                        f"renamed-parameter duplication of {id_b}: {detail}",
+                        related=loc_b,
                         score=score,
                     )
                 )

@@ -407,9 +407,14 @@ def diff_texts(
     segments = tuple(lcs_diff(sentences_a, sentences_b))
     causes: set[str] = set()
     if sentences_a != sentences_b:  # exactly when some segment is not unchanged
+        # The (major, revision) keys that ReleaseId's order compares, built
+        # once per release instead of twice per `<=`.
+        key_a = (release_a.major, release_a.revision)
+        key_b = (release_b.major, release_b.revision)
         for dev in devs_a | devs_b:
             introduced = dev_releases[dev]
-            if (introduced <= release_a) != (introduced <= release_b):
+            key = (introduced.major, introduced.revision)
+            if (key <= key_a) != (key <= key_b):
                 causes.add(dev)
     return BehaviorDiff(
         id=req_id,

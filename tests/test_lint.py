@@ -15,6 +15,7 @@ from speckit.lint import (
     LintRule,
     Location,
     Severity,
+    _codes,
     _prefix_renames,
     _rarest_first,
     analyse_versions,
@@ -134,6 +135,26 @@ class TestShingleKernel:
             shingles, key=lambda s: (frequency[s], s)
         )
 
+    @given(
+        st.sets(st.text(max_size=3), max_size=30),
+        st.sampled_from([2, 3, lint_mod._RADIX]),
+        st.data(),
+    )
+    def test_codes_compare_as_the_key_tuples_they_spell(self, keys, radix, data):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lint_mod, "_RADIX", radix)
+            codes, width = _codes(sorted(keys))
+        assert width == next(w for w in itertools.count(1) if radix**w >= len(keys))
+        assert all(len(code) == width for code in codes.values())
+        if not keys:
+            return
+        pool = sorted(keys)
+        a, b = (
+            data.draw(st.lists(st.sampled_from(pool), max_size=4).map(tuple)) for _ in range(2)
+        )
+        spelled_a, spelled_b = ("".join(map(codes.__getitem__, t)) for t in (a, b))
+        assert (spelled_a < spelled_b, spelled_a == spelled_b) == (a < b, a == b)
+
 
 class TestDuplication:
     def test_identical_texts_flagged_with_score_one(self):
@@ -199,9 +220,12 @@ class TestDuplication:
 
 
 LATEST = ReleaseId.parse("01R2")
+# Capitalized and lowercase forms of one word share an L1 key; punctuation
+# has none.
 VOCAB = (
-    "the", "timer", "shall", "expire", "cell", "activateMeasurement",
-    "activateMeasurementSA", "maxCount", "maxCountNSA", "42", "3.5", ".",
+    "the", "The", "timer", "Timer", "shall", "UE", "ue", "expire", "cell",
+    "activateMeasurement", "activateMeasurementSA", "maxCount", "maxCountNSA",
+    "42", "3.5", ".", ",", ";", "(", ")",
 )
 
 
@@ -274,13 +298,61 @@ class TestDuplicationJoin:
     @given(
         docs=small_corpora(),
         threshold=st.sampled_from([0.1, 1 / 3, 0.7, 1.0]),
-        k=st.sampled_from([2, 5]),
+        k=st.sampled_from([2, 3, 5, 7]),
     )
     def test_equals_brute_force(self, docs, threshold, k):
         config = LintConfig(shingle_k=k, dup_threshold=threshold)
         assert detect_duplication(docs, EMPTY_REG, config) == brute_force_duplication(
             docs, config
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        docs=small_corpora(),
+        threshold=st.sampled_from([0.1, 1 / 3, 0.7, 1.0]),
+        k=st.sampled_from([2, 3, 5, 7]),
+    )
+    def test_multi_code_point_codes_equal_brute_force(self, docs, threshold, k):
+        # A radix of 3 spells each key of a vocabulary over 3 keys with
+        # several code points, so a shingle is k codes of width >= 2.
+        config = LintConfig(shingle_k=k, dup_threshold=threshold)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lint_mod, "_RADIX", 3)
+            got = detect_duplication(docs, EMPTY_REG, config)
+        assert got == brute_force_duplication(docs, config)
+
+    def test_multi_code_point_codes_find_the_same_pairs(self, monkeypatch):
+        docs = [
+            req_doc("a", "REQ_0001", "The timer shall expire, then the cell shall stop."),
+            req_doc("b", "REQ_0002", "the Timer shall expire; then the cell shall stop"),
+            req_doc("b", "REQ_0003", "maxCount and maxCountNSA (42) shall hold."),
+        ]
+        config = LintConfig(shingle_k=3, dup_threshold=0.5)
+        expected = brute_force_duplication(docs, config)
+        assert [f.score for f in expected] == [1.0]
+        monkeypatch.setattr(lint_mod, "_RADIX", 3)
+        assert detect_duplication(docs, EMPTY_REG, config) == expected
+
+    @pytest.mark.parametrize(
+        "config, checked",
+        [(LintConfig(), 10), (LintConfig(shingle_k=2, dup_threshold=0.3), 19638)],
+        ids=["default", "k2-t0.3"],
+    )
+    def test_checks_the_pinned_candidate_pairs(self, bundle, monkeypatch, config, checked):
+        # The prefix filter's candidate count on the seed-42 corpus, pinned:
+        # a change to how records are built must check exactly these pairs,
+        # through the module-level `jaccard` that the benchmark's tracer
+        # counts as lint.L1.pairs_checked.
+        calls = []
+        exact = lint_mod.jaccard
+
+        def counted(a, b):
+            calls.append(None)
+            return exact(a, b)
+
+        monkeypatch.setattr(lint_mod, "jaccard", counted)
+        detect_duplication(bundle.documents, bundle.registry, config)
+        assert len(calls) == checked
 
     def test_jaccard_equal_to_threshold_is_reported(self):
         # b's 7 shingles are 7 of a's 25: Jaccard is exactly 0.28, while

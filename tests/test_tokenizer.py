@@ -42,6 +42,19 @@ CHUNKED_TEXT = st.lists(
 # Letters with combining marks that compose with some of them (and one,
 # U+20DD, that composes with none), in either order.
 MARKED_TEXT = st.text(alphabet="aeuAUcq1 .\u0308\u0301\u0327\u20dd\u00fc\u00c4", max_size=20)
+# Words in each case (some decomposed), ids, tags, numbers and punctuation,
+# joined with and without spaces.
+KEYED_TEXT = st.lists(
+    st.sampled_from(
+        (
+            "timer", "Timer", "TIMER", "UE", "Ue", "U\u0308ber", "A\u0308NDERN",
+            "Zeitu\u0308berschreitung", "activateMeasurementSA", "A2", "REQ_0001",
+            "CB00ABCD", "01R1", "42", "3.5", "[SA]", "[End SA]", "[Before CB00ABCD]",
+            ".", ",", ";", "(", ")", "-", " ", " ",
+        )
+    ),
+    max_size=30,
+).map("".join)
 
 
 def kinds(text: str) -> list[tuple[str, TokenKind]]:
@@ -245,6 +258,14 @@ class TestNormalize:
     def test_technical_kinds_verbatim(self):
         tokens = tokenize("REQ_0001 CB00XXXX 01R2 42")
         assert normalize(tokens) == tokens
+
+    @given(st.one_of(st.text(), KEYED_TEXT))
+    def test_keys_of_non_punct_tokens_are_the_normalized_texts(self, text):
+        # The L1 lint rule reads these keys in place of `normalize`.
+        tokens = tokenize(text)
+        assert [t.key for t in tokens if t.kind is not TokenKind.PUNCT] == [
+            t.text for t in normalize(tokens)
+        ]
 
 
 class TestChunks:
