@@ -20,13 +20,15 @@ from typing import AbstractSet, Any, Iterable, Iterator, Optional
 from .errors import UnknownDevelopmentError, UnknownReleaseError
 from .lexicon import Lexicon, find_mentions, phrase_key
 from .model import (
+    DeploymentSpan,
     DeploymentType,
     DevelopmentRegistry,
     ReleaseId,
     SpecDocument,
+    iter_segments,
     release_universe,
 )
-from .resolver import BehaviorDiff, diff_texts, resolve_details
+from .resolver import BehaviorDiff, diff_causes, diff_texts, resolve_details
 from .tokenizer import tokenize
 
 FORMAT_VERSION = 2
@@ -92,9 +94,19 @@ def build_index(
     # tokenized and alias-matched once.
     shared: dict[str, str] = {}
     procs_of: dict[str, set[str]] = {}
+    # Each deployment with its key, read once: iterating the Enum and its
+    # `.value` property run Python code on every access.
+    deployments = [(dep, dep.value) for dep in DeploymentType]
 
     for doc in docs:
         for req in doc.iter_requirements():
+            # Only a DeploymentSpan reads the deployment: without one, SA and
+            # NSA resolve to the text of both, and share its entry.
+            has_span = any(
+                isinstance(seg, DeploymentSpan)
+                for version in req.versions
+                for seg in iter_segments(version.content)
+            )
             for r in universe:
                 details = resolve_details(req, r, None, registry)
                 if details is None:
@@ -108,31 +120,34 @@ def build_index(
                 if procs is None:
                     mentions = find_mentions(tokenize(text), lexicon)
                     procs = procs_of[text] = {m.canonical for m in mentions} or {UNMAPPED}
+                entry = (req.id, text)
                 for proc in procs:
-                    index.proc_release.setdefault(proc, {}).setdefault(
-                        r_key, []
-                    ).append((req.id, text))
+                    index.proc_release.setdefault(proc, {}).setdefault(r_key, []).append(entry)
                     index.proc_req.setdefault(proc, set()).add(req.id)
 
-                for dep in DeploymentType:
-                    dep_details = resolve_details(req, r, dep, registry)
-                    assert dep_details is not None
-                    dep_text = shared.setdefault(dep_details[0], dep_details[0])
+                for dep, dep_key in deployments:
+                    dep_entry = entry
+                    if has_span:
+                        dep_text = resolve_details(req, r, dep, registry)[0]
+                        dep_entry = (req.id, shared.setdefault(dep_text, dep_text))
                     for proc in procs:
                         index.proc_dep.setdefault(proc, {}).setdefault(
-                            dep.value, {}
-                        ).setdefault(r_key, []).append((req.id, dep_text))
+                            dep_key, {}
+                        ).setdefault(r_key, []).append(dep_entry)
 
+    # proc_dev files a changed diff under each of its causes, so a change
+    # with none needs no LCS.  A diff without changes has no causes.
     for a, b in zip(universe, universe[1:]):
         a_key, b_key = str(a), str(b)
-        for diff in _changed_diffs(index, index.req_release, a, b):
-            records = index.req_release[diff.id]
+        for req_id, records in index.req_release.items():
+            text_a, devs_a = records.get(a_key, _ABSENT)
+            text_b, devs_b = records.get(b_key, _ABSENT)
+            if text_a == text_b or not diff_causes(a, b, devs_a, devs_b, index.registry):
+                continue
+            diff = diff_texts(req_id, a, b, text_a, text_b, devs_a, devs_b, index.registry)
             # procedures at either release: a change can move the mentions
             procs = {
-                proc
-                for r_key in (a_key, b_key)
-                if r_key in records
-                for proc in procs_of[records[r_key][0]]
+                proc for text in (text_a, text_b) if text is not None for proc in procs_of[text]
             }
             for dev in sorted(diff.causes):
                 for proc in sorted(procs):
@@ -305,24 +320,39 @@ def index_from_json(source: str) -> SpecIndex:
             return texts[ref]
 
         def entries(refs: list) -> list[Entry]:
-            return [(req_id, text_at(ref)) for req_id, ref in refs]
+            loaded = [(req_id, text_at(ref)) for req_id, ref in refs]
+            for req_id, _ in loaded:
+                if type(req_id) is not str:
+                    raise ValueError(f"requirement id {req_id!r} is not a string")
+            return loaded
+
+        universe = [ReleaseId.parse(r) for r in data["release_universe"]]
+        known = {str(r) for r in universe}
+
+        def release(key: str) -> str:
+            if key not in known:
+                raise ValueError(f"release {key!r} is not in the release universe")
+            return key
 
         aliases = data["aliases"]
         if type(aliases) is not dict or not all(type(c) is str for c in aliases.values()):
             raise ValueError(f"aliases {reprlib.repr(aliases)} is not an object of strings")
         return SpecIndex(
-            release_universe=[ReleaseId.parse(r) for r in data["release_universe"]],
+            release_universe=universe,
             registry={dev: ReleaseId.parse(r) for dev, r in data["registry"].items()},
             aliases=aliases,
             req_release={
                 req_id: {
-                    r: (text_at(record["text"]), frozenset(_strings(record["devs"], "devs")))
+                    release(r): (
+                        text_at(record["text"]),
+                        frozenset(_strings(record["devs"], "devs")),
+                    )
                     for r, record in by_release.items()
                 }
                 for req_id, by_release in data["req_release"].items()
             },
             proc_release={
-                proc: {r: entries(refs) for r, refs in by_release.items()}
+                proc: {release(r): entries(refs) for r, refs in by_release.items()}
                 for proc, by_release in data["proc_release"].items()
             },
             proc_dev={
@@ -335,7 +365,7 @@ def index_from_json(source: str) -> SpecIndex:
             proc_req={proc: set(_strings(ids, "ids")) for proc, ids in data["proc_req"].items()},
             proc_dep={
                 proc: {
-                    dep: {r: entries(refs) for r, refs in by_release.items()}
+                    dep: {release(r): entries(refs) for r, refs in by_release.items()}
                     for dep, by_release in by_dep.items()
                 }
                 for proc, by_dep in data["proc_dep"].items()

@@ -27,6 +27,7 @@ from .model import (
     DevBlock,
     DevelopmentRegistry,
     PlainText,
+    ReleaseId,
     Requirement,
     RequirementVersion,
     SpecDocument,
@@ -234,6 +235,12 @@ def jaccard(a: AbstractSet, b: AbstractSet) -> float:
     return len(a & b) / union if union else 0.0
 
 
+def _identifiers(req: Requirement, r: ReleaseId, registry: DevelopmentRegistry) -> set[str]:
+    """The identifier tokens of `req`'s text at release `r`."""
+    tokens = tokenize(materialize(req, r, None, registry).text)
+    return {t.text for t in tokens if t.kind is TokenKind.IDENTIFIER}
+
+
 def _prefix_renames(ids_a: set[str], ids_b: set[str]) -> list[tuple[str, str]]:
     """Pair up identifiers unique to each side where one is a prefix of the other."""
     only_a = sorted(ids_a - ids_b)
@@ -337,21 +344,14 @@ def detect_duplication(
     """
     universe = release_universe(docs, registry)
 
-    records = []  # (location, requirement id, identifier set)
+    records = []  # (location, requirement, reference release)
     keyed = []  # each record's non-punctuation token keys
-    punct, identifier = TokenKind.PUNCT, TokenKind.IDENTIFIER
+    punct = TokenKind.PUNCT
     for doc, req, version in _iter_versions(docs):
         # A closed version holds its last release, an open one the latest.
         ref = version.last_release if version.last_release is not None else universe[-1]
-        resolved = materialize(req, ref, None, registry)
-        tokens = tokenize(resolved.text)
-        records.append(
-            (
-                Location(doc.name, req.id, _version_label(version)),
-                req.id,
-                {t.text for t in tokens if t.kind is identifier},
-            )
-        )
+        tokens = tokenize(materialize(req, ref, None, registry).text)
+        records.append((Location(doc.name, req.id, _version_label(version)), req, ref))
         keyed.append([t.key for t in tokens if t.kind is not punct])
 
     codes, width = _codes(sorted(set(chain.from_iterable(keyed))))
@@ -393,12 +393,13 @@ def detect_duplication(
             postings.setdefault(shingle, []).append(j)
 
     findings: list[LintFinding] = []
+    identifiers: dict[int, set[str]] = {}  # record position -> identifier set
     for i, prefix in enumerate(prefixes):
         candidates = {j for shingle in prefix for j in postings[shingle] if j > i}
         for j in sorted(candidates):
-            loc_a, id_a, ids_a = records[i]
-            loc_b, id_b, ids_b = records[j]
-            if id_a == id_b:
+            loc_a, req_a, ref_a = records[i]
+            loc_b, req_b, ref_b = records[j]
+            if req_a.id == req_b.id:
                 continue
             similarity = jaccard(shingle_sets[i], shingle_sets[j])
             if similarity < config.dup_threshold:
@@ -408,19 +409,24 @@ def detect_duplication(
                 LintFinding(
                     LintRule.L1_DUPLICATION,
                     loc_a,
-                    f"near-duplicate of {id_b} (shingle Jaccard {score})",
+                    f"near-duplicate of {req_b.id} (shingle Jaccard {score})",
                     related=loc_b,
                     score=score,
                 )
             )
-            renames = _prefix_renames(ids_a, ids_b)
+            # Few records reach this point, so only theirs are tokenized for
+            # identifiers, each once.
+            for k, req, ref in ((i, req_a, ref_a), (j, req_b, ref_b)):
+                if k not in identifiers:
+                    identifiers[k] = _identifiers(req, ref, registry)
+            renames = _prefix_renames(identifiers[i], identifiers[j])
             if renames:
                 detail = ", ".join(f"{x} / {y}" for x, y in renames)
                 findings.append(
                     LintFinding(
                         LintRule.L1_DUPLICATION,
                         loc_a,
-                        f"renamed-parameter duplication of {id_b}: {detail}",
+                        f"renamed-parameter duplication of {req_b.id}: {detail}",
                         related=loc_b,
                         score=score,
                     )

@@ -117,11 +117,13 @@ class BehaviorDiff:
         A malformed segment or cause raises TypeError, a malformed release id
         ValueError.
         """
-        causes = data["causes"]
+        req_id, causes = data["id"], data["causes"]
+        if type(req_id) is not str:
+            raise TypeError(f"diff id {req_id!r} is not a requirement id")
         if type(causes) is not list or not all(type(dev) is str for dev in causes):
             raise TypeError(f"diff causes {causes!r} are not a list of development ids")
         return cls(
-            id=data["id"],
+            id=req_id,
             release_a=ReleaseId.parse(data["release_a"]),
             release_b=ReleaseId.parse(data["release_b"]),
             segments=tuple(map(_segment_from, data["segments"])),
@@ -405,24 +407,40 @@ def diff_texts(
     sentences_a = _sentences(text_a) if text_a is not None else ()
     sentences_b = _sentences(text_b) if text_b is not None else ()
     segments = tuple(lcs_diff(sentences_a, sentences_b))
-    causes: set[str] = set()
+    causes: frozenset[str] = frozenset()
     if sentences_a != sentences_b:  # exactly when some segment is not unchanged
-        # The (major, revision) keys that ReleaseId's order compares, built
-        # once per release instead of twice per `<=`.
-        key_a = (release_a.major, release_a.revision)
-        key_b = (release_b.major, release_b.revision)
-        for dev in devs_a | devs_b:
-            introduced = dev_releases[dev]
-            key = (introduced.major, introduced.revision)
-            if (key <= key_a) != (key <= key_b):
-                causes.add(dev)
+        causes = diff_causes(release_a, release_b, devs_a, devs_b, dev_releases)
     return BehaviorDiff(
         id=req_id,
         release_a=release_a,
         release_b=release_b,
         segments=segments,
-        causes=frozenset(causes),
+        causes=causes,
     )
+
+
+def diff_causes(
+    release_a: ReleaseId,
+    release_b: ReleaseId,
+    devs_a: AbstractSet[str],
+    devs_b: AbstractSet[str],
+    dev_releases: Mapping[str, ReleaseId],
+) -> frozenset[str]:
+    """The devs of `devs_a | devs_b` in force at exactly one of the two releases.
+
+    These are the causes `diff_texts` gives a diff that has changes.
+    """
+    # The (major, revision) keys that ReleaseId's order compares, built
+    # once per release instead of twice per `<=`.
+    key_a = (release_a.major, release_a.revision)
+    key_b = (release_b.major, release_b.revision)
+    causes: set[str] = set()
+    for dev in devs_a | devs_b:
+        introduced = dev_releases[dev]
+        key = (introduced.major, introduced.revision)
+        if (key <= key_a) != (key <= key_b):
+            causes.add(dev)
+    return frozenset(causes)
 
 
 def diff_behavior(

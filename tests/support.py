@@ -3,6 +3,7 @@ implementations and seeded document generators."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import json
 import pkgutil
@@ -18,6 +19,8 @@ import speckit
 from speckit import generator
 from speckit.dataset import DEFAULT_MIN_TOKENS, DatasetStats, ReleaseDataset
 from speckit.generator import _sentence
+from speckit.index import UNMAPPED, SpecIndex
+from speckit.lexicon import Lexicon, find_mentions
 from speckit.model import (
     ContentSegment,
     DeploymentSpan,
@@ -31,10 +34,18 @@ from speckit.model import (
     Section,
     SpecDocument,
     merge_adjacent_plain,
+    release_universe,
 )
-from speckit.parser import render_segments
-from speckit.resolver import BehaviorDiff, DiffKind, DiffSegment, materialize
-from speckit.tokenizer import TAG_PATTERN, Token, TokenKind, _classify_chunk, has_tokens
+from speckit.parser import parse_document, render_segments
+from speckit.resolver import BehaviorDiff, DiffKind, DiffSegment, materialize, resolve_details
+from speckit.tokenizer import (
+    TAG_PATTERN,
+    Token,
+    TokenKind,
+    _classify_chunk,
+    has_tokens,
+    tokenize,
+)
 
 DEV_IDS = ("CB000001", "CB00XXXX")
 RELEASES = tuple(ReleaseId.parse(r) for r in ("01R1", "01R2", "02R1", "02R2"))
@@ -224,10 +235,131 @@ def reference_diff_texts(
     )
 
 
+@st.composite
+def index_corpora(draw):
+    """(documents, registry): 1-4 `versioned_requirements` over one or two documents.
+
+    Their words hold the procedures of INDEX_LEXICON, so a DevBlock or a new
+    version can swap the procedure a text mentions.
+    """
+    drawn = draw(st.lists(versioned_requirements(), min_size=1, max_size=4))
+    reqs = [dataclasses.replace(req, id=f"REQ_{i:04d}") for i, req in enumerate(drawn, 1)]
+    split = draw(st.integers(0, len(reqs)))
+    docs = [
+        SpecDocument(name, (Section("S", tuple(part)),))
+        for name, part in (("a", reqs[:split]), ("b", reqs[split:]))
+        if part
+    ]
+    return docs, draw(registries())
+
+
+INDEX_LEXICON = {"timer": [], "value": [], "restart": ["Starts again"]}
+
+# Each case the build's shortcuts must get right: a span only inside a
+# DevBlock part (REQ_0001), a DevBlock inside a span (REQ_0002), a version
+# gap at 01R3 and 02R1 (REQ_0001), a development that swaps the procedure
+# (CB000001 at 01R2), a version switch with no cause that swaps it too
+# (REQ_0002 at 02R1), and a development that changes the text but no
+# sentence (REQ_0003: only the spacing between its sentences).
+INDEX_CASES_SOURCE = """# S
+
+=== REQ REQ_0001 ===
+--- VERSION first=01R1 last=01R2 ---
+[Before CB000001] The timer runs. [CB000001] The value is set. [SA] Standalone timer step. [End SA] [End CB000001]
+--- VERSION first=02R2 last=open ---
+The timer stops.
+=== END ===
+
+=== REQ REQ_0002 ===
+--- VERSION first=01R1 last=01R3 ---
+The value holds.
+--- VERSION first=02R1 last=open ---
+[NSA] Starts again. [Before CB00XXXX] The old value. [CB00XXXX] The new value. [End CB00XXXX] [End NSA] The timer holds.
+=== END ===
+
+=== REQ REQ_0003 ===
+--- VERSION first=01R1 last=open ---
+[Before CB000001] The value holds. The timer runs. [CB000001] The value holds.  The timer runs. [End CB000001]
+=== END ===
+"""
+
+
+def index_cases() -> tuple[list[SpecDocument], DevelopmentRegistry]:
+    """INDEX_CASES_SOURCE's one document, and its registry."""
+    result = parse_document(INDEX_CASES_SOURCE, name="doc")
+    assert result.ok, result.errors
+    registry = {"CB000001": ReleaseId.parse("01R2"), "CB00XXXX": ReleaseId.parse("03R1")}
+    return [result.document], DevelopmentRegistry(registry)
+
+
+def reference_build_index(
+    docs: list[SpecDocument], registry: DevelopmentRegistry, lexicon: Lexicon
+) -> SpecIndex:
+    """`index.build_index` the direct way: every requirement resolved at every
+    release for both deployments and for each one, and every changed
+    adjacent-release pair diffed by `reference_diff_texts`."""
+    universe = release_universe(docs, registry)
+    index = SpecIndex(
+        release_universe=universe,
+        registry=dict(registry.entries),
+        aliases={" ".join(key): canonical for key, canonical in lexicon.reverse.items()},
+        req_release={},
+        proc_release={},
+        proc_dev={},
+        proc_req={},
+        proc_dep={},
+    )
+    procs_at: dict[tuple[str, str], set[str]] = {}  # (requirement id, release) -> procedures
+    for doc in docs:
+        for req in doc.iter_requirements():
+            for r in universe:
+                details = resolve_details(req, r, None, registry)
+                if details is None:
+                    continue
+                text, _contributing, seen = details
+                r_key = str(r)
+                index.req_release.setdefault(req.id, {})[r_key] = (text, seen)
+                mentions = find_mentions(tokenize(text), lexicon)
+                procs = procs_at[req.id, r_key] = {m.canonical for m in mentions} or {UNMAPPED}
+                for proc in procs:
+                    index.proc_release.setdefault(proc, {}).setdefault(r_key, []).append(
+                        (req.id, text)
+                    )
+                    index.proc_req.setdefault(proc, set()).add(req.id)
+                for dep in DeploymentType:
+                    dep_text = resolve_details(req, r, dep, registry)[0]
+                    for proc in procs:
+                        index.proc_dep.setdefault(proc, {}).setdefault(
+                            dep.value, {}
+                        ).setdefault(r_key, []).append((req.id, dep_text))
+
+    for a, b in zip(universe, universe[1:]):
+        for req_id, records in index.req_release.items():
+            (text_a, devs_a), (text_b, devs_b) = (
+                records.get(str(r), (None, frozenset())) for r in (a, b)
+            )
+            if text_a == text_b:
+                continue
+            diff = reference_diff_texts(
+                req_id, a, b, text_a, text_b, devs_a, devs_b, index.registry
+            )
+            if not diff.has_changes:
+                continue
+            procs = procs_at.get((req_id, str(a)), set()) | procs_at.get((req_id, str(b)), set())
+            for dev in sorted(diff.causes):
+                for proc in sorted(procs):
+                    index.proc_dev.setdefault(proc, {}).setdefault(dev, []).append(diff)
+    return index
+
+
 # (JSON path, value) edits that make a one-diff index malformed.  Each path
 # exists in the test indexes that hold a diff of "R1" under procedure "P" and
-# development "CB00XXXX", and a "req_release" record of "R1" at "01R1".
+# development "CB00XXXX", a "req_release" record of "R1" at "01R1", and an
+# entry of "R1" at "01R1" under "P" in "proc_release" and, for SA, "proc_dep".
 MALFORMED_INDEX_EDITS = {
+    "diff-id-not-a-string": (("proc_dev", "P", "CB00XXXX", 0, "id"), 5),
+    "proc-release-id-not-a-string": (("proc_release", "P", "01R1", 0, 0), 5),
+    "proc-dep-id-not-a-string": (("proc_dep", "P", "SA", "01R1", 0, 0), 5),
     "diff-causes-not-strings": (("proc_dev", "P", "CB00XXXX", 0, "causes"), [5]),
     "record-devs-not-strings": (("req_release", "R1", "01R1", "devs"), [5]),
     "aliases-a-list-of-pairs": (("aliases",), [["p", "P"]]),
@@ -235,6 +367,19 @@ MALFORMED_INDEX_EDITS = {
     "universe-bad-release": (("release_universe", 0), "x"),
     "registry-bad-release": (("registry", "CB00XXXX"), "x"),
     "diff-bad-release": (("proc_dev", "P", "CB00XXXX", 0, "release_a"), "x"),
+}
+
+
+# (JSON path, key) edits that file the one release record of the object at
+# the path under `key`, a release the same test indexes' universe lacks.
+UNKNOWN_RELEASE_EDITS = {
+    f"{section}-release-{key}": (path, key)
+    for section, path in (
+        ("req-release", ("req_release", "R1")),
+        ("proc-release", ("proc_release", "P")),
+        ("proc-dep", ("proc_dep", "P", "SA")),
+    )
+    for key in ("bogus", "99R9")
 }
 
 
@@ -246,6 +391,18 @@ def json_with(source: str, path: tuple, value: object) -> str:
     for key in parents:
         node = node[key]
     node[last] = value
+    return json.dumps(data)
+
+
+def json_with_key(source: str, path: tuple, key: str) -> str:
+    """The JSON document `source` with the one key of the object at `path` renamed `key`."""
+    data = json.loads(source)
+    node = data
+    for step in path:
+        node = node[step]
+    (value,) = node.values()
+    node.clear()
+    node[key] = value
     return json.dumps(data)
 
 

@@ -10,7 +10,7 @@ import speckit
 from speckit import cli
 from speckit.cli import main
 from speckit.generator import generate_corpus
-from support import MALFORMED_INDEX_EDITS, json_with
+from support import MALFORMED_INDEX_EDITS, UNKNOWN_RELEASE_EDITS, json_with, json_with_key
 
 CORPUS = """# Measurements
 
@@ -454,6 +454,8 @@ BAD_SEGMENTS = {
 }
 # Values of an index that no `index_to_json` writes, at their JSON paths.
 MALFORMED_VALUES = {f"index-{case}": edit for case, edit in MALFORMED_INDEX_EDITS.items()}
+# Release keys outside the index's universe, at the JSON paths of their records.
+UNKNOWN_RELEASES = {f"index-{case}": edit for case, edit in UNKNOWN_RELEASE_EDITS.items()}
 ERROR_CASES = {
     "corpus-not-utf8": (
         ["validate", "--corpus", "{d}/latin1.spec", "--registry", "{d}/registry.txt"], 2
@@ -509,7 +511,7 @@ ERROR_CASES = {
              "--dev", "CB00XXXX", "--format", "json"],
             2,
         )
-        for case in [*BAD_SEGMENTS, *MALFORMED_VALUES]
+        for case in [*BAD_SEGMENTS, *MALFORMED_VALUES, *UNKNOWN_RELEASES]
     },
 }
 
@@ -519,8 +521,10 @@ def index_with_segment(segment) -> str:
     diff = {"causes": ["CB00XXXX"], "id": "R1", "release_a": "01R1", "release_b": "01R1",
             "segments": [segment]}
     return json.dumps(
-        {"aliases": {"p": "P"}, "format_version": 2, "proc_dep": {}, "proc_dev": {"P": {"CB00XXXX": [diff]}},
-         "proc_release": {}, "proc_req": {}, "registry": {"CB00XXXX": "01R1"},
+        {"aliases": {"p": "P"}, "format_version": 2,
+         "proc_dep": {"P": {"SA": {"01R1": [["R1", 0]]}}}, "proc_dev": {"P": {"CB00XXXX": [diff]}},
+         "proc_release": {"P": {"01R1": [["R1", 0]]}}, "proc_req": {"P": ["R1"]},
+         "registry": {"CB00XXXX": "01R1"},
          "release_universe": ["01R1"], "req_release": {"R1": {"01R1": {"devs": [], "text": 0}}},
          "texts": ["t"]}
     )
@@ -551,6 +555,9 @@ class TestErrorContract:
         for case, (path, value) in MALFORMED_VALUES.items():
             index = json_with(index_with_segment(["added", "t"]), path, value)
             (corpus_dir / f"{case}.json").write_text(index, encoding="utf-8")
+        for case, (path, key) in UNKNOWN_RELEASES.items():
+            index = json_with_key(index_with_segment(["added", "t"]), path, key)
+            (corpus_dir / f"{case}.json").write_text(index, encoding="utf-8")
         return corpus_dir
 
     @pytest.mark.parametrize("argv, code", ERROR_CASES.values(), ids=ERROR_CASES.keys())
@@ -575,6 +582,14 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err.startswith("error: index: malformed index: ")
         assert repr(MALFORMED_VALUES[case][1]) in err
+
+    @pytest.mark.parametrize("case", UNKNOWN_RELEASES)
+    def test_release_outside_universe_is_a_malformed_index(self, error_dir, capsys, case):
+        argv, code = ERROR_CASES[case]
+        assert main([a.format(d=error_dir) for a in argv]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: index: malformed index: ")
+        assert repr(UNKNOWN_RELEASES[case][1]) in err
 
     def test_good_diff_segment_loads(self, tmp_path, capsys):
         (tmp_path / "index.json").write_text(index_with_segment(["added", "t"]), encoding="utf-8")

@@ -2,9 +2,10 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import speckit.index
+import speckit.resolver
 from speckit.errors import UnknownDevelopmentError, UnknownReleaseError
 from speckit.index import (
     UNMAPPED,
@@ -20,15 +21,29 @@ from speckit.index import (
     query_requirements,
 )
 from speckit.lexicon import build_lexicon
-from speckit.model import DeploymentType, DevelopmentRegistry, ReleaseId
+from speckit.model import (
+    DeploymentSpan,
+    DeploymentType,
+    DevelopmentRegistry,
+    ReleaseId,
+    iter_segments,
+    release_universe,
+    version_at,
+)
 from speckit.parser import parse_document
-from speckit.resolver import DiffKind, materialize
+from speckit.resolver import DiffKind, materialize, resolve_details
 from support import (
+    INDEX_LEXICON,
     MALFORMED_INDEX_EDITS,
     RELEASES,
+    UNKNOWN_RELEASE_EDITS,
     clear_intern_tables,
     diff_inputs,
+    index_cases,
+    index_corpora,
     json_with,
+    json_with_key,
+    reference_build_index,
     reference_diff_texts,
 )
 
@@ -180,6 +195,74 @@ class TestRepeatedTexts:
             req_id, a, b, stored_a, stored_b, held_a, held_b, dev_releases
         )
         assert list(_changed_diffs(index, [req_id], a, b)) == ([want] if want.has_changes else [])
+
+
+class TestBuildShortcuts:
+    """The build resolves SA and NSA only for a requirement holding a span,
+    and runs the LCS only for a changed adjacent pair that has a cause."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(index_corpora())
+    @example(index_cases())
+    def test_equals_reference_build(self, corpus):
+        docs, registry = corpus
+        lexicon = build_lexicon(INDEX_LEXICON)
+        assert index_to_json(build_index(docs, registry, lexicon)) == index_to_json(
+            reference_build_index(docs, registry, lexicon)
+        )
+
+    def test_cases_reach_each_shortcut(self):
+        docs, registry = index_cases()
+        index = reference_build_index(docs, registry, build_lexicon(INDEX_LEXICON))
+        sa = query_deployment(index, "timer", DeploymentType.SA, rel("01R2"))
+        assert ("REQ_0001", "The value is set. Standalone timer step.") in sa
+        assert "01R3" not in index.req_release["REQ_0001"]
+        swap = index.proc_dev["timer"]["CB000001"]
+        assert [d.id for d in swap] == [d.id for d in index.proc_dev["value"]["CB000001"]]
+        assert [d.id for d in swap] == ["REQ_0001"]  # REQ_0003's respacing is no change
+        switch = query_release_diff(index, "timer", rel("01R3"), rel("02R1"))
+        assert [(d.id, d.causes) for d in switch] == [("REQ_0002", frozenset())]
+
+    def test_resolve_and_lcs_calls(self, bundle, monkeypatch):
+        docs, registry = bundle.documents, bundle.registry
+        universe = release_universe(docs, registry)
+        valid = with_span = changed = caused = 0
+        for req in (req for doc in docs for req in doc.iter_requirements()):
+            released = [r for r in universe if version_at(req, r) is not None]
+            valid += len(released)
+            if any(
+                isinstance(seg, DeploymentSpan)
+                for version in req.versions
+                for seg in iter_segments(version.content)
+            ):
+                with_span += len(released)
+            for a, b in zip(universe, universe[1:]):
+                text_a, _, devs_a = resolve_details(req, a, None, registry) or (None, None, set())
+                text_b, _, devs_b = resolve_details(req, b, None, registry) or (None, None, set())
+                if text_a != text_b:
+                    changed += 1
+                    caused += any(
+                        (registry.release_of(dev) <= a) != (registry.release_of(dev) <= b)
+                        for dev in devs_a | devs_b
+                    )
+        # the corpus has requirements without spans and causeless changes
+        assert with_span < valid and caused < changed
+
+        calls = {"resolve": 0, "lcs": 0}
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            speckit.index, "resolve_details", counted("resolve", speckit.index.resolve_details)
+        )
+        monkeypatch.setattr(speckit.resolver, "lcs_diff", counted("lcs", speckit.resolver.lcs_diff))
+        build_index(docs, registry, bundle.lexicon)
+        assert calls == {"resolve": valid + 2 * with_span, "lcs": caused}
 
 
 class TestQueries:
@@ -335,9 +418,14 @@ def _text_ref_blob(section: str, ref) -> str:
 
 
 def _diff_segment_blob(segment) -> str:
-    """A one-diff format-2 index whose diff holds the one segment `segment`."""
+    """A one-diff format-2 index whose diff holds the one segment `segment`.
+
+    Its one requirement also has an entry in "proc_release" and "proc_dep".
+    """
     data = json.loads(_text_ref_blob("req_release", 0))
     data["registry"] = {"CB00XXXX": "01R1"}
+    data["proc_release"] = json.loads(_text_ref_blob("proc_release", 0))["proc_release"]
+    data["proc_dep"] = json.loads(_text_ref_blob("proc_dep", 0))["proc_dep"]
     diff = {
         "causes": ["CB00XXXX"],
         "id": "R1",
@@ -398,6 +486,14 @@ class TestPersistence:
         with pytest.raises(ValueError, match="^malformed index: ") as raised:
             index_from_json(json_with(_diff_segment_blob(["added", "t"]), path, value))
         assert repr(value) in str(raised.value)
+
+    @pytest.mark.parametrize("case", UNKNOWN_RELEASE_EDITS)
+    def test_release_outside_universe_is_malformed_index(self, case):
+        path, key = UNKNOWN_RELEASE_EDITS[case]
+        blob = json_with_key(_diff_segment_blob(["added", "t"]), path, key)
+        with pytest.raises(ValueError, match="^malformed index: ") as raised:
+            index_from_json(blob)
+        assert f"release {key!r} is not in the release universe" in str(raised.value)
 
     def test_valid_diff_segment_loads(self):
         blob = _diff_segment_blob(["added", "t"])

@@ -569,9 +569,17 @@ class TestLintCorpus:
         assert findings == expected
         assert canonicals
         assert calls["find_mentions"] == versions
-        # written text per version, L1's resolved text per version, and each
-        # canonical name mentioned
-        assert calls["tokenize"] == 2 * versions + len(canonicals)
+        # written text per version, L1's resolved text per version and once
+        # more for each version in an L1 finding (for its identifiers), and
+        # each canonical name mentioned
+        duplicated = {
+            loc
+            for f in findings
+            if f.rule is LintRule.L1_DUPLICATION
+            for loc in (f.location, f.related)
+        }
+        assert 0 < len(duplicated) < versions
+        assert calls["tokenize"] == 2 * versions + len(duplicated) + len(canonicals)
 
     def test_rule_disabling(self, bundle):
         config = LintConfig(enabled=frozenset({LintRule.L2_LENGTH}))
