@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import repeat
-from typing import AbstractSet, Any, Iterator, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterator, Mapping, Optional, Sequence
 
 from .errors import DevelopmentNotPresentError, UnknownDevelopmentError
 from .model import (
@@ -61,26 +61,10 @@ class DiffKind(Enum):
     UNCHANGED = "unchanged"
 
 
-_DIFF_KINDS = {kind.value: kind for kind in DiffKind}
-
-
 @dataclass(frozen=True, slots=True)
 class DiffSegment:
     kind: DiffKind
     text: str
-
-
-def _segment_from(item: Any) -> DiffSegment:
-    """The segment a `BehaviorDiff.to_dict` pair `[kind value, text]` stands for."""
-    # Plain checks and a dict lookup: `match` or `DiffKind(kind)` cost twice as much.
-    if type(item) is list and len(item) == 2:
-        kind, text = item
-        if type(kind) is str and type(text) is str and kind in _DIFF_KINDS:
-            return DiffSegment(_DIFF_KINDS[kind], text)
-    raise TypeError(
-        f"diff segment {item!r} is not a [kind, text] pair of strings "
-        f"with kind one of {', '.join(_DIFF_KINDS)}"
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,26 +93,6 @@ class BehaviorDiff:
             "segments": [[s.kind.value, s.text] for s in self.segments],
             "causes": sorted(self.causes),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> BehaviorDiff:
-        """The inverse of `to_dict`.
-
-        A malformed segment or cause raises TypeError, a malformed release id
-        ValueError.
-        """
-        req_id, causes = data["id"], data["causes"]
-        if type(req_id) is not str:
-            raise TypeError(f"diff id {req_id!r} is not a requirement id")
-        if type(causes) is not list or not all(type(dev) is str for dev in causes):
-            raise TypeError(f"diff causes {causes!r} are not a list of development ids")
-        return cls(
-            id=req_id,
-            release_a=ReleaseId.parse(data["release_a"]),
-            release_b=ReleaseId.parse(data["release_b"]),
-            segments=tuple(map(_segment_from, data["segments"])),
-            causes=frozenset(causes),
-        )
 
 
 def _resolve_segments(

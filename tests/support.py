@@ -19,7 +19,7 @@ import speckit
 from speckit import generator
 from speckit.dataset import DEFAULT_MIN_TOKENS, DatasetStats, ReleaseDataset
 from speckit.generator import _sentence
-from speckit.index import UNMAPPED, SpecIndex
+from speckit.index import FORMAT_VERSION, UNMAPPED, SpecIndex
 from speckit.lexicon import Lexicon, find_mentions
 from speckit.model import (
     ContentSegment,
@@ -259,8 +259,10 @@ INDEX_LEXICON = {"timer": [], "value": [], "restart": ["Starts again"]}
 # DevBlock part (REQ_0001), a DevBlock inside a span (REQ_0002), a version
 # gap at 01R3 and 02R1 (REQ_0001), a development that swaps the procedure
 # (CB000001 at 01R2), a version switch with no cause that swaps it too
-# (REQ_0002 at 02R1), and a development that changes the text but no
-# sentence (REQ_0003: only the spacing between its sentences).
+# (REQ_0002 at 02R1), a development that changes the text but no sentence
+# (REQ_0003: only the spacing between its sentences), and a requirement that
+# first appears at the release that introduces its development (REQ_0004 at
+# 03R1), so its one diff has no text at release a and a cause.
 INDEX_CASES_SOURCE = """# S
 
 === REQ REQ_0001 ===
@@ -280,6 +282,11 @@ The value holds.
 === REQ REQ_0003 ===
 --- VERSION first=01R1 last=open ---
 [Before CB000001] The value holds. The timer runs. [CB000001] The value holds.  The timer runs. [End CB000001]
+=== END ===
+
+=== REQ REQ_0004 ===
+--- VERSION first=03R1 last=open ---
+[Before CB00XXXX] The value waits. [CB00XXXX] The value is new. The timer restarts. [End CB00XXXX]
 === END ===
 """
 
@@ -352,26 +359,70 @@ def reference_build_index(
     return index
 
 
-# (JSON path, value) edits that make a one-diff index malformed.  Each path
-# exists in the test indexes that hold a diff of "R1" under procedure "P" and
-# development "CB00XXXX", a "req_release" record of "R1" at "01R1", and an
-# entry of "R1" at "01R1" under "P" in "proc_release" and, for SA, "proc_dep".
-MALFORMED_INDEX_EDITS = {
-    "diff-id-not-a-string": (("proc_dev", "P", "CB00XXXX", 0, "id"), 5),
-    "proc-release-id-not-a-string": (("proc_release", "P", "01R1", 0, 0), 5),
-    "proc-dep-id-not-a-string": (("proc_dep", "P", "SA", "01R1", 0, 0), 5),
-    "diff-causes-not-strings": (("proc_dev", "P", "CB00XXXX", 0, "causes"), [5]),
-    "record-devs-not-strings": (("req_release", "R1", "01R1", "devs"), [5]),
-    "aliases-a-list-of-pairs": (("aliases",), [["p", "P"]]),
-    "proc-req-not-strings": (("proc_req", "P"), [5]),
-    "universe-bad-release": (("release_universe", 0), "x"),
-    "registry-bad-release": (("registry", "CB00XXXX"), "x"),
-    "diff-bad-release": (("proc_dev", "P", "CB00XXXX", 0, "release_a"), "x"),
+def one_diff_index(edits: str = "=-+") -> str:
+    """A complete format-3 index, as `index_to_json` writes it, with one diff.
+
+    The diff, of requirement "R1" from release "01R1" to "01R2", is filed under
+    procedure "P" (alias "p") and development "CB00XXXX", and holds the edit
+    script `edits` over R1's sentences ("One.", "Two.") at 01R1 and ("One.",
+    "Three.") at 01R2.  R1 also has an entry at 01R1 under "P" in
+    "proc_release" and, for SA, "proc_dep".
+    """
+    diff = {"causes": ["CB00XXXX"], "edits": edits, "id": "R1",
+            "release_a": "01R1", "release_b": "01R2"}
+    data = {
+        "aliases": {"p": "P"},
+        "format_version": FORMAT_VERSION,
+        "proc_dep": {"P": {"SA": {"01R1": [["R1", 1]]}}},
+        "proc_dev": {"P": {"CB00XXXX": [diff]}},
+        "proc_release": {"P": {"01R1": [["R1", 1]]}},
+        "proc_req": {"P": ["R1"]},
+        "registry": {"CB00XXXX": "01R2"},
+        "release_universe": ["01R1", "01R2"],
+        "req_release": {"R1": {"01R1": [1, []], "01R2": [0, ["CB00XXXX"]]}},
+        "texts": ["One. Three.", "One. Two."],
+    }
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# Edit scripts that no `index_to_json` writes for `one_diff_index()`'s texts.
+BAD_EDITS = {
+    "segment-unknown-kind": "=-x",
+    "segment-unequal-pair": "==",
+    "segment-edits-too-short": "=-",
+    "segment-edits-too-long": "=-++",
 }
 
+_DIFF = ("proc_dev", "P", "CB00XXXX", 0)
 
-# (JSON path, key) edits that file the one release record of the object at
-# the path under `key`, a release the same test indexes' universe lacks.
+# (JSON path, value, what the error names) edits that make `one_diff_index()`
+# malformed.  The error names the repr of the new value, or of the bad key in it.
+MALFORMED_INDEX_EDITS = {
+    case: (path, value, repr(value))
+    for case, (path, value) in {
+        "diff-id-not-a-string": ((*_DIFF, "id"), 5),
+        "diff-id-without-record": ((*_DIFF, "id"), "R9"),
+        "diff-edits-not-a-string": ((*_DIFF, "edits"), ["=", "-", "+"]),
+        "diff-release-outside-universe": ((*_DIFF, "release_b"), "99R9"),
+        "proc-release-id-not-a-string": (("proc_release", "P", "01R1", 0, 0), 5),
+        "proc-dep-id-not-a-string": (("proc_dep", "P", "SA", "01R1", 0, 0), 5),
+        "diff-causes-not-strings": ((*_DIFF, "causes"), [5]),
+        "record-devs-not-strings": (("req_release", "R1", "01R1", 1), [5]),
+        "record-not-a-pair": (("req_release", "R1", "01R1"), {"devs": [], "text": 1}),
+        "aliases-a-list-of-pairs": (("aliases",), [["p", "P"]]),
+        "proc-req-not-strings": (("proc_req", "P"), [5]),
+        "universe-bad-release": (("release_universe", 0), "x"),
+        "registry-bad-release": (("registry", "CB00XXXX"), "x"),
+        "diff-bad-release": ((*_DIFF, "release_a"), "x"),
+    }.items()
+}
+MALFORMED_INDEX_EDITS["proc-dep-bad-deployment"] = (
+    ("proc_dep", "P"), {"XYZ": {"01R1": [["R1", 1]]}}, repr("XYZ")
+)
+
+
+# (JSON path, key) edits that file the first release record of the object at
+# the path under `key`, a release that `one_diff_index()`'s universe lacks.
 UNKNOWN_RELEASE_EDITS = {
     f"{section}-release-{key}": (path, key)
     for section, path in (
@@ -395,14 +446,12 @@ def json_with(source: str, path: tuple, value: object) -> str:
 
 
 def json_with_key(source: str, path: tuple, key: str) -> str:
-    """The JSON document `source` with the one key of the object at `path` renamed `key`."""
+    """The JSON document `source` with the first key of the object at `path` renamed `key`."""
     data = json.loads(source)
     node = data
     for step in path:
         node = node[step]
-    (value,) = node.values()
-    node.clear()
-    node[key] = value
+    node[key] = node.pop(next(iter(node)))
     return json.dumps(data)
 
 

@@ -10,7 +10,14 @@ import speckit
 from speckit import cli
 from speckit.cli import main
 from speckit.generator import generate_corpus
-from support import MALFORMED_INDEX_EDITS, UNKNOWN_RELEASE_EDITS, json_with, json_with_key
+from support import (
+    BAD_EDITS,
+    MALFORMED_INDEX_EDITS,
+    UNKNOWN_RELEASE_EDITS,
+    json_with,
+    json_with_key,
+    one_diff_index,
+)
 
 CORPUS = """# Measurements
 
@@ -446,12 +453,8 @@ class TestGoldenJsonOutputs:
 
 # Each case: argv with "{d}" standing for the error_dir fixture, and the exit code.
 CORPUS_ARGS = ["--corpus", "{d}/doc.spec", "--registry", "{d}/registry.txt"]
-# Diff segments of an index's proc_dev that no `BehaviorDiff.to_dict` writes.
-BAD_SEGMENTS = {
-    "index-segment-text-not-a-string": ["added", 5],
-    "index-segment-unknown-kind": ["bogus", "t"],
-    "index-segment-not-a-pair": ["added"],
-}
+# Edit scripts of an index's one diff that no `index_to_json` writes for its texts.
+BAD_SEGMENTS = {f"index-{case}": edits for case, edits in BAD_EDITS.items()}
 # Values of an index that no `index_to_json` writes, at their JSON paths.
 MALFORMED_VALUES = {f"index-{case}": edit for case, edit in MALFORMED_INDEX_EDITS.items()}
 # Release keys outside the index's universe, at the JSON paths of their records.
@@ -516,24 +519,15 @@ ERROR_CASES = {
 }
 
 
-def index_with_segment(segment) -> str:
-    """A complete format-2 index holding one diff, whose one segment is `segment`."""
-    diff = {"causes": ["CB00XXXX"], "id": "R1", "release_a": "01R1", "release_b": "01R1",
-            "segments": [segment]}
-    return json.dumps(
-        {"aliases": {"p": "P"}, "format_version": 2,
-         "proc_dep": {"P": {"SA": {"01R1": [["R1", 0]]}}}, "proc_dev": {"P": {"CB00XXXX": [diff]}},
-         "proc_release": {"P": {"01R1": [["R1", 0]]}}, "proc_req": {"P": ["R1"]},
-         "registry": {"CB00XXXX": "01R1"},
-         "release_universe": ["01R1"], "req_release": {"R1": {"01R1": {"devs": [], "text": 0}}},
-         "texts": ["t"]}
-    )
-
-
 # A complete, empty index as format 1 wrote it: every text inline, no "texts" table.
 FORMAT_1_INDEX = (
     '{"aliases":{},"format_version":1,"proc_dep":{},"proc_dev":{},"proc_release":{},'
     '"proc_req":{},"registry":{},"release_universe":["01R1"],"req_release":{}}\n'
+)
+# A complete, empty index as format 2 wrote it: no edit scripts yet.
+FORMAT_2_INDEX = (
+    '{"aliases":{},"format_version":2,"proc_dep":{},"proc_dev":{},"proc_release":{},'
+    '"proc_req":{},"registry":{},"release_universe":["01R1"],"req_release":{},"texts":[]}\n'
 )
 
 
@@ -547,16 +541,16 @@ class TestErrorContract:
         (corpus_dir / "conflict.json").write_text('{"A": ["x y"], "B": ["x y"]}', encoding="utf-8")
         (corpus_dir / "empty_alias.json").write_text('{"A": [""]}', encoding="utf-8")
         (corpus_dir / "blank_alias.json").write_text('{"A": [" "]}', encoding="utf-8")
-        (corpus_dir / "keys.json").write_text('{"format_version": 2}', encoding="utf-8")
+        (corpus_dir / "keys.json").write_text('{"format_version": 3}', encoding="utf-8")
         (corpus_dir / "list.json").write_text("[1]", encoding="utf-8")
         (corpus_dir / "bad_config.json").write_text('{"shingle_k": 0}', encoding="utf-8")
-        for case, segment in BAD_SEGMENTS.items():
-            (corpus_dir / f"{case}.json").write_text(index_with_segment(segment), encoding="utf-8")
-        for case, (path, value) in MALFORMED_VALUES.items():
-            index = json_with(index_with_segment(["added", "t"]), path, value)
+        for case, edits in BAD_SEGMENTS.items():
+            (corpus_dir / f"{case}.json").write_text(one_diff_index(edits), encoding="utf-8")
+        for case, (path, value, _) in MALFORMED_VALUES.items():
+            index = json_with(one_diff_index(), path, value)
             (corpus_dir / f"{case}.json").write_text(index, encoding="utf-8")
         for case, (path, key) in UNKNOWN_RELEASES.items():
-            index = json_with_key(index_with_segment(["added", "t"]), path, key)
+            index = json_with_key(one_diff_index(), path, key)
             (corpus_dir / f"{case}.json").write_text(index, encoding="utf-8")
         return corpus_dir
 
@@ -581,7 +575,7 @@ class TestErrorContract:
         assert main([a.format(d=error_dir) for a in argv]) == code
         err = capsys.readouterr().err
         assert err.startswith("error: index: malformed index: ")
-        assert repr(MALFORMED_VALUES[case][1]) in err
+        assert MALFORMED_VALUES[case][2] in err
 
     @pytest.mark.parametrize("case", UNKNOWN_RELEASES)
     def test_release_outside_universe_is_a_malformed_index(self, error_dir, capsys, case):
@@ -592,20 +586,32 @@ class TestErrorContract:
         assert repr(UNKNOWN_RELEASES[case][1]) in err
 
     def test_good_diff_segment_loads(self, tmp_path, capsys):
-        (tmp_path / "index.json").write_text(index_with_segment(["added", "t"]), encoding="utf-8")
-        argv = ["query", "dev", "--index", str(tmp_path / "index.json"), "--proc", "P",
+        (tmp_path / "index.json").write_text(one_diff_index("=-+"), encoding="utf-8")
+        argv = ["query", "dev", "--index", str(tmp_path / "index.json"), "--proc", "p",
                 "--dev", "CB00XXXX", "--format", "json"]
         assert main(argv) == 0
-        assert '["added", "t"]' in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            '{"causes": ["CB00XXXX"], "id": "R1", "release_a": "01R1", "release_b": "01R2", '
+            '"segments": [["unchanged", "One."], ["removed", "Two."], ["added", "Three."]]}\n'
+        )
 
-    def test_format_1_index_names_its_version(self, tmp_path, capsys):
-        (tmp_path / "v1.json").write_text(FORMAT_1_INDEX, encoding="utf-8")
-        argv = ["query", "reqs", "--index", str(tmp_path / "v1.json"), "--proc", "A2 measurement"]
+    @staticmethod
+    def old_format_error(tmp_path, capsys, source: str) -> str:
+        (tmp_path / "old.json").write_text(source, encoding="utf-8")
+        argv = ["query", "reqs", "--index", str(tmp_path / "old.json"), "--proc", "A2 measurement"]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert err.startswith("error: index: unsupported index format version: 1 ")
         assert "index build" in err
+        return err
+
+    def test_format_1_index_names_its_version(self, tmp_path, capsys):
+        err = self.old_format_error(tmp_path, capsys, FORMAT_1_INDEX)
+        assert err.startswith("error: index: unsupported index format version: 1 ")
+
+    def test_format_2_index_names_its_version(self, tmp_path, capsys):
+        err = self.old_format_error(tmp_path, capsys, FORMAT_2_INDEX)
+        assert err.startswith("error: index: unsupported index format version: 2 ")
 
     def test_internal_bug_is_not_swallowed(self, corpus_dir, monkeypatch):
         def broken(*_):

@@ -34,9 +34,10 @@ from speckit.lint import LintConfig, lint_corpus
 from speckit.model import DeploymentType, release_universe
 from speckit.resolver import diff_behavior
 
-# Index format 2 stores each distinct text once, in a "texts" table, so the
-# index JSON changed; the query answers read back from it did not.
-INDEX_SHA256 = "f6c7b66446fbffe8f30a50cf3872bf8290e3f07e5964745c328a554d9ee7bb82"
+# Index format 3 stores a proc_dev diff as an edit script over its texts and
+# a req_release record as a [text, devs] pair, so the index JSON changed; the
+# query answers read back from it did not.
+INDEX_SHA256 = "c022500002be79e211c291e065ac2d33bb764fe379e8cd9461e048b1f34e13e6"
 QUERY_SHA256 = "4ce569f2692d2c1f4dfcbc6c2b83c31fad5d98312932081e6b75961a9ce07d29"
 EXTRACT_SHA256 = "6b09632e31244138c23c4db8e4b9b71ab0a7e618d676d9d00a4c1d0d630b7a3e"
 DIFF_SHA256 = "f89750cd9f80ad292e87aee1dc6a9a39e275670091fed6d59c05b7c902e7728f"

@@ -8,6 +8,7 @@ import speckit.index
 import speckit.resolver
 from speckit.errors import UnknownDevelopmentError, UnknownReleaseError
 from speckit.index import (
+    FORMAT_VERSION,
     UNMAPPED,
     SpecIndex,
     _changed_diffs,
@@ -33,6 +34,7 @@ from speckit.model import (
 from speckit.parser import parse_document
 from speckit.resolver import DiffKind, materialize, resolve_details
 from support import (
+    BAD_EDITS,
     INDEX_LEXICON,
     MALFORMED_INDEX_EDITS,
     RELEASES,
@@ -43,6 +45,7 @@ from support import (
     index_corpora,
     json_with,
     json_with_key,
+    one_diff_index,
     reference_build_index,
     reference_diff_texts,
 )
@@ -395,15 +398,15 @@ BAD_TEXT_REFS = [
 
 
 def _text_ref_blob(section: str, ref) -> str:
-    """A one-requirement format-2 index whose `section` refers to text `ref`."""
+    """A one-requirement format-3 index whose `section` refers to text `ref`."""
     entries = {
-        "req_release": {"R1": {"01R1": {"devs": [], "text": ref}}},
+        "req_release": {"R1": {"01R1": [ref, []]}},
         "proc_release": {"P": {"01R1": [["R1", ref]]}},
         "proc_dep": {"P": {"SA": {"01R1": [["R1", ref]]}}},
     }
     data = {
         "aliases": {},
-        "format_version": 2,
+        "format_version": FORMAT_VERSION,
         "proc_dev": {},
         "proc_req": {},
         "registry": {},
@@ -414,26 +417,6 @@ def _text_ref_blob(section: str, ref) -> str:
         "proc_dep": {},
         section: entries[section],
     }
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _diff_segment_blob(segment) -> str:
-    """A one-diff format-2 index whose diff holds the one segment `segment`.
-
-    Its one requirement also has an entry in "proc_release" and "proc_dep".
-    """
-    data = json.loads(_text_ref_blob("req_release", 0))
-    data["registry"] = {"CB00XXXX": "01R1"}
-    data["proc_release"] = json.loads(_text_ref_blob("proc_release", 0))["proc_release"]
-    data["proc_dep"] = json.loads(_text_ref_blob("proc_dep", 0))["proc_dep"]
-    diff = {
-        "causes": ["CB00XXXX"],
-        "id": "R1",
-        "release_a": "01R1",
-        "release_b": "01R1",
-        "segments": [segment],
-    }
-    data["proc_dev"] = {"P": {"CB00XXXX": [diff]}}
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -448,17 +431,19 @@ class TestPersistence:
 
     def test_format_version_checked(self, small_world):
         _, _, _, index = small_world
-        for version in (1, 99):
-            blob = index_to_json(index).replace('"format_version":2', f'"format_version":{version}')
+        for version in (1, 2, 99):
+            blob = index_to_json(index).replace('"format_version":3', f'"format_version":{version}')
             with pytest.raises(ValueError, match=f"^unsupported index format version: {version} "):
                 index_from_json(blob)
 
     @pytest.mark.parametrize(
         "blob",
         [
-            '{"format_version": 2}',
+            pytest.param('{"format_version": 3}', id="only-format-version"),
             "[1]",
-            '{"format_version": 2, "release_universe": 7}',
+            pytest.param(
+                '{"format_version": 3, "release_universe": 7}', id="missing-keys-universe-7"
+            ),
             *(
                 pytest.param(_text_ref_blob(section, ref), id=f"{section}-text-{ref!r}")
                 for section, ref in BAD_TEXT_REFS
@@ -470,10 +455,7 @@ class TestPersistence:
             pytest.param(
                 _text_ref_blob("req_release", 0).replace('["one"]', "[1]"), id="texts-not-strings"
             ),
-            pytest.param(_diff_segment_blob(["added", 5]), id="segment-text-not-a-string"),
-            pytest.param(_diff_segment_blob(["bogus", "t"]), id="segment-unknown-kind"),
-            pytest.param(_diff_segment_blob(["added"]), id="segment-not-a-pair"),
-            pytest.param(_diff_segment_blob("added"), id="segment-a-string"),
+            *(pytest.param(one_diff_index(edits), id=case) for case, edits in BAD_EDITS.items()),
         ],
     )
     def test_wrong_shape_is_malformed_index(self, blob):
@@ -482,24 +464,36 @@ class TestPersistence:
 
     @pytest.mark.parametrize("case", MALFORMED_INDEX_EDITS)
     def test_wrong_value_is_malformed_index(self, case):
-        path, value = MALFORMED_INDEX_EDITS[case]
+        path, value, named = MALFORMED_INDEX_EDITS[case]
         with pytest.raises(ValueError, match="^malformed index: ") as raised:
-            index_from_json(json_with(_diff_segment_blob(["added", "t"]), path, value))
-        assert repr(value) in str(raised.value)
+            index_from_json(json_with(one_diff_index(), path, value))
+        assert named in str(raised.value)
 
     @pytest.mark.parametrize("case", UNKNOWN_RELEASE_EDITS)
     def test_release_outside_universe_is_malformed_index(self, case):
         path, key = UNKNOWN_RELEASE_EDITS[case]
-        blob = json_with_key(_diff_segment_blob(["added", "t"]), path, key)
+        blob = json_with_key(one_diff_index(), path, key)
         with pytest.raises(ValueError, match="^malformed index: ") as raised:
             index_from_json(blob)
         assert f"release {key!r} is not in the release universe" in str(raised.value)
 
     def test_valid_diff_segment_loads(self):
-        blob = _diff_segment_blob(["added", "t"])
+        blob = one_diff_index("=-+")
         index = index_from_json(blob)
-        assert index.proc_dev["P"]["CB00XXXX"][0].added() == ["t"]
+        (diff,) = query_dev_changes(index, "p", "CB00XXXX")
+        assert [(s.kind, s.text) for s in diff.segments] == [
+            (DiffKind.UNCHANGED, "One."),
+            (DiffKind.REMOVED, "Two."),
+            (DiffKind.ADDED, "Three."),
+        ]
+        assert (diff.id, str(diff.release_a), str(diff.release_b)) == ("R1", "01R1", "01R2")
+        assert diff.causes == {"CB00XXXX"}
         assert index_to_json(index) == blob
+
+    def test_edit_script_order_is_kept(self):
+        (diff,) = index_from_json(one_diff_index("=+-")).proc_dev["P"]["CB00XXXX"]
+        assert diff.added() == ["Three."] and diff.removed() == ["Two."]
+        assert [s.kind for s in diff.segments][1:] == [DiffKind.ADDED, DiffKind.REMOVED]
 
     @pytest.mark.parametrize("section", ["req_release", "proc_release", "proc_dep"])
     def test_valid_text_reference_loads(self, section):
@@ -536,6 +530,29 @@ class TestPersistence:
         a = query_release_diff(again, "A2 measurement", rel("01R1"), rel("01R2"))
         b = query_release_diff(index, "A2 measurement", rel("01R1"), rel("01R2"))
         assert a == b
+
+
+class TestRoundTrip:
+    """Loading a written index gives back the built one, field for field."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(index_corpora())
+    @example(index_cases())
+    def test_loaded_equals_built(self, corpus):
+        docs, registry = corpus
+        built = build_index(docs, registry, build_lexicon(INDEX_LEXICON))
+        loaded = index_from_json(index_to_json(built))
+        for name in (f.name for f in dataclasses.fields(SpecIndex)):
+            assert getattr(loaded, name) == getattr(built, name), name
+
+    def test_cases_hold_a_caused_diff_from_no_text(self):
+        docs, registry = index_cases()
+        index = build_index(docs, registry, build_lexicon(INDEX_LEXICON))
+        (diff,) = [d for d in index.proc_dev["value"]["CB00XXXX"] if d.id == "REQ_0004"]
+        assert str(diff.release_a) not in index.req_release["REQ_0004"]
+        assert diff.causes == {"CB00XXXX"}
+        assert diff.added() == ["The value is new.", "The timer restarts."]
+        assert not diff.removed()
 
 
 class TestReleaseGap:

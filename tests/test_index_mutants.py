@@ -1,0 +1,126 @@
+"""Seeded mutation check for the index loader over a small built index.
+
+Each mutant is the written index of `support.index_cases()` with one edit:
+a key dropped at a fixed-schema path (a top-level key, a field of a
+`proc_dev` diff, or one half of a `req_release` record or an entry pair), or
+a value replaced by one of another JSON type at a seeded sample of paths.
+`index_from_json` must load each mutant or raise ValueError whose message
+starts "malformed index:", and never raise anything else; every dropped
+fixed key must raise.
+"""
+
+import copy
+import json
+import random
+
+import pytest
+
+from speckit.index import build_index, index_from_json, index_to_json
+from speckit.lexicon import build_lexicon
+from support import INDEX_LEXICON, index_cases
+
+TOP_LEVEL_KEYS = (
+    "aliases", "format_version", "proc_dep", "proc_dev", "proc_release", "proc_req",
+    "registry", "release_universe", "req_release", "texts",
+)
+DIFF_FIELDS = ("causes", "edits", "id", "release_a", "release_b")
+# One value of each JSON type; a swap takes one whose type differs.
+SWAPS = (None, True, 0, 1.5, "x", [], [0], {}, {"x": 0})
+
+
+def _base_source() -> str:
+    docs, registry = index_cases()
+    return index_to_json(build_index(docs, registry, build_lexicon(INDEX_LEXICON)))
+
+
+BASE_SOURCE = _base_source()
+BASE = json.loads(BASE_SOURCE)
+
+
+def _paths(node, prefix=()):
+    """The path of every value under `node`, parents before children."""
+    items = node.items() if type(node) is dict else enumerate(node) if type(node) is list else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _at(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+def _fixed_paths() -> list[tuple]:
+    """Every path whose key the format fixes, so dropping it must be refused."""
+    paths = [(key,) for key in TOP_LEVEL_KEYS]
+    for proc, by_dev in BASE["proc_dev"].items():
+        for dev, diffs in by_dev.items():
+            for k in range(len(diffs)):
+                paths += [("proc_dev", proc, dev, k, field) for field in DIFF_FIELDS]
+    for req_id, by_release in BASE["req_release"].items():
+        for r in by_release:
+            paths += [("req_release", req_id, r, 1), ("req_release", req_id, r, 0)]
+    pair_lists = [("proc_release", proc, r) for proc in BASE["proc_release"]
+                  for r in BASE["proc_release"][proc]]
+    pair_lists += [("proc_dep", proc, dep, r) for proc in BASE["proc_dep"]
+                   for dep in BASE["proc_dep"][proc] for r in BASE["proc_dep"][proc][dep]]
+    for path in pair_lists:
+        for k in range(len(_at(BASE, path))):
+            paths += [path + (k, 1), path + (k, 0)]
+    return paths
+
+
+FIXED_PATHS = _fixed_paths()
+
+
+def _dropped(path: tuple) -> str:
+    data = copy.deepcopy(BASE)
+    del _at(data, path[:-1])[path[-1]]
+    return json.dumps(data)
+
+
+def _swaps(count: int) -> list[tuple[tuple, object]]:
+    """(path, new value) for a seeded sample of paths of BASE."""
+    rng = random.Random(20241019)
+    paths = list(_paths(BASE))
+    picks = []
+    for path in rng.sample(paths, min(count, len(paths))):
+        old = type(_at(BASE, path))
+        picks.append((path, rng.choice([v for v in SWAPS if type(v) is not old])))
+    return picks
+
+
+SWAPPED = _swaps(400)
+
+
+def _swapped(path: tuple, value) -> str:
+    data = copy.deepcopy(BASE)
+    _at(data, path[:-1])[path[-1]] = value
+    return json.dumps(data)
+
+
+def test_base_loads_and_covers_the_schema():
+    assert index_to_json(index_from_json(BASE_SOURCE)) == BASE_SOURCE
+    assert sorted(BASE) == sorted(TOP_LEVEL_KEYS)
+    assert sum(path[0] == "proc_dev" for path in FIXED_PATHS) >= 2 * len(DIFF_FIELDS)
+    assert {path[0] for path, _ in SWAPPED} == set(TOP_LEVEL_KEYS)
+    assert len({type(value) for _, value in SWAPPED}) == len({type(v) for v in SWAPS})
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_every_dropped_fixed_key_is_malformed(chunk):
+    for path in FIXED_PATHS[chunk::4]:
+        with pytest.raises(ValueError, match="^malformed index: "):
+            index_from_json(_dropped(path))
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_swapped_type_loads_or_is_malformed(chunk):
+    for path, value in SWAPPED[chunk::4]:
+        try:
+            index_from_json(_swapped(path, value))
+        except ValueError as exc:
+            assert str(exc).startswith("malformed index: "), (path, value, exc)
+        except Exception as exc:  # any other exception fails, naming the mutant
+            raise AssertionError(f"{path} = {value!r}: {type(exc).__name__}: {exc}") from exc
