@@ -80,6 +80,8 @@ def _load(kind: str, path: str, parse: Callable[[str], T]) -> T:
         return parse(source)
     except (ValueError, SpecError) as exc:
         raise ValueError(f"{kind}: {exc}") from exc
+    except RecursionError as exc:  # JSON nested deeper than the parser recurses
+        raise ValueError(f"{kind}: nested too deeply to parse ({exc})") from exc
 
 
 def _load_corpus(paths: Sequence[str]) -> tuple[list[SpecDocument], list]:

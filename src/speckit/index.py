@@ -7,24 +7,23 @@ Procedures are lexicon canonical names; requirements mentioning no known
 procedure are kept under the reserved "(unmapped)" key.  The index is
 rebuilt from scratch on corpus change and persists to a single JSON file.
 
-Format 3 holds each distinct resolved text once, in a sorted "texts" table
-that the other sections refer to by position.  A "req_release" record is the
-pair `[text position, sorted reachable devs]`, and a "proc_release" or
-"proc_dep" entry the pair `[requirement id, text position]`.  A "proc_dev"
-diff is `{"id", "release_a", "release_b", "edits", "causes"}`: its segments
-are not stored, because they are sentences of the requirement's two texts.
-`edits` has one character per segment, in order: "=" unchanged, "-" removed,
-"+" added.  The loader splits both texts into sentences and walks the script,
-"=" and "-" through the sentences of release a, "=" and "+" through those of
-release b; an absent record stands for the empty text.  On gen-corpus seed
-1 (size 2000) format 3 writes 1.95 MB, format 2 wrote 2.60 MB.
+Format 4 stores nothing that the loader can derive.  Each distinct resolved
+text is held once, in a sorted "texts" table referred to by position: a
+"req_release" record is the pair `[text position, sorted reachable devs]`,
+and a "proc_release" or "proc_dep" entry the pair `[requirement id, text
+position]`.  "proc_dev" lists, per procedure and development, the ids of the
+requirements that the development changed.  The loader re-derives each diff
+with `diff_texts`, from the release before the development's registry
+release to that release, and each procedure's requirements from
+"proc_release".  On gen-corpus seed 1 (size 2000) the file is 1.86 MB.
 
 A wrong shape raises ValueError "malformed index: ...": a missing key, a
 value of the wrong JSON type, a text reference outside the table, a record or
-entry that is not a pair, a release key outside "release_universe", a
-"proc_dep" deployment other than SA or NSA, a diff id with no "req_release"
-record, and an edit script with another character, an "=" over two unequal
-sentences, or a length that does not use up both texts' sentences.
+entry that is not a pair, a "release_universe" that is not strictly
+increasing or a release key outside it, a "proc_dep" deployment other than SA
+or NSA, a "proc_dev" development that is not in the registry or is registered
+outside the universe or at its first release, and a "proc_dev" id with no
+"req_release" record or whose diff does not name that development as a cause.
 """
 
 from __future__ import annotations
@@ -43,26 +42,17 @@ from .model import (
     ReleaseId,
     SpecDocument,
     iter_segments,
+    previous_release,
     release_universe,
 )
-from .resolver import (
-    BehaviorDiff,
-    DiffKind,
-    DiffSegment,
-    _sentences,
-    diff_causes,
-    diff_texts,
-    resolve_details,
-)
+from .resolver import BehaviorDiff, diff_causes, diff_texts, resolve_details
 from .tokenizer import tokenize
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 UNMAPPED = "(unmapped)"
 
 Entry = tuple[str, str]  # (requirement id, resolved text)
 _ABSENT: tuple[None, frozenset[str]] = (None, frozenset())  # no text at a release
-# A diff segment's kind as one character of a persisted edit script.
-_EDIT_CODES = {DiffKind.UNCHANGED: "=", DiffKind.REMOVED: "-", DiffKind.ADDED: "+"}
 _DEPLOYMENTS = frozenset(dep.value for dep in DeploymentType)
 
 
@@ -112,7 +102,6 @@ def build_index(
         req_release={},
         proc_release={},
         proc_dev={},
-        proc_req={},
         proc_dep={},
     )
 
@@ -151,7 +140,6 @@ def build_index(
                 entry = (req.id, text)
                 for proc in procs:
                     index.proc_release.setdefault(proc, {}).setdefault(r_key, []).append(entry)
-                    index.proc_req.setdefault(proc, set()).add(req.id)
 
                 for dep, dep_key in deployments:
                     dep_entry = entry
@@ -181,7 +169,16 @@ def build_index(
                 for proc in sorted(procs):
                     index.proc_dev.setdefault(proc, {}).setdefault(dev, []).append(diff)
 
+    index.proc_req = _proc_req(index.proc_release)
     return index
+
+
+def _proc_req(proc_release: dict[str, dict[str, list[Entry]]]) -> dict[str, set[str]]:
+    """The ids of each procedure's entries at any release."""
+    return {
+        proc: {req_id for entries in by_release.values() for req_id, _ in entries}
+        for proc, by_release in proc_release.items()
+    }
 
 
 def _changed_diffs(
@@ -295,10 +292,9 @@ def index_to_json(index: SpecIndex) -> str:
             for proc, by_release in index.proc_release.items()
         },
         "proc_dev": {
-            proc: {dev: list(map(_diff_record, diffs)) for dev, diffs in by_dev.items()}
+            proc: {dev: [diff.id for diff in diffs] for dev, diffs in by_dev.items()}
             for proc, by_dev in index.proc_dev.items()
         },
-        "proc_req": {proc: sorted(ids) for proc, ids in index.proc_req.items()},
         "proc_dep": {
             proc: {
                 dep: {r: refs(entries) for r, entries in by_release.items()}
@@ -309,17 +305,6 @@ def index_to_json(index: SpecIndex) -> str:
     }
     # sort_keys orders every mapping; only the sets above need sorting
     return json.dumps(data, sort_keys=True, indent=None, separators=(",", ":")) + "\n"
-
-
-def _diff_record(diff: BehaviorDiff) -> dict[str, Any]:
-    """`diff` as format 3 stores it: its segments as an edit script."""
-    return {
-        "id": diff.id,
-        "release_a": str(diff.release_a),
-        "release_b": str(diff.release_b),
-        "edits": "".join([_EDIT_CODES[s.kind] for s in diff.segments]),
-        "causes": sorted(diff.causes),
-    }
 
 
 def _entry_lists(index: SpecIndex) -> Iterator[list[Entry]]:
@@ -380,7 +365,10 @@ def index_from_json(source: str) -> SpecIndex:
             return text_at(ref), frozen
 
         universe = [ReleaseId.parse(r) for r in data["release_universe"]]
+        if universe != sorted(set(universe)):
+            raise ValueError(f"release_universe {[str(r) for r in universe]} is not increasing")
         parsed = {str(r): r for r in universe}
+        registry = {dev: ReleaseId.parse(r) for dev, r in data["registry"].items()}
 
         def release(key: str) -> str:
             if key not in parsed:
@@ -396,46 +384,53 @@ def index_from_json(source: str) -> SpecIndex:
             req_id: {release(r): record(pair) for r, pair in by_release.items()}
             for req_id, by_release in data["req_release"].items()
         }
+        # One diff per (requirement, release b), shared by every procedure and
+        # development that files it, as in the built index.
+        derived: dict[tuple[str, ReleaseId], BehaviorDiff] = {}
 
-        def diff(stored: dict[str, Any]) -> BehaviorDiff:
-            req_id, edits, causes = stored["id"], stored["edits"], stored["causes"]
-            if type(req_id) is not str:
-                raise ValueError(f"diff id {req_id!r} is not a requirement id")
-            if type(causes) is not list or not all(type(dev) is str for dev in causes):
-                raise ValueError(f"diff causes {causes!r} are not a list of development ids")
-            if type(edits) is not str:
-                raise ValueError(f"diff edits {reprlib.repr(edits)} is not a string")
-            records = req_release.get(req_id)
-            if records is None:
-                raise ValueError(f"diff id {req_id!r} has no req_release record")
-            a, b = release(stored["release_a"]), release(stored["release_b"])
-            text_a, text_b = records.get(a, _ABSENT)[0], records.get(b, _ABSENT)[0]
-            segments = _edited(
-                edits,
-                _sentences(text_a) if text_a is not None else (),
-                _sentences(text_b) if text_b is not None else (),
-            )
-            return BehaviorDiff(req_id, parsed[a], parsed[b], segments, frozenset(causes))
+        def dev_diffs(dev: str, ids: Any) -> list[BehaviorDiff]:
+            """The diffs of `ids` at the one adjacent release pair whose causes can name `dev`."""
+            if dev not in registry:
+                raise ValueError(f"development {dev!r} is not in the registry")
+            b = parsed[release(str(registry[dev]))]
+            a = previous_release(universe, b)
+            if a is None:
+                raise ValueError(f"development {dev!r} is registered at first release {str(b)!r}")
+            diffs = []
+            for req_id in _list(ids, "ids"):
+                if type(req_id) is not str or req_id not in req_release:
+                    raise ValueError(f"requirement id {req_id!r} has no req_release record")
+                diff = derived.get((req_id, b))
+                if diff is None:
+                    records = req_release[req_id]
+                    text_a, devs_a = records.get(str(a), _ABSENT)
+                    text_b, devs_b = records.get(str(b), _ABSENT)
+                    diff = derived[req_id, b] = diff_texts(
+                        req_id, a, b, text_a, text_b, devs_a, devs_b, registry
+                    )
+                if dev not in diff.causes:
+                    raise ValueError(f"requirement {req_id!r} was not changed by {dev!r} at {b}")
+                diffs.append(diff)
+            return diffs
 
         aliases = data["aliases"]
         if type(aliases) is not dict or not all(type(c) is str for c in aliases.values()):
             raise ValueError(f"aliases {reprlib.repr(aliases)} is not an object of strings")
+        proc_release = {
+            proc: {release(r): entries(refs) for r, refs in by_release.items()}
+            for proc, by_release in data["proc_release"].items()
+        }
         return SpecIndex(
             release_universe=universe,
-            registry={dev: ReleaseId.parse(r) for dev, r in data["registry"].items()},
+            registry=registry,
             aliases=aliases,
             req_release=req_release,
-            proc_release={
-                proc: {release(r): entries(refs) for r, refs in by_release.items()}
-                for proc, by_release in data["proc_release"].items()
-            },
+            proc_release=proc_release,
             proc_dev={
-                proc: {
-                    dev: list(map(diff, _list(diffs, "diffs"))) for dev, diffs in by_dev.items()
-                }
+                proc: {dev: dev_diffs(dev, ids) for dev, ids in by_dev.items()}
                 for proc, by_dev in data["proc_dev"].items()
             },
-            proc_req={proc: set(_strings(ids, "ids")) for proc, ids in data["proc_req"].items()},
+            proc_req=_proc_req(proc_release),
             proc_dep={
                 proc: {
                     deployment(dep): {release(r): entries(refs) for r, refs in by_release.items()}
@@ -448,42 +443,6 @@ def index_from_json(source: str) -> SpecIndex:
         raise ValueError(f"malformed index: {exc}") from exc
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed index: {type(exc).__name__}: {exc}") from exc
-
-
-def _edited(
-    edits: str, a: tuple[str, ...], b: tuple[str, ...]
-) -> tuple[DiffSegment, ...]:
-    """The segments that the edit script `edits` spells over sentences `a` and `b`.
-
-    A character other than "=", "-" or "+", an "=" over two unequal sentences,
-    and a script that runs past or stops short of either list raise ValueError.
-    """
-    segments: list[DiffSegment] = []
-    i = j = 0
-    for code in edits:
-        if code == "=" and i < len(a) and j < len(b) and a[i] == b[j]:
-            segments.append(DiffSegment(DiffKind.UNCHANGED, a[i]))
-            i += 1
-            j += 1
-        elif code == "-" and i < len(a):
-            segments.append(DiffSegment(DiffKind.REMOVED, a[i]))
-            i += 1
-        elif code == "+" and j < len(b):
-            segments.append(DiffSegment(DiffKind.ADDED, b[j]))
-            j += 1
-        elif code in "=-+":
-            raise ValueError(
-                f"diff edits {edits!r}: {code!r} at step {len(segments) + 1} does not fit "
-                f"text a at sentence {i + 1} of {len(a)} and text b at {j + 1} of {len(b)}"
-            )
-        else:
-            raise ValueError(f"diff edits {edits!r}: {code!r} is not one of =, -, +")
-    if i != len(a) or j != len(b):
-        raise ValueError(
-            f"diff edits {edits!r} stop at sentence {i} of {len(a)} in text a "
-            f"and {j} of {len(b)} in text b"
-        )
-    return tuple(segments)
 
 
 def _list(value: Any, what: str) -> list:

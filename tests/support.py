@@ -359,24 +359,22 @@ def reference_build_index(
     return index
 
 
-def one_diff_index(edits: str = "=-+") -> str:
-    """A complete format-3 index, as `index_to_json` writes it, with one diff.
+def one_diff_index() -> str:
+    """A complete format-4 index, as `index_to_json` writes it, with one diff.
 
-    The diff, of requirement "R1" from release "01R1" to "01R2", is filed under
-    procedure "P" (alias "p") and development "CB00XXXX", and holds the edit
-    script `edits` over R1's sentences ("One.", "Two.") at 01R1 and ("One.",
-    "Three.") at 01R2.  R1 also has an entry at 01R1 under "P" in
-    "proc_release" and, for SA, "proc_dep".
+    The diff, of requirement "R1" from release "01R1" to "01R2", where
+    development "CB00XXXX" is registered, is filed under procedure "P" (alias
+    "p") and that development.  R1's sentences are ("One.", "Two.") at 01R1
+    and ("One.", "Three.") at 01R2, so the loader derives the segments
+    unchanged "One.", added "Three.", removed "Two.".  R1 also has an entry at
+    01R1 under "P" in "proc_release" and, for SA, "proc_dep".
     """
-    diff = {"causes": ["CB00XXXX"], "edits": edits, "id": "R1",
-            "release_a": "01R1", "release_b": "01R2"}
     data = {
         "aliases": {"p": "P"},
         "format_version": FORMAT_VERSION,
         "proc_dep": {"P": {"SA": {"01R1": [["R1", 1]]}}},
-        "proc_dev": {"P": {"CB00XXXX": [diff]}},
+        "proc_dev": {"P": {"CB00XXXX": ["R1"]}},
         "proc_release": {"P": {"01R1": [["R1", 1]]}},
-        "proc_req": {"P": ["R1"]},
         "registry": {"CB00XXXX": "01R2"},
         "release_universe": ["01R1", "01R2"],
         "req_release": {"R1": {"01R1": [1, []], "01R2": [0, ["CB00XXXX"]]}},
@@ -385,39 +383,36 @@ def one_diff_index(edits: str = "=-+") -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-# Edit scripts that no `index_to_json` writes for `one_diff_index()`'s texts.
-BAD_EDITS = {
-    "segment-unknown-kind": "=-x",
-    "segment-unequal-pair": "==",
-    "segment-edits-too-short": "=-",
-    "segment-edits-too-long": "=-++",
-}
-
-_DIFF = ("proc_dev", "P", "CB00XXXX", 0)
+_IDS = ("proc_dev", "P", "CB00XXXX")
 
 # (JSON path, value, what the error names) edits that make `one_diff_index()`
 # malformed.  The error names the repr of the new value, or of the bad key in it.
 MALFORMED_INDEX_EDITS = {
     case: (path, value, repr(value))
     for case, (path, value) in {
-        "diff-id-not-a-string": ((*_DIFF, "id"), 5),
-        "diff-id-without-record": ((*_DIFF, "id"), "R9"),
-        "diff-edits-not-a-string": ((*_DIFF, "edits"), ["=", "-", "+"]),
-        "diff-release-outside-universe": ((*_DIFF, "release_b"), "99R9"),
+        "diff-id-not-a-string": ((*_IDS, 0), 5),
+        "diff-id-without-record": ((*_IDS, 0), "R9"),
+        "diff-release-outside-universe": (("registry", "CB00XXXX"), "02R1"),
+        "diff-at-first-release": (("registry", "CB00XXXX"), "01R1"),
+        "universe-not-increasing": (("release_universe",), ["01R2", "01R1"]),
         "proc-release-id-not-a-string": (("proc_release", "P", "01R1", 0, 0), 5),
         "proc-dep-id-not-a-string": (("proc_dep", "P", "SA", "01R1", 0, 0), 5),
-        "diff-causes-not-strings": ((*_DIFF, "causes"), [5]),
         "record-devs-not-strings": (("req_release", "R1", "01R1", 1), [5]),
         "record-not-a-pair": (("req_release", "R1", "01R1"), {"devs": [], "text": 1}),
         "aliases-a-list-of-pairs": (("aliases",), [["p", "P"]]),
-        "proc-req-not-strings": (("proc_req", "P"), [5]),
         "universe-bad-release": (("release_universe", 0), "x"),
         "registry-bad-release": (("registry", "CB00XXXX"), "x"),
-        "diff-bad-release": ((*_DIFF, "release_a"), "x"),
     }.items()
 }
 MALFORMED_INDEX_EDITS["proc-dep-bad-deployment"] = (
     ("proc_dep", "P"), {"XYZ": {"01R1": [["R1", 1]]}}, repr("XYZ")
+)
+MALFORMED_INDEX_EDITS["diff-dev-not-registered"] = (
+    ("proc_dev", "P"), {"CB_NOPE": ["R1"]}, repr("CB_NOPE")
+)
+# R1's text changes at 01R2, but no development of its records caused it.
+MALFORMED_INDEX_EDITS["diff-not-caused-by-dev"] = (
+    ("req_release", "R1", "01R2", 1), [], repr("CB00XXXX")
 )
 
 

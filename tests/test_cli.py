@@ -10,8 +10,8 @@ import speckit
 from speckit import cli
 from speckit.cli import main
 from speckit.generator import generate_corpus
+from speckit.index import FORMAT_VERSION
 from support import (
-    BAD_EDITS,
     MALFORMED_INDEX_EDITS,
     UNKNOWN_RELEASE_EDITS,
     json_with,
@@ -453,8 +453,6 @@ class TestGoldenJsonOutputs:
 
 # Each case: argv with "{d}" standing for the error_dir fixture, and the exit code.
 CORPUS_ARGS = ["--corpus", "{d}/doc.spec", "--registry", "{d}/registry.txt"]
-# Edit scripts of an index's one diff that no `index_to_json` writes for its texts.
-BAD_SEGMENTS = {f"index-{case}": edits for case, edits in BAD_EDITS.items()}
 # Values of an index that no `index_to_json` writes, at their JSON paths.
 MALFORMED_VALUES = {f"index-{case}": edit for case, edit in MALFORMED_INDEX_EDITS.items()}
 # Release keys outside the index's universe, at the JSON paths of their records.
@@ -491,6 +489,14 @@ ERROR_CASES = {
     "index-not-an-object": (
         ["query", "reqs", "--index", "{d}/list.json", "--proc", "A2 measurement"], 2
     ),
+    # JSON nested deeper than the parser recurses
+    "index-nested-too-deep": (
+        ["query", "reqs", "--index", "{d}/deep.json", "--proc", "A2 measurement"], 2
+    ),
+    "lexicon-nested-too-deep": (
+        ["query", "reqs", *CORPUS_ARGS, "--lexicon", "{d}/deep.json", "--proc", "A"], 2
+    ),
+    "config-nested-too-deep": (["lint", *CORPUS_ARGS, "--config", "{d}/deep.json"], 2),
     "extract-out-is-a-file": (
         ["extract", *CORPUS_ARGS, "--all", "--out", "{d}/registry.txt"], 2
     ),
@@ -514,7 +520,7 @@ ERROR_CASES = {
              "--dev", "CB00XXXX", "--format", "json"],
             2,
         )
-        for case in [*BAD_SEGMENTS, *MALFORMED_VALUES, *UNKNOWN_RELEASES]
+        for case in [*MALFORMED_VALUES, *UNKNOWN_RELEASES]
     },
 }
 
@@ -529,6 +535,14 @@ FORMAT_2_INDEX = (
     '{"aliases":{},"format_version":2,"proc_dep":{},"proc_dev":{},"proc_release":{},'
     '"proc_req":{},"registry":{},"release_universe":["01R1"],"req_release":{},"texts":[]}\n'
 )
+# A format-3 index whose one diff is stored as an edit script, with "proc_req".
+FORMAT_3_INDEX = (
+    '{"aliases":{},"format_version":3,"proc_dep":{},"proc_dev":{"P":{"CB00XXXX":[{'
+    '"causes":["CB00XXXX"],"edits":"=-+","id":"R1","release_a":"01R1","release_b":"01R2"}]}},'
+    '"proc_release":{},"proc_req":{},"registry":{"CB00XXXX":"01R2"},'
+    '"release_universe":["01R1","01R2"],"req_release":{"R1":{"01R1":[1,[]],'
+    '"01R2":[0,["CB00XXXX"]]}},"texts":["One. Three.","One. Two."]}\n'
+)
 
 
 class TestErrorContract:
@@ -541,11 +555,12 @@ class TestErrorContract:
         (corpus_dir / "conflict.json").write_text('{"A": ["x y"], "B": ["x y"]}', encoding="utf-8")
         (corpus_dir / "empty_alias.json").write_text('{"A": [""]}', encoding="utf-8")
         (corpus_dir / "blank_alias.json").write_text('{"A": [" "]}', encoding="utf-8")
-        (corpus_dir / "keys.json").write_text('{"format_version": 3}', encoding="utf-8")
+        (corpus_dir / "keys.json").write_text(
+            f'{{"format_version": {FORMAT_VERSION}}}', encoding="utf-8"
+        )
         (corpus_dir / "list.json").write_text("[1]", encoding="utf-8")
         (corpus_dir / "bad_config.json").write_text('{"shingle_k": 0}', encoding="utf-8")
-        for case, edits in BAD_SEGMENTS.items():
-            (corpus_dir / f"{case}.json").write_text(one_diff_index(edits), encoding="utf-8")
+        (corpus_dir / "deep.json").write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
         for case, (path, value, _) in MALFORMED_VALUES.items():
             index = json_with(one_diff_index(), path, value)
             (corpus_dir / f"{case}.json").write_text(index, encoding="utf-8")
@@ -560,14 +575,6 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
-
-    @pytest.mark.parametrize("case", BAD_SEGMENTS)
-    def test_bad_diff_segment_is_a_malformed_index(self, error_dir, capsys, case):
-        argv, code = ERROR_CASES[case]
-        assert main([a.format(d=error_dir) for a in argv]) == code
-        err = capsys.readouterr().err
-        assert err.startswith("error: index: malformed index: ")
-        assert repr(BAD_SEGMENTS[case]) in err
 
     @pytest.mark.parametrize("case", MALFORMED_VALUES)
     def test_wrong_value_is_a_malformed_index(self, error_dir, capsys, case):
@@ -586,13 +593,13 @@ class TestErrorContract:
         assert repr(UNKNOWN_RELEASES[case][1]) in err
 
     def test_good_diff_segment_loads(self, tmp_path, capsys):
-        (tmp_path / "index.json").write_text(one_diff_index("=-+"), encoding="utf-8")
+        (tmp_path / "index.json").write_text(one_diff_index(), encoding="utf-8")
         argv = ["query", "dev", "--index", str(tmp_path / "index.json"), "--proc", "p",
                 "--dev", "CB00XXXX", "--format", "json"]
         assert main(argv) == 0
         assert capsys.readouterr().out == (
             '{"causes": ["CB00XXXX"], "id": "R1", "release_a": "01R1", "release_b": "01R2", '
-            '"segments": [["unchanged", "One."], ["removed", "Two."], ["added", "Three."]]}\n'
+            '"segments": [["unchanged", "One."], ["added", "Three."], ["removed", "Two."]]}\n'
         )
 
     @staticmethod
@@ -612,6 +619,16 @@ class TestErrorContract:
     def test_format_2_index_names_its_version(self, tmp_path, capsys):
         err = self.old_format_error(tmp_path, capsys, FORMAT_2_INDEX)
         assert err.startswith("error: index: unsupported index format version: 2 ")
+
+    def test_format_3_index_names_its_version(self, tmp_path, capsys):
+        err = self.old_format_error(tmp_path, capsys, FORMAT_3_INDEX)
+        assert err.startswith("error: index: unsupported index format version: 3 ")
+
+    @pytest.mark.parametrize("kind", ["index", "lexicon", "config"])
+    def test_nested_too_deep_names_its_input(self, error_dir, capsys, kind):
+        argv, code = ERROR_CASES[f"{kind}-nested-too-deep"]
+        assert main([a.format(d=error_dir) for a in argv]) == code
+        assert capsys.readouterr().err.startswith(f"error: {kind}: nested too deeply")
 
     def test_internal_bug_is_not_swallowed(self, corpus_dir, monkeypatch):
         def broken(*_):

@@ -1,12 +1,13 @@
 """Seeded mutation check for the index loader over a small built index.
 
 Each mutant is the written index of `support.index_cases()` with one edit:
-a key dropped at a fixed-schema path (a top-level key, a field of a
-`proc_dev` diff, or one half of a `req_release` record or an entry pair), or
-a value replaced by one of another JSON type at a seeded sample of paths.
-`index_from_json` must load each mutant or raise ValueError whose message
-starts "malformed index:", and never raise anything else; every dropped
-fixed key must raise.
+a key dropped at a fixed-schema path (a top-level key, or one half of a
+`req_release` record or an entry pair), a value replaced by one of another
+JSON type at a seeded sample of paths, or a `proc_dev` requirement id
+replaced by a value of every JSON type or by the id of a requirement that
+the development did not change.  `index_from_json` must load each mutant or
+raise ValueError whose message starts "malformed index:", and never raise
+anything else; every dropped fixed key and every replaced id must raise.
 """
 
 import copy
@@ -20,10 +21,9 @@ from speckit.lexicon import build_lexicon
 from support import INDEX_LEXICON, index_cases
 
 TOP_LEVEL_KEYS = (
-    "aliases", "format_version", "proc_dep", "proc_dev", "proc_release", "proc_req",
+    "aliases", "format_version", "proc_dep", "proc_dev", "proc_release",
     "registry", "release_universe", "req_release", "texts",
 )
-DIFF_FIELDS = ("causes", "edits", "id", "release_a", "release_b")
 # One value of each JSON type; a swap takes one whose type differs.
 SWAPS = (None, True, 0, 1.5, "x", [], [0], {}, {"x": 0})
 
@@ -54,10 +54,6 @@ def _at(data, path):
 def _fixed_paths() -> list[tuple]:
     """Every path whose key the format fixes, so dropping it must be refused."""
     paths = [(key,) for key in TOP_LEVEL_KEYS]
-    for proc, by_dev in BASE["proc_dev"].items():
-        for dev, diffs in by_dev.items():
-            for k in range(len(diffs)):
-                paths += [("proc_dev", proc, dev, k, field) for field in DIFF_FIELDS]
     for req_id, by_release in BASE["req_release"].items():
         for r in by_release:
             paths += [("req_release", req_id, r, 1), ("req_release", req_id, r, 0)]
@@ -72,6 +68,25 @@ def _fixed_paths() -> list[tuple]:
 
 
 FIXED_PATHS = _fixed_paths()
+
+
+def _id_swaps() -> list[tuple[tuple, object]]:
+    """(path, new value) for each `proc_dev` id and each value it must not hold:
+    one of every JSON type, and every requirement the development did not change."""
+    changed: dict[str, set[str]] = {}
+    for by_dev in BASE["proc_dev"].values():
+        for dev, ids in by_dev.items():
+            changed.setdefault(dev, set()).update(ids)
+    swaps = []
+    for proc, by_dev in BASE["proc_dev"].items():
+        for dev, ids in by_dev.items():
+            unchanged = sorted(set(BASE["req_release"]) - changed[dev])
+            for k in range(len(ids)):
+                swaps += [(("proc_dev", proc, dev, k), v) for v in (*SWAPS, *unchanged)]
+    return swaps
+
+
+ID_SWAPS = _id_swaps()
 
 
 def _dropped(path: tuple) -> str:
@@ -103,7 +118,8 @@ def _swapped(path: tuple, value) -> str:
 def test_base_loads_and_covers_the_schema():
     assert index_to_json(index_from_json(BASE_SOURCE)) == BASE_SOURCE
     assert sorted(BASE) == sorted(TOP_LEVEL_KEYS)
-    assert sum(path[0] == "proc_dev" for path in FIXED_PATHS) >= 2 * len(DIFF_FIELDS)
+    assert len({path for path, _ in ID_SWAPS}) >= 2
+    assert sum(type(value) is str for _, value in ID_SWAPS) > len({path for path, _ in ID_SWAPS})
     assert {path[0] for path, _ in SWAPPED} == set(TOP_LEVEL_KEYS)
     assert len({type(value) for _, value in SWAPPED}) == len({type(v) for v in SWAPS})
 
@@ -113,6 +129,12 @@ def test_every_dropped_fixed_key_is_malformed(chunk):
     for path in FIXED_PATHS[chunk::4]:
         with pytest.raises(ValueError, match="^malformed index: "):
             index_from_json(_dropped(path))
+
+
+def test_every_swapped_id_is_malformed():
+    for path, value in ID_SWAPS:
+        with pytest.raises(ValueError, match="^malformed index: "):
+            index_from_json(_swapped(path, value))
 
 
 @pytest.mark.parametrize("chunk", range(4))
