@@ -21,9 +21,12 @@ A wrong shape raises ValueError "malformed index: ...": a missing key, a
 value of the wrong JSON type, a text reference outside the table, a record or
 entry that is not a pair, a "release_universe" that is not strictly
 increasing or a release key outside it, a "proc_dep" deployment other than SA
-or NSA, a "proc_dev" development that is not in the registry or is registered
-outside the universe or at its first release, and a "proc_dev" id with no
-"req_release" record or whose diff does not name that development as a cause.
+or NSA, a "req_release" record development or a "proc_dev" development that
+is not in the registry, a "proc_dev" development registered outside the
+universe or at its first release, a "proc_dev" id with no "req_release"
+record or whose diff does not name that development as a cause, and a
+"proc_release" entry whose text is not its requirement's "req_release" text
+at that release.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .model import (
     previous_release,
     release_universe,
 )
-from .resolver import BehaviorDiff, diff_causes, diff_texts, resolve_details
+from .resolver import BehaviorDiff, _sentences_of, diff_causes, diff_texts, resolve_details
 from .tokenizer import tokenize
 
 FORMAT_VERSION = 4
@@ -190,11 +193,11 @@ def _changed_diffs(
         records = index.req_release.get(req_id, {})
         text_a, devs_a = records.get(a_key, _ABSENT)
         text_b, devs_b = records.get(b_key, _ABSENT)
-        if text_a == text_b:  # both absent, or equal: nothing changed
-            continue
-        diff = diff_texts(req_id, a, b, text_a, text_b, devs_a, devs_b, index.registry)
-        if diff.has_changes:
-            yield diff
+        # equal sentences, or no text at either release: every segment unchanged
+        if _sentences_of(text_a) != _sentences_of(text_b):
+            yield diff_texts(
+                req_id, a, b, text_a, text_b, devs_a, devs_b, index.registry, memo=True
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +228,10 @@ def query_release_diff(
     index._require_release(a)
     index._require_release(b)
     by_release = _procedure_entry(index, index.proc_release, procedure)
-    ids = sorted(
-        {req_id for req_id, _ in by_release.get(str(a), [])}
-        | {req_id for req_id, _ in by_release.get(str(b), [])}
-    )
-    return list(_changed_diffs(index, ids, a, b))
+    # An entry holds its requirement's text at that release, so the entry of
+    # a requirement whose text did not move is at both releases and cancels.
+    moved = set(by_release.get(str(a), ())).symmetric_difference(by_release.get(str(b), ()))
+    return list(_changed_diffs(index, sorted({req_id for req_id, _ in moved}), a, b))
 
 
 def query_dev_changes(
@@ -361,7 +363,11 @@ def index_from_json(source: str) -> SpecIndex:
             ref, devs = pair
             frozen = frozen_devs.get(tuple(devs)) if type(devs) is list else None
             if frozen is None:
-                frozen = frozen_devs[tuple(devs)] = frozenset(_strings(devs, "devs"))
+                frozen = frozenset(_strings(devs, "devs"))
+                unknown = frozen.difference(registry)
+                if unknown:
+                    raise ValueError(f"record development {min(unknown)!r} is not in the registry")
+                frozen_devs[tuple(devs)] = frozen
             return text_at(ref), frozen
 
         universe = [ReleaseId.parse(r) for r in data["release_universe"]]
@@ -405,8 +411,9 @@ def index_from_json(source: str) -> SpecIndex:
                     records = req_release[req_id]
                     text_a, devs_a = records.get(str(a), _ABSENT)
                     text_b, devs_b = records.get(str(b), _ABSENT)
+                    # memo: the loading process answers queries, which diff these texts again
                     diff = derived[req_id, b] = diff_texts(
-                        req_id, a, b, text_a, text_b, devs_a, devs_b, registry
+                        req_id, a, b, text_a, text_b, devs_a, devs_b, registry, memo=True
                     )
                 if dev not in diff.causes:
                     raise ValueError(f"requirement {req_id!r} was not changed by {dev!r} at {b}")
@@ -416,8 +423,21 @@ def index_from_json(source: str) -> SpecIndex:
         aliases = data["aliases"]
         if type(aliases) is not dict or not all(type(c) is str for c in aliases.values()):
             raise ValueError(f"aliases {reprlib.repr(aliases)} is not an object of strings")
+
+        def release_entries(r: str, refs: Any) -> list[Entry]:
+            """`refs`' entries, each of which must hold its requirement's text at `r`:
+            `query_release_diff` reads a text's move from the entries alone."""
+            loaded = entries(refs)
+            for req_id, text in loaded:
+                if req_release.get(req_id, {}).get(r, _ABSENT)[0] != text:
+                    raise ValueError(
+                        f"proc_release entry ({req_id!r}, {reprlib.repr(text)}) at {r} "
+                        "does not hold its req_release text"
+                    )
+            return loaded
+
         proc_release = {
-            proc: {release(r): entries(refs) for r, refs in by_release.items()}
+            proc: {release(r): release_entries(r, refs) for r, refs in by_release.items()}
             for proc, by_release in data["proc_release"].items()
         }
         return SpecIndex(

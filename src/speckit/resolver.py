@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import repeat
-from typing import AbstractSet, Iterator, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import DevelopmentNotPresentError, UnknownDevelopmentError
 from .model import (
@@ -34,7 +34,11 @@ from .model import (
     version_at,
 )
 
-_SENTENCE_SPLIT_RE = re.compile(r"(?<=[.;])\s+")
+# A '.' or ';' and the whitespace after it.  The mark is captured, so the
+# split keeps it and `_sentences` joins it back onto its sentence: a
+# look-behind split gives the same sentences, but no prefix scan can skip to
+# a look-behind, so the engine tries it at every character.
+_SENTENCE_SPLIT_RE = re.compile(r"([.;])\s+")
 # Entries kept by each sentence table.  Most diffs compare texts that repeat
 # across releases and requirements (about 3,700 distinct texts over the
 # 15,000 diffs of the long-history benchmark), so each is split once.  The
@@ -266,7 +270,18 @@ def baseline(
 @lru_cache(maxsize=_SENTENCE_MAXSIZE)
 def _sentences(text: str) -> tuple[str, ...]:
     """`text`'s sentences, as `split_sentences` gives them."""
-    return tuple(filter(None, _SENTENCE_SPLIT_RE.split(text)))
+    parts = _SENTENCE_SPLIT_RE.split(text)  # sentence, mark, sentence, ..., rest
+    rest = parts.pop()
+    pairs = iter(parts)
+    sentences = [sentence + mark for sentence, mark in zip(pairs, pairs)]
+    if rest:
+        sentences.append(rest)
+    return tuple(sentences)
+
+
+def _sentences_of(text: Optional[str]) -> tuple[str, ...]:
+    """`_sentences(text)`, and no sentence for no text."""
+    return _sentences(text) if text is not None else ()
 
 
 @lru_cache(maxsize=_SENTENCE_MAXSIZE)
@@ -280,7 +295,11 @@ def split_sentences(text: str) -> list[str]:
     return list(_sentences(text))
 
 
-def lcs_diff(a: Sequence[str], b: Sequence[str]) -> list[DiffSegment]:
+def lcs_diff(
+    a: Sequence[str],
+    b: Sequence[str],
+    unchanged_a: Optional[Sequence[DiffSegment]] = None,
+) -> list[DiffSegment]:
     """LCS-aligned diff with a swap-symmetric tie break.
 
     At DP ties the lexicographically larger element is dropped, which makes
@@ -290,58 +309,94 @@ def lcs_diff(a: Sequence[str], b: Sequence[str]) -> list[DiffSegment]:
     Equal ends are peeled first, with the same result: the backtrack matches
     a common suffix first, and a shared first sentence found nowhere else on
     either side adds one to every inner cell and can pair with nothing else.
+    When no sentence repeats on either side, every common leading sentence is
+    such a sentence, and so is each sentence both middles hold if they hold
+    them in one order: those sentences are the whole LCS, and between two of
+    them the middles share nothing, so each gap is diffed alone.  Unchanged
+    sentences are items of `unchanged_a`, `a`'s diff with itself, when it is
+    given.
     """
     end_a, end_b = len(a), len(b)
     while end_a and end_b and a[end_a - 1] == b[end_b - 1]:
         end_a -= 1
         end_b -= 1
     start = 0
-    while (
-        start < end_a
-        and start < end_b
-        and a[start] == b[start]
-        and a[start] not in a[start + 1 : end_a]
-        and a[start] not in b[start + 1 : end_b]
-    ):
-        start += 1
-    ops = list(map(DiffSegment, repeat(DiffKind.UNCHANGED), a[:start]))
-    ops += _table_diff(a[start:end_a], b[start:end_b])
-    ops += map(DiffSegment, repeat(DiffKind.UNCHANGED), a[end_a:])
+    limit = min(end_a, end_b)
+    anchors: list[tuple[int, int]] = []  # positions in a and b of paired middle sentences
+    in_a, in_b = set(a), set(b)
+    if len(in_a) == len(a) and len(in_b) == len(b):
+        while start < limit and a[start] == b[start]:
+            start += 1
+        shared = in_b.intersection(a[start:end_a])
+        if shared:
+            shared_a = [i for i in range(start, end_a) if a[i] in shared]
+            shared_b = [j for j in range(start, end_b) if b[j] in shared]
+            if [a[i] for i in shared_a] == [b[j] for j in shared_b]:
+                anchors = list(zip(shared_a, shared_b))
+    else:
+        while (
+            start < limit
+            and a[start] == b[start]
+            and a[start] not in a[start + 1 : end_a]
+            and a[start] not in b[start + 1 : end_b]
+        ):
+            start += 1
+
+    def unchanged(lo: int, hi: int) -> Iterable[DiffSegment]:
+        """`a[lo:hi]` as unchanged segments, sliced from `unchanged_a` if given."""
+        if unchanged_a is not None:
+            return unchanged_a[lo:hi]
+        return map(DiffSegment, repeat(DiffKind.UNCHANGED), a[lo:hi])
+
+    ops = list(unchanged(0, start))
+    i0 = j0 = start
+    for i, j in anchors:
+        if i > i0 or j > j0:
+            ops += _table_diff(a[i0:i], b[j0:j])
+        ops += unchanged(i, i + 1)
+        i0, j0 = i + 1, j + 1
+    ops += _table_diff(a[i0:end_a], b[j0:end_b])
+    ops += unchanged(end_a, len(a))
     return ops
 
 
 def _table_diff(a: Sequence[str], b: Sequence[str]) -> list[DiffSegment]:
-    """`lcs_diff` by the full (len(a) + 1) x (len(b) + 1) table, nothing peeled."""
+    """`lcs_diff` by the (len(a) + 1) x (len(b) + 1) LCS table, nothing peeled.
+
+    When `a` and `b` share no sentence every cell is 0, so the backtrack only
+    applies the tie rule: no table is filled, and each step compares the
+    last sentences left.
+    """
     n, m = len(a), len(b)
-    table = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        row = table[i]
-        prev = table[i - 1]
-        ai = a[i - 1]
-        for j in range(1, m + 1):
-            if ai == b[j - 1]:
-                row[j] = prev[j - 1] + 1
-            else:
-                row[j] = prev[j] if prev[j] >= row[j - 1] else row[j - 1]
+    table = None
+    if not set(a).isdisjoint(b):
+        table = [[0] * (m + 1) for _ in range(n + 1)]
+        for i in range(1, n + 1):
+            row = table[i]
+            prev = table[i - 1]
+            ai = a[i - 1]
+            for j in range(1, m + 1):
+                if ai == b[j - 1]:
+                    row[j] = prev[j - 1] + 1
+                else:
+                    row[j] = prev[j] if prev[j] >= row[j - 1] else row[j - 1]
 
     ops: list[DiffSegment] = []
     i, j = n, m
     while i > 0 and j > 0:
-        if a[i - 1] == b[j - 1]:
-            ops.append(DiffSegment(DiffKind.UNCHANGED, a[i - 1]))
+        ai, bj = a[i - 1], b[j - 1]
+        if ai == bj:
+            ops.append(DiffSegment(DiffKind.UNCHANGED, ai))
             i -= 1
             j -= 1
-        elif table[i - 1][j] > table[i][j - 1]:
-            ops.append(DiffSegment(DiffKind.REMOVED, a[i - 1]))
-            i -= 1
-        elif table[i - 1][j] < table[i][j - 1]:
-            ops.append(DiffSegment(DiffKind.ADDED, b[j - 1]))
-            j -= 1
-        elif a[i - 1] > b[j - 1]:
-            ops.append(DiffSegment(DiffKind.REMOVED, a[i - 1]))
+            continue
+        # > 0 when dropping a's sentence keeps the longer common subsequence
+        lead = 0 if table is None else table[i - 1][j] - table[i][j - 1]
+        if lead > 0 or (lead == 0 and ai > bj):
+            ops.append(DiffSegment(DiffKind.REMOVED, ai))
             i -= 1
         else:
-            ops.append(DiffSegment(DiffKind.ADDED, b[j - 1]))
+            ops.append(DiffSegment(DiffKind.ADDED, bj))
             j -= 1
     while i > 0:
         ops.append(DiffSegment(DiffKind.REMOVED, a[i - 1]))
@@ -362,15 +417,24 @@ def diff_texts(
     devs_a: AbstractSet[str],
     devs_b: AbstractSet[str],
     dev_releases: Mapping[str, ReleaseId],
+    *,
+    memo: bool = False,
 ) -> BehaviorDiff:
-    """Build a BehaviorDiff from two already-resolved texts."""
+    """Build a BehaviorDiff from two already-resolved texts.
+
+    With `memo`, unchanged sentences are items of `_unchanged(text_a)`, so a
+    text diffed again builds no new unchanged segments.  That pays for a
+    caller that asks for the same pairs again, such as a stream of queries;
+    for a caller that diffs each pair once, the table would only hold memory.
+    """
     if text_b == text_a:
         # The LCS backtrack over equal inputs only moves diagonally.
         segments = _unchanged(text_a) if text_a is not None else ()
         return BehaviorDiff(req_id, release_a, release_b, segments, frozenset())
-    sentences_a = _sentences(text_a) if text_a is not None else ()
-    sentences_b = _sentences(text_b) if text_b is not None else ()
-    segments = tuple(lcs_diff(sentences_a, sentences_b))
+    sentences_a = _sentences_of(text_a)
+    sentences_b = _sentences_of(text_b)
+    unchanged_a = _unchanged(text_a) if memo and text_a is not None else None
+    segments = tuple(lcs_diff(sentences_a, sentences_b, unchanged_a))
     causes: frozenset[str] = frozenset()
     if sentences_a != sentences_b:  # exactly when some segment is not unchanged
         causes = diff_causes(release_a, release_b, devs_a, devs_b, dev_releases)

@@ -162,7 +162,9 @@ def diff_inputs(draw):
     return ("REQ_0001", release_a, release_b, text_a, text_b, draw(devs), draw(devs), dev_releases)
 
 
-def _reference_sentences(text: str) -> list[str]:
+def reference_sentences(text: str) -> list[str]:
+    """`resolver.split_sentences` by a look-behind split: after each '.' or ';'
+    that whitespace follows, dropping empty pieces."""
     return [s for s in re.split(r"(?<=[.;])\s+", text) if s]
 
 
@@ -217,8 +219,8 @@ def reference_diff_texts(
     It splits sentences itself and finds changes by scanning the segments, so
     no memo or shortcut of the resolver feeds both sides.
     """
-    sentences_a = _reference_sentences(text_a) if text_a is not None else []
-    sentences_b = _reference_sentences(text_b) if text_b is not None else []
+    sentences_a = reference_sentences(text_a) if text_a is not None else []
+    sentences_b = reference_sentences(text_b) if text_b is not None else []
     segments = tuple(reference_lcs_diff(sentences_a, sentences_b))
     causes: set[str] = set()
     if any(s.kind is not DiffKind.UNCHANGED for s in segments):
@@ -359,6 +361,27 @@ def reference_build_index(
     return index
 
 
+def reference_query_release_diff(
+    index: SpecIndex, procedure: str, a: ReleaseId, b: ReleaseId
+) -> list[BehaviorDiff]:
+    """`index.query_release_diff` over every id the procedure holds at either
+    release, each diffed by `reference_diff_texts` and kept if it has changes."""
+    index._require_release(a)
+    index._require_release(b)
+    by_release = index.proc_release.get(index.canonical_of(procedure), {})
+    ids = {req_id for r in (a, b) for req_id, _ in by_release.get(str(r), [])}
+    diffs = []
+    for req_id in sorted(ids):
+        records = index.req_release.get(req_id, {})
+        (text_a, devs_a), (text_b, devs_b) = (
+            records.get(str(r), (None, frozenset())) for r in (a, b)
+        )
+        diff = reference_diff_texts(req_id, a, b, text_a, text_b, devs_a, devs_b, index.registry)
+        if diff.has_changes:
+            diffs.append(diff)
+    return diffs
+
+
 def one_diff_index() -> str:
     """A complete format-4 index, as `index_to_json` writes it, with one diff.
 
@@ -414,6 +437,24 @@ MALFORMED_INDEX_EDITS["diff-dev-not-registered"] = (
 MALFORMED_INDEX_EDITS["diff-not-caused-by-dev"] = (
     ("req_release", "R1", "01R2", 1), [], repr("CB00XXXX")
 )
+# A record of a requirement that no diff lists names an unregistered development.
+MALFORMED_INDEX_EDITS["record-dev-not-registered"] = (
+    ("req_release", "R2"), {"01R1": [0, ["CB_NOPE"]]}, repr("CB_NOPE")
+)
+# R1's entry at 01R1 holds its 01R2 text, or names a requirement with no record.
+MALFORMED_INDEX_EDITS["proc-release-text-not-record-text"] = (
+    ("proc_release", "P", "01R1", 0, 1), 0, repr("One. Three.")
+)
+MALFORMED_INDEX_EDITS["proc-release-id-without-record"] = (
+    ("proc_release", "P", "01R1", 0, 0), "R9", repr("R9")
+)
+
+
+def unregistered_record_dev_index() -> str:
+    """`one_diff_index()` with R1's 01R1 record naming the unregistered
+    development "CB_NOPE" and no diff listed, so only a query would reach it."""
+    no_diffs = json_with(one_diff_index(), ("proc_dev",), {})
+    return json_with(no_diffs, ("req_release", "R1", "01R1", 1), ["CB_NOPE"])
 
 
 # (JSON path, key) edits that file the first release record of the object at

@@ -17,6 +17,7 @@ from support import (
     json_with,
     json_with_key,
     one_diff_index,
+    unregistered_record_dev_index,
 )
 
 CORPUS = """# Measurements
@@ -514,6 +515,12 @@ ERROR_CASES = {
         ["query", "behavior", *CORPUS_ARGS, "--proc", "A2 measurement", "--release", "09R9"],
         3,
     ),
+    # R1's 01R1 record names an unregistered development, and no diff lists R1
+    "index-record-dev-not-registered-query-diff": (
+        ["query", "diff", "--index", "{d}/unregistered_record_dev.json", "--proc", "p",
+         "--from", "01R1", "--to", "01R2"],
+        2,
+    ),
     **{
         case: (
             ["query", "dev", "--index", f"{{d}}/{case}.json", "--proc", "P",
@@ -564,6 +571,9 @@ class TestErrorContract:
         for case, (path, value, _) in MALFORMED_VALUES.items():
             index = json_with(one_diff_index(), path, value)
             (corpus_dir / f"{case}.json").write_text(index, encoding="utf-8")
+        (corpus_dir / "unregistered_record_dev.json").write_text(
+            unregistered_record_dev_index(), encoding="utf-8"
+        )
         for case, (path, key) in UNKNOWN_RELEASES.items():
             index = json_with_key(one_diff_index(), path, key)
             (corpus_dir / f"{case}.json").write_text(index, encoding="utf-8")
@@ -591,6 +601,14 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err.startswith("error: index: malformed index: ")
         assert repr(UNKNOWN_RELEASES[case][1]) in err
+
+    def test_unregistered_record_dev_is_a_malformed_index(self, error_dir, capsys):
+        argv, code = ERROR_CASES["index-record-dev-not-registered-query-diff"]
+        assert main([a.format(d=error_dir) for a in argv]) == code
+        assert capsys.readouterr().err == (
+            "error: index: malformed index: record development 'CB_NOPE' "
+            "is not in the registry\n"
+        )
 
     def test_good_diff_segment_loads(self, tmp_path, capsys):
         (tmp_path / "index.json").write_text(one_diff_index(), encoding="utf-8")

@@ -47,6 +47,8 @@ from support import (
     one_diff_index,
     reference_build_index,
     reference_diff_texts,
+    reference_query_release_diff,
+    unregistered_record_dev_index,
 )
 
 CORPUS = """# Measurements
@@ -398,7 +400,11 @@ BAD_TEXT_REFS = [
 
 
 def _text_ref_blob(section: str, ref) -> str:
-    """A one-requirement index whose `section` refers to text `ref`."""
+    """A one-requirement index whose `section` refers to text `ref`.
+
+    R1's record refers to text 0 unless `section` is "req_release", so an
+    entry that refers to text 0 holds its requirement's text.
+    """
     entries = {
         "req_release": {"R1": {"01R1": [ref, []]}},
         "proc_release": {"P": {"01R1": [["R1", ref]]}},
@@ -411,7 +417,7 @@ def _text_ref_blob(section: str, ref) -> str:
         "registry": {},
         "release_universe": ["01R1"],
         "texts": ["one"],
-        "req_release": {},
+        "req_release": {"R1": {"01R1": [0, []]}},
         "proc_release": {},
         "proc_dep": {},
         section: entries[section],
@@ -489,6 +495,12 @@ class TestPersistence:
             index_from_json(blob)
         assert f"release {key!r} is not in the release universe" in str(raised.value)
 
+    def test_unregistered_record_dev_is_refused_before_a_query(self):
+        """A record development outside the registry would reach `diff_causes`
+        at a `query diff`; the loader refuses it, even when no diff lists it."""
+        with pytest.raises(ValueError, match="^malformed index: record development 'CB_NOPE' "):
+            index_from_json(unregistered_record_dev_index())
+
     def test_valid_diff_segment_loads(self):
         blob = one_diff_index()
         index = index_from_json(blob)
@@ -560,6 +572,27 @@ class TestRoundTrip:
         assert diff.causes == {"CB00XXXX"}
         assert diff.added() == ["The value is new.", "The timer restarts."]
         assert not diff.removed()
+
+
+class TestReleaseDiffQuery:
+    """`query_release_diff` diffs only the ids whose entry text moved, and
+    skips a pair whose sentences are equal before any diff is built."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(index_corpora())
+    @example(index_cases())
+    def test_equals_union_of_ids_reference(self, corpus):
+        docs, registry = corpus
+        built = build_index(docs, registry, build_lexicon(INDEX_LEXICON))
+        loaded = index_from_json(index_to_json(built))
+        procedures = [*INDEX_LEXICON, "Starts again", UNMAPPED, "unknown procedure"]
+        for index in (built, loaded):
+            for proc in procedures:
+                for a in index.release_universe:
+                    for b in index.release_universe:
+                        assert query_release_diff(index, proc, a, b) == (
+                            reference_query_release_diff(index, proc, a, b)
+                        ), (proc, str(a), str(b))
 
 
 class TestReleaseGap:

@@ -5,9 +5,12 @@ a key dropped at a fixed-schema path (a top-level key, or one half of a
 `req_release` record or an entry pair), a value replaced by one of another
 JSON type at a seeded sample of paths, or a `proc_dev` requirement id
 replaced by a value of every JSON type or by the id of a requirement that
-the development did not change.  `index_from_json` must load each mutant or
-raise ValueError whose message starts "malformed index:", and never raise
+the development did not change, or a string or integer replaced by another
+one of its type.  `index_from_json` must load each mutant or raise
+ValueError whose message starts "malformed index:", and never raise
 anything else; every dropped fixed key and every replaced id must raise.
+Every mutant that loads must answer all five query forms, raising nothing
+but UnknownReleaseError and UnknownDevelopmentError.
 """
 
 import copy
@@ -16,8 +19,20 @@ import random
 
 import pytest
 
-from speckit.index import build_index, index_from_json, index_to_json
+from speckit.errors import UnknownDevelopmentError, UnknownReleaseError
+from speckit.index import (
+    UNMAPPED,
+    build_index,
+    index_from_json,
+    index_to_json,
+    query_behavior,
+    query_deployment,
+    query_dev_changes,
+    query_release_diff,
+    query_requirements,
+)
 from speckit.lexicon import build_lexicon
+from speckit.model import DeploymentType, ReleaseId
 from support import INDEX_LEXICON, index_cases
 
 TOP_LEVEL_KEYS = (
@@ -115,8 +130,55 @@ def _swapped(path: tuple, value) -> str:
     return json.dumps(data)
 
 
+def _same_type_swaps() -> list[tuple[tuple, object]]:
+    """(path, new value) for every string and integer of BASE: a seeded pick of
+    another string of BASE or an unregistered development, or of another
+    integer at or around the ends of the text table."""
+    strings = {_at(BASE, path) for path in _paths(BASE) if type(_at(BASE, path)) is str}
+    strings = sorted(strings | {"CB_NOPE"})
+    integers = (-1, 0, 1, len(BASE["texts"]) - 1, len(BASE["texts"]))
+    rng = random.Random(20241020)
+    picks = []
+    for path in _paths(BASE):
+        old = _at(BASE, path)
+        pool = strings if type(old) is str else integers if type(old) is int else ()
+        choices = [v for v in pool if v != old]
+        if choices:
+            picks.append((path, rng.choice(choices)))
+    return picks
+
+
+SAME_TYPE_SWAPS = _same_type_swaps()
+
+
+def _answer_every_query(index) -> None:
+    """Each query form over every procedure, alias and unknown name, every
+    release and ordered release pair, every development and both deployments
+    of the mutant and of BASE; only an unknown release or development may raise."""
+    procedures = {*BASE["aliases"], *BASE["aliases"].values(), *index.aliases,
+                  *index.aliases.values(), *index.proc_release, UNMAPPED, "unknown"}
+    releases = {*index.release_universe, *map(ReleaseId.parse, BASE["release_universe"])}
+    devs = {*index.registry, *BASE["registry"], "CB_NOPE"}
+    calls = []
+    for proc in sorted(procedures):
+        calls.append((query_requirements, proc))
+        calls += [(query_dev_changes, proc, dev) for dev in sorted(devs)]
+        for dep in DeploymentType:
+            calls.append((query_deployment, proc, dep))
+            calls += [(query_deployment, proc, dep, r) for r in sorted(releases)]
+        for a in sorted(releases):
+            calls.append((query_behavior, proc, a))
+            calls += [(query_release_diff, proc, a, b) for b in sorted(releases)]
+    for query, *args in calls:
+        try:
+            query(index, *args)
+        except (UnknownReleaseError, UnknownDevelopmentError):
+            pass
+
+
 def test_base_loads_and_covers_the_schema():
     assert index_to_json(index_from_json(BASE_SOURCE)) == BASE_SOURCE
+    assert {type(value) for _, value in SAME_TYPE_SWAPS} == {str, int}
     assert sorted(BASE) == sorted(TOP_LEVEL_KEYS)
     assert len({path for path, _ in ID_SWAPS}) >= 2
     assert sum(type(value) is str for _, value in ID_SWAPS) > len({path for path, _ in ID_SWAPS})
@@ -146,3 +208,24 @@ def test_swapped_type_loads_or_is_malformed(chunk):
             assert str(exc).startswith("malformed index: "), (path, value, exc)
         except Exception as exc:  # any other exception fails, naming the mutant
             raise AssertionError(f"{path} = {value!r}: {type(exc).__name__}: {exc}") from exc
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_loaded_mutant_answers_every_query(chunk):
+    mutants = [("base", None)] + SWAPPED + SAME_TYPE_SWAPS
+    loaded = 0
+    for path, value in mutants[chunk::4]:
+        source = BASE_SOURCE if path == "base" else _swapped(path, value)
+        try:
+            index = index_from_json(source)
+        except ValueError as exc:  # a refused index: a malformed one or another format
+            assert str(exc).startswith(("malformed index: ", "unsupported index format")), (
+                path, value, exc
+            )
+            continue
+        loaded += 1
+        try:
+            _answer_every_query(index)
+        except Exception as exc:  # any other exception fails, naming the mutant
+            raise AssertionError(f"{path} = {value!r}: {type(exc).__name__}: {exc}") from exc
+    assert loaded >= 10

@@ -46,6 +46,7 @@ from support import (
     random_tagged_requirement,
     reference_diff_texts,
     reference_lcs_diff,
+    reference_sentences,
     registries,
     segment_trees,
     universes,
@@ -218,6 +219,17 @@ class TestBaseline:
             baseline(cb_req, "CB00XXXX", reg, universe=list(RELEASES))
 
 
+# Texts made of words, marks and whitespace runs: newlines, tabs, double
+# spaces, doubled marks, and marks or whitespace at either end.
+_SPLIT_TEXTS = st.one_of(
+    st.text(alphabet="ab.; \n\t", max_size=20),
+    st.lists(
+        st.sampled_from(["a", "b1", ".", ";", "..", ";;", " ", "  ", "\n", "\t", " \t\n"]),
+        max_size=10,
+    ).map("".join),
+)
+
+
 class TestSentenceSplit:
     def test_split_on_period_and_semicolon(self):
         assert split_sentences("First step. Second step; third step.") == [
@@ -231,6 +243,18 @@ class TestSentenceSplit:
 
     def test_empty(self):
         assert split_sentences("") == []
+
+    @settings(max_examples=1000)
+    @given(_SPLIT_TEXTS)
+    @example("a..  b;;\tc.\n")
+    @example(" . ;a")
+    @example("a. \n\t b;")
+    @example(";")
+    def test_equals_look_behind_split(self, text):
+        """The mark-capturing split, re-joined, gives the look-behind split's sentences."""
+        want = reference_sentences(text)
+        assert list(_sentences.__wrapped__(text)) == want
+        assert split_sentences(text) == want
 
 
 def oracle_lcs_length(a: list[str], b: list[str]) -> int:
@@ -282,6 +306,31 @@ def _sentence_list_pairs(alphabet_size: int):
 _SMALL_ALPHABET_PAIRS = st.integers(2, 4).flatmap(_sentence_list_pairs)
 
 
+@st.composite
+def _shaped_pairs(draw):
+    """Sentence lists with equal ends around two middles that share nothing,
+    share sentences in one order or in crossed orders, and with a sentence
+    repeated on either side, or on neither."""
+    pool = [f"s{i}." for i in range(20)]
+    distinct = draw(st.permutations(pool))
+    head, tail = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    prefix, suffix = distinct[:head], distinct[head : head + tail]
+    rest = distinct[head + tail :]
+    middle_a = draw(st.lists(st.sampled_from(rest[:4]), max_size=4, unique=True))
+    middle_b = draw(st.lists(st.sampled_from(rest[4:8]), max_size=4, unique=True))
+    shared = draw(st.lists(st.sampled_from(rest[8:]), max_size=3, unique=True))
+    for sentence in shared:  # a shared sentence at any position of each middle
+        middle_a.insert(draw(st.integers(0, len(middle_a))), sentence)
+        middle_b.insert(draw(st.integers(0, len(middle_b))), sentence)
+    a, b = prefix + middle_a + suffix, prefix + middle_b + suffix
+    for side in draw(st.sampled_from(["", "a", "b", "ab"])):
+        sentences = a if side == "a" else b
+        if sentences:  # repeat one of its sentences somewhere on it
+            repeated = draw(st.sampled_from(sentences))
+            sentences.insert(draw(st.integers(0, len(sentences))), repeated)
+    return a, b
+
+
 class TestTrimmedLcsDiff:
     """`lcs_diff` peels equal ends before its table; the output must not change."""
 
@@ -294,6 +343,52 @@ class TestTrimmedLcsDiff:
     def test_equals_untrimmed_reference(self, pair):
         a, b = pair
         assert lcs_diff(a, b) == reference_lcs_diff(a, b)
+
+    @settings(max_examples=1000)
+    @given(_shaped_pairs())
+    @example((["s0.", "s1.", "s2."], ["s0.", "s3.", "s2."]))  # disjoint 1 x 1 middle
+    @example((["s1.", "s9.", "s2."], ["s3.", "s9.", "s4."]))  # one shared middle sentence
+    @example((["s1.", "s2.", "s3."], ["s3.", "s2.", "s1."]))  # crossed shared sentences
+    @example((["s1.", "s1.", "s2."], ["s3.", "s1."]))  # a repeat on one side
+    def test_shaped_pairs_equal_untrimmed_reference(self, pair):
+        """Disjoint middles, shared middle sentences and repeats, with and
+        without `a`'s unchanged segments given."""
+        a, b = pair
+        want = reference_lcs_diff(a, b)
+        assert lcs_diff(a, b) == want
+        unchanged = tuple(DiffSegment(DiffKind.UNCHANGED, s) for s in a)
+        assert lcs_diff(a, b, unchanged) == want
+
+    def test_unchanged_sentences_are_the_given_segments(self):
+        """Every unchanged segment is the item of `a`'s given diff with itself."""
+        a = ["s0.", "s1.", "s2.", "s3.", "s4."]
+        b = ["s0.", "x.", "s2.", "y.", "s4."]
+        unchanged = tuple(DiffSegment(DiffKind.UNCHANGED, s) for s in a)
+        got = lcs_diff(a, b, unchanged)
+        assert got == reference_lcs_diff(a, b)
+        kept = [s for s in got if s.kind is DiffKind.UNCHANGED]
+        assert [id(s) for s in kept] == [id(unchanged[i]) for i in (0, 2, 4)]
+
+    def test_disjoint_and_anchored_middles_fill_no_table(self, monkeypatch):
+        """Each gap between shared middle sentences is diffed alone, with no table."""
+        filled = []
+        table_diff = speckit.resolver._table_diff
+
+        def recording(a, b):
+            if not set(a).isdisjoint(b):
+                filled.append((a, b))
+            return table_diff(a, b)
+
+        monkeypatch.setattr(speckit.resolver, "_table_diff", recording)
+        for a, b in (
+            (["s0.", "s1.", "s2."], ["s0.", "s3.", "s2."]),
+            (["s1.", "s9.", "s2.", "s8."], ["s3.", "s9.", "s8.", "s4."]),
+        ):
+            assert lcs_diff(a, b) == reference_lcs_diff(a, b)
+        assert filled == []
+        crossed = (["s1.", "s2.", "s3."], ["s3.", "s2.", "s1."])
+        assert lcs_diff(*crossed) == reference_lcs_diff(*crossed)
+        assert filled == [crossed]
 
     def test_repeated_first_sentence_is_not_peeled(self):
         assert lcs_diff(["x", "x"], ["x"]) == [
@@ -373,6 +468,8 @@ class TestDiffTexts:
         want = reference_diff_texts(*args)
         assert diff_texts(*args) == want
         assert diff_texts(*args) == want
+        for _ in range(2):  # unchanged segments from the table: filled, then read
+            assert diff_texts(*args, memo=True) == want
 
     def test_equals_reference_after_eviction(self):
         registry = {"CB00XXXX": rel("01R2")}
