@@ -382,6 +382,124 @@ def reference_query_release_diff(
     return diffs
 
 
+def reference_index_to_json(index: SpecIndex) -> str:
+    """`index.index_to_json` the direct way: the nested sections built whole,
+    then one `json.dumps` with sorted keys."""
+    entry_lists = [
+        *(entries for by_release in index.proc_release.values() for entries in by_release.values()),
+        *(
+            entries
+            for by_dep in index.proc_dep.values()
+            for by_release in by_dep.values()
+            for entries in by_release.values()
+        ),
+    ]
+    texts = sorted(
+        {text for by_release in index.req_release.values() for text, _ in by_release.values()}
+        | {text for entries in entry_lists for _, text in entries}
+    )
+    position = {text: i for i, text in enumerate(texts)}
+
+    def refs(entries: list[tuple[str, str]]) -> list[tuple[str, int]]:
+        return [(req_id, position[text]) for req_id, text in entries]
+
+    data = {
+        "format_version": FORMAT_VERSION,
+        "release_universe": [str(r) for r in index.release_universe],
+        "registry": {dev: str(r) for dev, r in index.registry.items()},
+        "aliases": index.aliases,
+        "texts": texts,
+        "req_release": {
+            req_id: {
+                r: (position[text], sorted(devs)) for r, (text, devs) in by_release.items()
+            }
+            for req_id, by_release in index.req_release.items()
+        },
+        "proc_release": {
+            proc: {r: refs(entries) for r, entries in by_release.items()}
+            for proc, by_release in index.proc_release.items()
+        },
+        "proc_dev": {
+            proc: {dev: [diff.id for diff in diffs] for dev, diffs in by_dev.items()}
+            for proc, by_dev in index.proc_dev.items()
+        },
+        "proc_dep": {
+            proc: {
+                dep: {r: refs(entries) for r, entries in by_release.items()}
+                for dep, by_release in by_dep.items()
+            }
+            for proc, by_dep in index.proc_dep.items()
+        },
+    }
+    return json.dumps(data, sort_keys=True, indent=None, separators=(",", ":")) + "\n"
+
+
+# Characters that JSON escapes: a quote, a backslash, control characters, a
+# lone surrogate, and non-ASCII and astral characters, which ensure_ascii
+# writes as \u escapes; and a slash, a space and a letter, which it does not.
+_ODD_CHARS = '"\\/ a\x00\x08\t\n\x1f\x7f\xe9\u2028\ud800\ufeff\U0001f600'
+_ODD_STRINGS = st.text(
+    alphabet=st.one_of(st.sampled_from(_ODD_CHARS), st.characters()), max_size=6
+)
+
+
+@st.composite
+def odd_string_indexes(draw):
+    """A SpecIndex whose requirement ids, texts, aliases, procedures and
+    developments are `_ODD_STRINGS`.  Only the writer reads it, so its
+    entries need not agree with its records."""
+    universe = sorted(draw(st.sets(st.sampled_from(RELEASES), min_size=1)))
+    releases = st.sampled_from([str(r) for r in universe])
+    ids = draw(st.lists(_ODD_STRINGS, min_size=1, max_size=3, unique=True))
+    texts = st.sampled_from(draw(st.lists(_ODD_STRINGS, min_size=1, max_size=4)))
+    devs = draw(st.lists(_ODD_STRINGS, max_size=3, unique=True))
+    procs = draw(st.lists(_ODD_STRINGS, min_size=1, max_size=3, unique=True))
+    entry_lists = st.dictionaries(
+        releases, st.lists(st.tuples(st.sampled_from(ids), texts), max_size=3), max_size=3
+    )
+    dev_sets = st.frozensets(st.sampled_from(devs)) if devs else st.just(frozenset())
+    diffs = st.lists(
+        st.sampled_from(ids).map(
+            lambda req_id: BehaviorDiff(req_id, universe[0], universe[-1], (), frozenset())
+        ),
+        max_size=2,
+    )
+    return SpecIndex(
+        release_universe=universe,
+        registry={dev: draw(st.sampled_from(universe)) for dev in devs},
+        aliases=draw(st.dictionaries(_ODD_STRINGS, st.sampled_from(procs), max_size=3)),
+        req_release={
+            req_id: draw(st.dictionaries(releases, st.tuples(texts, dev_sets), max_size=3))
+            for req_id in ids
+        },
+        proc_release={proc: draw(entry_lists) for proc in procs},
+        proc_dev={
+            proc: {dev: draw(diffs) for dev in draw(st.lists(st.sampled_from(devs), unique=True))}
+            for proc in procs
+        } if devs else {},
+        proc_dep={
+            proc: {dep.value: draw(entry_lists) for dep in DeploymentType} for proc in procs
+        },
+    )
+
+
+def odd_string_index() -> SpecIndex:
+    """One index with all of `_ODD_CHARS` in each of its requirement ids,
+    texts, aliases, procedures and developments."""
+    req_id, text, proc, dev = (f"{kind}{_ODD_CHARS}" for kind in ("R", "T", "P", "D"))
+    r = RELEASES[0]
+    entries = {str(r): [(req_id, text)]}
+    return SpecIndex(
+        release_universe=[r],
+        registry={dev: r},
+        aliases={f"a{_ODD_CHARS}": proc},
+        req_release={req_id: {str(r): (text, frozenset({dev}))}},
+        proc_release={proc: entries},
+        proc_dev={proc: {dev: [BehaviorDiff(req_id, r, r, (), frozenset())]}},
+        proc_dep={proc: {dep.value: entries for dep in DeploymentType}},
+    )
+
+
 def one_diff_index() -> str:
     """A complete format-4 index, as `index_to_json` writes it, with one diff.
 
@@ -447,6 +565,18 @@ MALFORMED_INDEX_EDITS["proc-release-text-not-record-text"] = (
 )
 MALFORMED_INDEX_EDITS["proc-release-id-without-record"] = (
     ("proc_release", "P", "01R1", 0, 0), "R9", repr("R9")
+)
+# An entry that repeats one already loaded, but whose reference is a JSON
+# true or 0.0, which equal the positions 1 and 0 and hash alike; and an
+# entry whose id is a list, which is unhashable.
+MALFORMED_INDEX_EDITS["proc-dep-ref-true-after-1"] = (
+    ("proc_dep", "P", "SA", "01R1"), [["R1", 1], ["R1", True]], "reference True "
+)
+MALFORMED_INDEX_EDITS["proc-dep-ref-0.0-after-0"] = (
+    ("proc_dep", "P", "SA"), {"01R2": [["R1", 0], ["R1", 0.0]]}, "reference 0.0 "
+)
+MALFORMED_INDEX_EDITS["proc-dep-id-a-list"] = (
+    ("proc_dep", "P", "SA", "01R1", 0, 0), ["R1"], "requirement id ['R1'] is not a string"
 )
 
 

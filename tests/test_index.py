@@ -44,9 +44,12 @@ from support import (
     index_corpora,
     json_with,
     json_with_key,
+    odd_string_index,
+    odd_string_indexes,
     one_diff_index,
     reference_build_index,
     reference_diff_texts,
+    reference_index_to_json,
     reference_query_release_diff,
     unregistered_record_dev_index,
 )
@@ -528,17 +531,25 @@ class TestPersistence:
         assert texts <= set(data["texts"])
 
     def test_round_trip_equal_and_shares_texts(self, corpus_index):
+        """Built and loaded, each distinct text, requirement id, record and
+        entry is one object, held by every place that holds an equal one."""
         again = index_from_json(index_to_json(corpus_index))
         for name in (f.name for f in dataclasses.fields(SpecIndex)):
             assert getattr(again, name) == getattr(corpus_index, name), name
         for index in (corpus_index, again):
-            by_text = {}
+            by_text, by_record, by_entry = {}, {}, {}
+            ids = {req_id: req_id for req_id in index.req_release}
             for records in index.req_release.values():
-                for text, _ in records.values():
-                    assert by_text.setdefault(text, text) is text
+                for record in records.values():
+                    assert by_record.setdefault(record, record) is record
+                    assert by_text.setdefault(record[0], record[0]) is record[0]
             for entries in speckit.index._entry_lists(index):
-                for _, text in entries:
+                for entry in entries:
+                    req_id, text = entry
+                    assert by_entry.setdefault(entry, entry) is entry
                     assert by_text.setdefault(text, text) is text
+                    assert ids.setdefault(req_id, req_id) is req_id
+            assert len(by_entry) < sum(map(len, speckit.index._entry_lists(index)))
 
     def test_queries_equal_after_reload(self, small_world):
         _, _, _, index = small_world
@@ -549,6 +560,28 @@ class TestPersistence:
         a = query_release_diff(again, "A2 measurement", rel("01R1"), rel("01R2"))
         b = query_release_diff(index, "A2 measurement", rel("01R1"), rel("01R2"))
         assert a == b
+
+
+class TestWriter:
+    """`index_to_json` writes the bytes of one `json.dumps` over the nested
+    sections, kept as `support.reference_index_to_json`."""
+
+    def test_bundle_equals_json_dumps_reference(self, corpus_index):
+        assert index_to_json(corpus_index) == reference_index_to_json(corpus_index)
+
+    @settings(max_examples=150, deadline=None)
+    @given(index_corpora())
+    @example(index_cases())
+    def test_equals_json_dumps_reference(self, corpus):
+        docs, registry = corpus
+        built = build_index(docs, registry, build_lexicon(INDEX_LEXICON))
+        assert index_to_json(built) == reference_index_to_json(built)
+
+    @settings(max_examples=200, deadline=None)
+    @given(odd_string_indexes())
+    @example(odd_string_index())
+    def test_escapes_as_json_dumps(self, index):
+        assert index_to_json(index) == reference_index_to_json(index)
 
 
 class TestRoundTrip:
