@@ -7,15 +7,20 @@ Procedures are lexicon canonical names; requirements mentioning no known
 procedure are kept under the reserved "(unmapped)" key.  The index is
 rebuilt from scratch on corpus change and persists to a single JSON file.
 
-Format 4 stores nothing that the loader can derive.  Each distinct resolved
+Format 5 stores nothing that the loader can derive.  Each distinct resolved
 text is held once, in a sorted "texts" table referred to by position: a
 "req_release" record is the pair `[text position, sorted reachable devs]`,
 and a "proc_release" or "proc_dep" entry the pair `[requirement id, text
-position]`.  "proc_dev" lists, per procedure and development, the ids of the
+position]`.  "proc_dep" lists, per procedure, deployment and release, only
+the entries whose deployment text differs from that requirement's
+"proc_release" entry there; the loader derives every other entry from
+"proc_release", and a list with no such entry is the "proc_release" list
+itself.  "proc_dev" lists, per procedure and development, the ids of the
 requirements that the development changed.  The loader re-derives each diff
 with `diff_texts`, from the release before the development's registry
 release to that release, and each procedure's requirements from
-"proc_release".  On gen-corpus seed 1 (size 2000) the file is 1.86 MB.
+"proc_release".  On gen-corpus seed 1 (size 2000) the file is 1.59 MB, of
+which "proc_dep" is 16.7 KB (285.7 KB in format 4).
 
 Neither half of persistence holds a second copy of the index.  The writer
 builds no nested document: it appends the pieces of the JSON text to one
@@ -23,20 +28,24 @@ list, encoding each distinct key, entry and record once, and joins them
 once.  The loader pops each raw section from the parsed document and drops
 each of its items once converted, and keeps one str per requirement id and
 one tuple per distinct entry and record, which every list shares, as a built
-index does.  On seed 1 the writer's peak is 2.95 times the file's length
-(a nested `json.dumps` 4.04) and the loader's 4.42 times (6.44): its peak
-is the parsed document.
+index does.  On seed 1 the writer's peak is 4.98 MB, 3.14 times the file's
+length (5.51 MB and 2.97 times in format 4; a nested `json.dumps` 4.04
+times), and the loader's 5.48 MB, 3.45 times (8.21 MB and 4.42 times in
+format 4; 6.44 times when every raw section stayed alive): its peak is the
+parsed document.
 
 A wrong shape raises ValueError "malformed index: ...": a missing key, a
 value of the wrong JSON type, a text reference outside the table, a record or
-entry that is not a pair, a "release_universe" that is not strictly
-increasing or a release key outside it, a "proc_dep" deployment other than SA
-or NSA, a "req_release" record development or a "proc_dev" development that
-is not in the registry, a "proc_dev" development registered outside the
-universe or at its first release, a "proc_dev" id with no "req_release"
-record or whose diff does not name that development as a cause, and a
-"proc_release" entry whose text is not its requirement's "req_release" text
-at that release.
+entry that is not a pair, a "release_universe" that is not a list of strings
+or not strictly increasing, or a release key outside it, a "proc_dep"
+deployment other than SA or NSA, a "req_release" record development or a
+"proc_dev" development that is not in the registry, a "proc_dev" development
+registered outside the universe or at its first release, a "proc_dev" id with
+no "req_release" record or whose diff does not name that development as a
+cause, a "proc_release" entry whose text is not its requirement's
+"req_release" text at that release, and a "proc_dep" entry whose id has no
+"proc_release" entry at its procedure and release, is listed twice there, or
+holds that entry's own text.
 """
 
 from __future__ import annotations
@@ -62,12 +71,16 @@ from .model import (
 from .resolver import BehaviorDiff, _sentences_of, diff_causes, diff_texts, resolve_details
 from .tokenizer import tokenize
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 UNMAPPED = "(unmapped)"
 
 Entry = tuple[str, str]  # (requirement id, resolved text)
+ByRelease = dict[str, list[Entry]]  # release -> entries
+DepTable = dict[str, dict[str, ByRelease]]  # canonical -> deployment -> release -> entries
 _ABSENT: tuple[None, frozenset[str]] = (None, frozenset())  # no text at a release
-_DEPLOYMENTS = frozenset(dep.value for dep in DeploymentType)
+# Each deployment by its key, read once: iterating the Enum and its `.value`
+# property run Python code on every access.
+_DEPLOYMENTS = {dep.value: dep for dep in DeploymentType}
 
 
 @dataclass
@@ -78,12 +91,11 @@ class SpecIndex:
     # requirement id -> release -> (text, reachable devs)
     req_release: dict[str, dict[str, tuple[str, AbstractSet[str]]]]
     # canonical -> release -> entries
-    proc_release: dict[str, dict[str, list[Entry]]]
+    proc_release: dict[str, ByRelease]
     # canonical -> development -> diffs
     proc_dev: dict[str, dict[str, list[BehaviorDiff]]]
     proc_req: dict[str, set[str]] = field(default_factory=dict)
-    # canonical -> deployment -> release -> entries
-    proc_dep: dict[str, dict[str, dict[str, list[Entry]]]] = field(default_factory=dict)
+    proc_dep: DepTable = field(default_factory=dict)
 
     def canonical_of(self, procedure: str) -> Optional[str]:
         if procedure == UNMAPPED:
@@ -107,16 +119,13 @@ def build_index(
 ) -> SpecIndex:
     """Materialize every requirement at every release and index by procedure."""
     universe = release_universe(docs, registry)
-    aliases = {" ".join(key): canonical for key, canonical in lexicon.reverse.items()}
-
     index = SpecIndex(
         release_universe=universe,
         registry=dict(registry.entries),
-        aliases=aliases,
+        aliases={" ".join(key): canonical for key, canonical in lexicon.reverse.items()},
         req_release={},
         proc_release={},
         proc_dev={},
-        proc_dep={},
     )
 
     # Most resolved texts repeat across releases and deployments.  `shared`
@@ -126,14 +135,13 @@ def build_index(
     # and alias-matched once.
     shared: dict[Any, Any] = {}
     procs_of: dict[str, set[str]] = {}
-    # Each deployment with its key, read once: iterating the Enum and its
-    # `.value` property run Python code on every access.
-    deployments = [(dep, dep.value) for dep in DeploymentType]
+    # (canonical, deployment, release) -> entries whose text differs
+    overrides: dict[tuple[str, str, str], list[Entry]] = {}
 
     for doc in docs:
         for req in doc.iter_requirements():
             # Only a DeploymentSpan reads the deployment: without one, SA and
-            # NSA resolve to the text of both, and share its entry.
+            # NSA resolve to the text of both, and override no entry.
             has_span = any(
                 isinstance(seg, DeploymentSpan)
                 for version in req.versions
@@ -157,15 +165,14 @@ def build_index(
                 for proc in procs:
                     index.proc_release.setdefault(proc, {}).setdefault(r_key, []).append(entry)
 
-                for dep, dep_key in deployments:
-                    dep_entry = entry
-                    if has_span:
-                        dep_text = _one(shared, resolve_details(req, r, dep, registry)[0])
-                        dep_entry = _one(shared, (req.id, dep_text))
-                    for proc in procs:
-                        index.proc_dep.setdefault(proc, {}).setdefault(
-                            dep_key, {}
-                        ).setdefault(r_key, []).append(dep_entry)
+                if not has_span:
+                    continue
+                for dep_key, dep in _DEPLOYMENTS.items():
+                    dep_text = _one(shared, resolve_details(req, r, dep, registry)[0])
+                    dep_entry = _one(shared, (req.id, dep_text))
+                    if dep_entry is not entry:  # an equal text is the same entry
+                        for proc in procs:
+                            overrides.setdefault((proc, dep_key, r_key), []).append(dep_entry)
 
     # proc_dev files a changed diff under each of its causes, so a change
     # with none needs no LCS.  A diff without changes has no causes.
@@ -186,6 +193,7 @@ def build_index(
                     index.proc_dev.setdefault(proc, {}).setdefault(dev, []).append(diff)
 
     index.proc_req = _proc_req(index.proc_release)
+    index.proc_dep = _proc_dep(index.proc_release, overrides)
     return index
 
 
@@ -194,12 +202,40 @@ def _one(shared: dict[Any, Any], value: Any) -> Any:
     return shared.setdefault(value, value)
 
 
-def _proc_req(proc_release: dict[str, dict[str, list[Entry]]]) -> dict[str, set[str]]:
+def _proc_req(proc_release: dict[str, ByRelease]) -> dict[str, set[str]]:
     """The ids of each procedure's entries at any release."""
     return {
         proc: {req_id for entries in by_release.values() for req_id, _ in entries}
         for proc, by_release in proc_release.items()
     }
+
+
+def _proc_dep(
+    proc_release: dict[str, ByRelease], overrides: dict[tuple[str, str, str], list[Entry]]
+) -> DepTable:
+    """Each procedure's entries per deployment and release: its `proc_release`
+    list, where each entry that `overrides` holds for that procedure,
+    deployment and release replaces the entry with its id.  A list that
+    nothing overrides is the `proc_release` list itself.  A deployment other
+    than SA or NSA, an override of no entry or of one overridden already, and
+    one with that entry's text raise ValueError."""
+    proc_dep = {
+        proc: {dep: dict(by_release) for dep in _DEPLOYMENTS}
+        for proc, by_release in proc_release.items()
+    }
+    for (proc, dep, r), changed in overrides.items():
+        if dep not in _DEPLOYMENTS:
+            raise ValueError(f"deployment {dep!r} is not one of {sorted(_DEPLOYMENTS)}")
+        entries = list(proc_release.get(proc, {}).get(r, ()))
+        position = {req_id: k for k, (req_id, _) in enumerate(entries)}
+        for entry in changed:
+            k = position.pop(entry[0], None)
+            if k is None or entries[k] == entry:
+                why = "has no proc_release entry left" if k is None else "repeats its entry's text"
+                raise ValueError(f"proc_dep {proc!r} {dep} at {r}: {entry[0]!r} {why}")
+            entries[k] = entry
+        proc_dep[proc][dep][r] = entries
+    return proc_dep
 
 
 def _changed_diffs(
@@ -293,9 +329,24 @@ def index_to_json(index: SpecIndex) -> str:
     and joined once.  Each distinct key, entry, record and string value is
     encoded once, and every place that holds it appends the same piece.
     """
+    # proc_dep holds only the entries whose text is not that of the
+    # proc_release entry at their place; `_proc_dep` derives the rest.
+    overrides: DepTable = {}
+    for proc, by_dep in index.proc_dep.items():
+        for dep, by_release in by_dep.items():
+            for r, entries in by_release.items():
+                changed = [e for e, old in zip(entries, index.proc_release[proc][r]) if e != old]
+                if changed:
+                    overrides.setdefault(proc, {}).setdefault(dep, {})[r] = changed
     texts = sorted(
         {text for by_release in index.req_release.values() for text, _ in by_release.values()}
-        | {text for entries in _entry_lists(index) for _, text in entries}
+        | {
+            text
+            for table in (index.proc_release, *overrides.values())
+            for by_release in table.values()
+            for entries in by_release.values()
+            for _, text in entries
+        }
     )
     position = {text: i for i, text in enumerate(texts)}
     out: list[str] = []
@@ -327,22 +378,18 @@ def index_to_json(index: SpecIndex) -> str:
         return string(str(r))
 
     # The top-level keys in sorted order, as sort_keys writes them.
-    append('{"aliases":')
-    _write_json(index.aliases, string, append, keys)
-    append(f',"format_version":{FORMAT_VERSION},"proc_dep":')
-    _write_json(index.proc_dep, entry, append, keys)
-    append(',"proc_dev":')
-    _write_json(index.proc_dev, lambda diff: string(diff.id), append, keys)
-    append(',"proc_release":')
-    _write_json(index.proc_release, entry, append, keys)
-    append(',"registry":')
-    _write_json(index.registry, release, append, keys)
-    append(',"release_universe":')
-    _write_json(index.release_universe, release, append, keys)
-    append(',"req_release":')
-    _write_json(index.req_release, record, append, keys)
-    append(',"texts":')
-    _write_json(texts, _encode, append, keys)
+    for key, value, leaf in (
+        ('{"aliases":', index.aliases, string),
+        (f',"format_version":{FORMAT_VERSION},"proc_dep":', overrides, entry),
+        (',"proc_dev":', index.proc_dev, lambda diff: string(diff.id)),
+        (',"proc_release":', index.proc_release, entry),
+        (',"registry":', index.registry, release),
+        (',"release_universe":', index.release_universe, release),
+        (',"req_release":', index.req_release, record),
+        (',"texts":', texts, _encode),
+    ):
+        append(key)
+        _write_json(value, leaf, append, keys)
     append("}\n")
     return "".join(out)
 
@@ -370,15 +417,6 @@ def _write_json(
         append("]" if value else "[]")
     else:
         append(leaf(value))
-
-
-def _entry_lists(index: SpecIndex) -> Iterator[list[Entry]]:
-    """Every entry list of `proc_release` and `proc_dep`."""
-    for by_release in index.proc_release.values():
-        yield from by_release.values()
-    for by_dep in index.proc_dep.values():
-        for by_release in by_dep.values():
-            yield from by_release.values()
 
 
 def index_from_json(source: str) -> SpecIndex:
@@ -442,7 +480,9 @@ def index_from_json(source: str) -> SpecIndex:
                 frozen_devs[tuple(devs)] = frozen
             return _one(shared, (text_at(ref), frozen))
 
-        universe = [ReleaseId.parse(r) for r in data.pop("release_universe")]
+        universe = list(
+            map(ReleaseId.parse, _strings(data.pop("release_universe"), "release_universe"))
+        )
         if universe != sorted(set(universe)):
             raise ValueError(f"release_universe {[str(r) for r in universe]} is not increasing")
         parsed = {str(r): r for r in universe}
@@ -451,11 +491,6 @@ def index_from_json(source: str) -> SpecIndex:
         def release(key: str) -> str:
             if key not in parsed:
                 raise ValueError(f"release {key!r} is not in the release universe")
-            return key
-
-        def deployment(key: str) -> str:
-            if key not in _DEPLOYMENTS:
-                raise ValueError(f"deployment {key!r} is not one of {sorted(_DEPLOYMENTS)}")
             return key
 
         # Each raw section is popped from `data`, and each of its items dropped
@@ -527,13 +562,12 @@ def index_from_json(source: str) -> SpecIndex:
                 for proc, by_dev in _drain(data.pop("proc_dev"))
             },
             proc_req=_proc_req(proc_release),
-            proc_dep={
-                proc: {
-                    deployment(dep): {release(r): entries(refs) for r, refs in by_release.items()}
-                    for dep, by_release in by_dep.items()
-                }
+            proc_dep=_proc_dep(proc_release, {
+                (proc, dep, release(r)): entries(refs)
                 for proc, by_dep in _drain(data.pop("proc_dep"))
-            },
+                for dep, by_release in by_dep.items()
+                for r, refs in by_release.items()
+            }),
         )
     except ValueError as exc:  # a failed check, or a malformed release id
         raise ValueError(f"malformed index: {exc}") from exc

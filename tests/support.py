@@ -384,7 +384,8 @@ def reference_query_release_diff(
 
 def reference_index_to_json(index: SpecIndex) -> str:
     """`index.index_to_json` the direct way: the nested sections built whole,
-    then one `json.dumps` with sorted keys."""
+    then one `json.dumps` with sorted keys.  Each `proc_dep` list must hold
+    the ids of the `proc_release` list at its procedure and release."""
     entry_lists = [
         *(entries for by_release in index.proc_release.values() for entries in by_release.values()),
         *(
@@ -402,6 +403,17 @@ def reference_index_to_json(index: SpecIndex) -> str:
 
     def refs(entries: list[tuple[str, str]]) -> list[tuple[str, int]]:
         return [(req_id, position[text]) for req_id, text in entries]
+
+    # proc_dep holds each entry whose text is not that of the proc_release
+    # entry with its id at the same procedure and release.
+    overrides: dict[str, dict[str, dict[str, list[tuple[str, int]]]]] = {}
+    for proc, by_dep in index.proc_dep.items():
+        for dep, by_release in by_dep.items():
+            for r, entries in by_release.items():
+                text_of = dict(index.proc_release[proc][r])
+                changed = [(req_id, text) for req_id, text in entries if text != text_of[req_id]]
+                if changed:
+                    overrides.setdefault(proc, {}).setdefault(dep, {})[r] = refs(changed)
 
     data = {
         "format_version": FORMAT_VERSION,
@@ -423,13 +435,7 @@ def reference_index_to_json(index: SpecIndex) -> str:
             proc: {dev: [diff.id for diff in diffs] for dev, diffs in by_dev.items()}
             for proc, by_dev in index.proc_dev.items()
         },
-        "proc_dep": {
-            proc: {
-                dep: {r: refs(entries) for r, entries in by_release.items()}
-                for dep, by_release in by_dep.items()
-            }
-            for proc, by_dep in index.proc_dep.items()
-        },
+        "proc_dep": overrides,
     }
     return json.dumps(data, sort_keys=True, indent=None, separators=(",", ":")) + "\n"
 
@@ -447,7 +453,8 @@ _ODD_STRINGS = st.text(
 def odd_string_indexes(draw):
     """A SpecIndex whose requirement ids, texts, aliases, procedures and
     developments are `_ODD_STRINGS`.  Only the writer reads it, so its
-    entries need not agree with its records."""
+    entries need not agree with its records; each `proc_dep` list holds the
+    ids of its `proc_release` list, each with that entry's text or another."""
     universe = sorted(draw(st.sets(st.sampled_from(RELEASES), min_size=1)))
     releases = st.sampled_from([str(r) for r in universe])
     ids = draw(st.lists(_ODD_STRINGS, min_size=1, max_size=3, unique=True))
@@ -455,7 +462,9 @@ def odd_string_indexes(draw):
     devs = draw(st.lists(_ODD_STRINGS, max_size=3, unique=True))
     procs = draw(st.lists(_ODD_STRINGS, min_size=1, max_size=3, unique=True))
     entry_lists = st.dictionaries(
-        releases, st.lists(st.tuples(st.sampled_from(ids), texts), max_size=3), max_size=3
+        releases,
+        st.lists(st.tuples(st.sampled_from(ids), texts), max_size=3, unique_by=lambda e: e[0]),
+        max_size=3,
     )
     dev_sets = st.frozensets(st.sampled_from(devs)) if devs else st.just(frozenset())
     diffs = st.lists(
@@ -464,6 +473,7 @@ def odd_string_indexes(draw):
         ),
         max_size=2,
     )
+    proc_release = {proc: draw(entry_lists) for proc in procs}
     return SpecIndex(
         release_universe=universe,
         registry={dev: draw(st.sampled_from(universe)) for dev in devs},
@@ -472,20 +482,28 @@ def odd_string_indexes(draw):
             req_id: draw(st.dictionaries(releases, st.tuples(texts, dev_sets), max_size=3))
             for req_id in ids
         },
-        proc_release={proc: draw(entry_lists) for proc in procs},
+        proc_release=proc_release,
         proc_dev={
             proc: {dev: draw(diffs) for dev in draw(st.lists(st.sampled_from(devs), unique=True))}
             for proc in procs
         } if devs else {},
         proc_dep={
-            proc: {dep.value: draw(entry_lists) for dep in DeploymentType} for proc in procs
+            proc: {
+                dep.value: {
+                    r: [(req_id, draw(st.one_of(st.just(text), texts))) for req_id, text in entries]
+                    for r, entries in by_release.items()
+                }
+                for dep in DeploymentType
+            }
+            for proc, by_release in proc_release.items()
         },
     )
 
 
 def odd_string_index() -> SpecIndex:
     """One index with all of `_ODD_CHARS` in each of its requirement ids,
-    texts, aliases, procedures and developments."""
+    texts, aliases, procedures and developments, and in an SA text that
+    overrides its entry."""
     req_id, text, proc, dev = (f"{kind}{_ODD_CHARS}" for kind in ("R", "T", "P", "D"))
     r = RELEASES[0]
     entries = {str(r): [(req_id, text)]}
@@ -496,24 +514,25 @@ def odd_string_index() -> SpecIndex:
         req_release={req_id: {str(r): (text, frozenset({dev}))}},
         proc_release={proc: entries},
         proc_dev={proc: {dev: [BehaviorDiff(req_id, r, r, (), frozenset())]}},
-        proc_dep={proc: {dep.value: entries for dep in DeploymentType}},
+        proc_dep={proc: {"SA": {str(r): [(req_id, f"S{text}")]}, "NSA": entries}},
     )
 
 
 def one_diff_index() -> str:
-    """A complete format-4 index, as `index_to_json` writes it, with one diff.
+    """A complete format-5 index, as `index_to_json` writes it, with one diff.
 
     The diff, of requirement "R1" from release "01R1" to "01R2", where
     development "CB00XXXX" is registered, is filed under procedure "P" (alias
     "p") and that development.  R1's sentences are ("One.", "Two.") at 01R1
     and ("One.", "Three.") at 01R2, so the loader derives the segments
     unchanged "One.", added "Three.", removed "Two.".  R1 also has an entry at
-    01R1 under "P" in "proc_release" and, for SA, "proc_dep".
+    01R1 under "P" in "proc_release", which the SA entry in "proc_dep"
+    overrides with the text "One. Three.".
     """
     data = {
         "aliases": {"p": "P"},
         "format_version": FORMAT_VERSION,
-        "proc_dep": {"P": {"SA": {"01R1": [["R1", 1]]}}},
+        "proc_dep": {"P": {"SA": {"01R1": [["R1", 0]]}}},
         "proc_dev": {"P": {"CB00XXXX": ["R1"]}},
         "proc_release": {"P": {"01R1": [["R1", 1]]}},
         "registry": {"CB00XXXX": "01R2"},
@@ -542,6 +561,9 @@ MALFORMED_INDEX_EDITS = {
         "record-not-a-pair": (("req_release", "R1", "01R1"), {"devs": [], "text": 1}),
         "aliases-a-list-of-pairs": (("aliases",), [["p", "P"]]),
         "universe-bad-release": (("release_universe", 0), "x"),
+        "universe-an-object": (("release_universe",), {"01R1": 0, "01R2": 1}),
+        "universe-a-string": (("release_universe",), "01R1"),
+        "proc-dep-id-without-entry": (("proc_dep", "P", "SA", "01R1", 0, 0), "R9"),
         "registry-bad-release": (("registry", "CB00XXXX"), "x"),
     }.items()
 }
@@ -574,6 +596,22 @@ MALFORMED_INDEX_EDITS["proc-dep-ref-true-after-1"] = (
 )
 MALFORMED_INDEX_EDITS["proc-dep-ref-0.0-after-0"] = (
     ("proc_dep", "P", "SA"), {"01R2": [["R1", 0], ["R1", 0.0]]}, "reference 0.0 "
+)
+# A proc_dep override of no proc_release entry: at a release or a procedure
+# with none; one with the text of the entry it overrides; and one id twice.
+MALFORMED_INDEX_EDITS["proc-dep-release-without-entry"] = (
+    ("proc_dep", "P", "SA"), {"01R2": [["R1", 0]]}, "'P' SA at 01R2: 'R1' has no proc_release entry"
+)
+MALFORMED_INDEX_EDITS["proc-dep-procedure-without-entry"] = (
+    ("proc_dep",), {"Q": {"SA": {"01R1": [["R1", 0]]}}}, "'Q' SA at 01R1: 'R1' has no proc_release"
+)
+MALFORMED_INDEX_EDITS["proc-dep-text-of-proc-release"] = (
+    ("proc_dep", "P", "SA", "01R1", 0, 1), 1, "'P' SA at 01R1: 'R1' repeats its entry's text"
+)
+MALFORMED_INDEX_EDITS["proc-dep-id-twice"] = (
+    ("proc_dep", "P", "NSA"),
+    {"01R1": [["R1", 0], ["R1", 0]]},
+    "'R1' has no proc_release entry left",
 )
 MALFORMED_INDEX_EDITS["proc-dep-id-a-list"] = (
     ("proc_dep", "P", "SA", "01R1", 0, 0), ["R1"], "requirement id ['R1'] is not a string"

@@ -551,6 +551,16 @@ FORMAT_3_INDEX = (
     '"01R2":[0,["CB00XXXX"]]}},"texts":["One. Three.","One. Two."]}\n'
 )
 
+# A format-4 index: each proc_dep list written whole, here the same as its
+# proc_release list.
+FORMAT_4_INDEX = (
+    '{"aliases":{"p":"P"},"format_version":4,"proc_dep":{"P":{"NSA":{"01R1":[["R1",1]]},'
+    '"SA":{"01R1":[["R1",1]]}}},"proc_dev":{"P":{"CB00XXXX":["R1"]}},'
+    '"proc_release":{"P":{"01R1":[["R1",1]]}},"registry":{"CB00XXXX":"01R2"},'
+    '"release_universe":["01R1","01R2"],"req_release":{"R1":{"01R1":[1,[]],'
+    '"01R2":[0,["CB00XXXX"]]}},"texts":["One. Three.","One. Two."]}\n'
+)
+
 
 class TestErrorContract:
     """Every failure exits with its documented code and one `error:` line."""
@@ -641,6 +651,10 @@ class TestErrorContract:
     def test_format_3_index_names_its_version(self, tmp_path, capsys):
         err = self.old_format_error(tmp_path, capsys, FORMAT_3_INDEX)
         assert err.startswith("error: index: unsupported index format version: 3 ")
+
+    def test_format_4_index_names_its_version(self, tmp_path, capsys):
+        err = self.old_format_error(tmp_path, capsys, FORMAT_4_INDEX)
+        assert err.startswith("error: index: unsupported index format version: 4 ")
 
     @pytest.mark.parametrize("kind", ["index", "lexicon", "config"])
     def test_nested_too_deep_names_its_input(self, error_dir, capsys, kind):

@@ -34,10 +34,10 @@ from speckit.lint import LintConfig, lint_corpus
 from speckit.model import DeploymentType, release_universe
 from speckit.resolver import diff_behavior
 
-# Index format 4 lists only the requirement ids of each proc_dev diff and
-# writes no proc_req, so the index JSON changed; the query answers read back
-# from it did not.
-INDEX_SHA256 = "b6246130d37498f321a004c7bbd9853a5a74e2a9a5b3e8b4819650ba148de6b4"
+# Index format 5 writes in proc_dep only the entries whose deployment text
+# differs from proc_release, so the index JSON changed; the query answers
+# read back from it did not.
+INDEX_SHA256 = "f76ac2e39b948510931358ef07b1f14ee2aa3d0f099968e1f3d2ca86fb68af6e"
 QUERY_SHA256 = "4ce569f2692d2c1f4dfcbc6c2b83c31fad5d98312932081e6b75961a9ce07d29"
 EXTRACT_SHA256 = "6b09632e31244138c23c4db8e4b9b71ab0a7e618d676d9d00a4c1d0d630b7a3e"
 DIFF_SHA256 = "f89750cd9f80ad292e87aee1dc6a9a39e275670091fed6d59c05b7c902e7728f"

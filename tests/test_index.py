@@ -406,7 +406,9 @@ def _text_ref_blob(section: str, ref) -> str:
     """A one-requirement index whose `section` refers to text `ref`.
 
     R1's record refers to text 0 unless `section` is "req_release", so an
-    entry that refers to text 0 holds its requirement's text.
+    entry that refers to text 0 holds its requirement's text.  A "proc_dep"
+    entry overrides R1's "proc_release" entry, which refers to text 0, and
+    the table then holds a second text, "two", for it to refer to.
     """
     entries = {
         "req_release": {"R1": {"01R1": [ref, []]}},
@@ -419,13 +421,22 @@ def _text_ref_blob(section: str, ref) -> str:
         "proc_dev": {},
         "registry": {},
         "release_universe": ["01R1"],
-        "texts": ["one"],
+        "texts": ["one", "two"] if section == "proc_dep" else ["one"],
         "req_release": {"R1": {"01R1": [0, []]}},
-        "proc_release": {},
+        "proc_release": {"P": {"01R1": [["R1", 0]]}} if section == "proc_dep" else {},
         "proc_dep": {},
         section: entries[section],
     }
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _entry_lists(index: SpecIndex):
+    """Every entry list of `proc_release` and `proc_dep`."""
+    for by_release in index.proc_release.values():
+        yield from by_release.values()
+    for by_dep in index.proc_dep.values():
+        for by_release in by_dep.values():
+            yield from by_release.values()
 
 
 class TestPersistence:
@@ -448,9 +459,32 @@ class TestPersistence:
             for proc, by_dev in corpus_index.proc_dev.items()
         }
 
+    def test_proc_dep_holds_only_overrides(self, corpus_index):
+        """The written `proc_dep` holds each entry whose deployment text is not
+        its `proc_release` entry's, and no other."""
+        data = json.loads(index_to_json(corpus_index))
+        written = {
+            (proc, dep, r, req_id, data["texts"][ref])
+            for proc, by_dep in data["proc_dep"].items()
+            for dep, by_release in by_dep.items()
+            for r, entries in by_release.items()
+            for req_id, ref in entries
+        }
+        differing = {
+            (proc, dep, r, req_id, text)
+            for proc, by_dep in corpus_index.proc_dep.items()
+            for dep, by_release in by_dep.items()
+            for r, entries in by_release.items()
+            for (req_id, text), base in zip(entries, corpus_index.proc_release[proc][r])
+            if text != base[1]
+        }
+        assert written == differing and 0 < len(written) < sum(
+            map(len, _entry_lists(corpus_index))
+        )
+
     def test_format_version_checked(self, small_world):
         _, _, _, index = small_world
-        for version in (1, 2, 3, 99):
+        for version in (1, 2, 3, 4, 99):
             blob = index_to_json(index).replace(
                 f'"format_version":{FORMAT_VERSION}', f'"format_version":{version}'
             )
@@ -519,8 +553,9 @@ class TestPersistence:
 
     @pytest.mark.parametrize("section", ["req_release", "proc_release", "proc_dep"])
     def test_valid_text_reference_loads(self, section):
-        index = index_from_json(_text_ref_blob(section, 0))
-        assert index_to_json(index) == _text_ref_blob(section, 0)
+        ref = 1 if section == "proc_dep" else 0  # an override holds a text of its own
+        index = index_from_json(_text_ref_blob(section, ref))
+        assert index_to_json(index) == _text_ref_blob(section, ref)
 
     def test_each_text_stored_once(self, corpus_index):
         data = json.loads(index_to_json(corpus_index))
@@ -543,13 +578,13 @@ class TestPersistence:
                 for record in records.values():
                     assert by_record.setdefault(record, record) is record
                     assert by_text.setdefault(record[0], record[0]) is record[0]
-            for entries in speckit.index._entry_lists(index):
+            for entries in _entry_lists(index):
                 for entry in entries:
                     req_id, text = entry
                     assert by_entry.setdefault(entry, entry) is entry
                     assert by_text.setdefault(text, text) is text
                     assert ids.setdefault(req_id, req_id) is req_id
-            assert len(by_entry) < sum(map(len, speckit.index._entry_lists(index)))
+            assert len(by_entry) < sum(map(len, _entry_lists(index)))
 
     def test_queries_equal_after_reload(self, small_world):
         _, _, _, index = small_world
@@ -596,6 +631,30 @@ class TestRoundTrip:
         loaded = index_from_json(index_to_json(built))
         for name in (f.name for f in dataclasses.fields(SpecIndex)):
             assert getattr(loaded, name) == getattr(built, name), name
+
+    @settings(max_examples=150, deadline=None)
+    @given(index_corpora())
+    @example(index_cases())
+    def test_loaded_proc_dep_equals_reference_build(self, corpus):
+        """Each loaded `proc_dep` list, derived from `proc_release` and the
+        written overrides, holds what resolving that deployment gives; a list
+        that nothing overrides is the `proc_release` list itself."""
+        docs, registry = corpus
+        lexicon = build_lexicon(INDEX_LEXICON)
+        loaded = index_from_json(index_to_json(build_index(docs, registry, lexicon)))
+        want = reference_build_index(docs, registry, lexicon).proc_dep
+
+        def places(proc_dep):
+            return {(proc, dep, r) for proc, by_dep in proc_dep.items()
+                    for dep, by_release in by_dep.items() for r in by_release}
+
+        assert places(loaded.proc_dep) == places(want)
+        for proc, by_dep in want.items():
+            for dep, by_release in by_dep.items():
+                for r, entries in by_release.items():
+                    got, base = loaded.proc_dep[proc][dep][r], loaded.proc_release[proc][r]
+                    assert got == entries, (proc, dep, r)
+                    assert (got is base) == (got == base), (proc, dep, r)
 
     def test_cases_hold_a_caused_diff_from_no_text(self):
         docs, registry = index_cases()

@@ -11,6 +11,12 @@ ValueError whose message starts "malformed index:", and never raise
 anything else; every dropped fixed key and every replaced id must raise.
 Every mutant that loads must answer all five query forms, raising nothing
 but UnknownReleaseError and UnknownDevelopmentError.
+
+The `proc_dep` overlay has edits of its own.  An override moved to an id
+with no entry at its place, given the text of the entry it overrides, or
+followed by a second override of its id must raise; an override given another text, or a new override
+of another entry at its place, must load, and its SA or NSA answer must be
+the `proc_release` answer with that entry's text replaced.
 """
 
 import copy
@@ -104,6 +110,38 @@ def _id_swaps() -> list[tuple[tuple, object]]:
 ID_SWAPS = _id_swaps()
 
 
+def _overlay_edits() -> tuple[list, list]:
+    """(refused, loading): (path, new value) edits of the `proc_dep` overlay.
+
+    Refused: each override moved to every id with no entry at its place,
+    given its entry's own text, or followed by a second override of its id.
+    Loading: each override given a seeded pick of another text, and a new
+    override of each entry at its place that none overrides."""
+    rng = random.Random(20241021)
+    refused, loading = [], []
+    for proc, by_dep in BASE["proc_dep"].items():
+        for dep, by_release in by_dep.items():
+            for r, overrides in by_release.items():
+                place = ("proc_dep", proc, dep, r)
+                ref_of = dict(BASE["proc_release"][proc][r])
+                absent = sorted(set(BASE["req_release"]) - set(ref_of))
+                for k, (req_id, ref) in enumerate(overrides):
+                    others = [t for t in range(len(BASE["texts"])) if t not in (ref, ref_of[req_id])]
+                    refused += [(place + (k, 0), other) for other in absent]
+                    refused.append((place + (k, 1), ref_of[req_id]))
+                    refused.append((place, overrides + [[req_id, others[0]]]))
+                    loading.append((place + (k, 1), rng.choice(others)))
+                overridden = {req_id for req_id, _ in overrides}
+                for req_id, ref in ref_of.items():
+                    if req_id not in overridden:
+                        other = rng.choice([t for t in range(len(BASE["texts"])) if t != ref])
+                        loading.append((place, overrides + [[req_id, other]]))
+    return refused, loading
+
+
+OVERLAY_REFUSED, OVERLAY_LOADING = _overlay_edits()
+
+
 def _dropped(path: tuple) -> str:
     data = copy.deepcopy(BASE)
     del _at(data, path[:-1])[path[-1]]
@@ -184,6 +222,8 @@ def test_base_loads_and_covers_the_schema():
     assert sum(type(value) is str for _, value in ID_SWAPS) > len({path for path, _ in ID_SWAPS})
     assert {path[0] for path, _ in SWAPPED} == set(TOP_LEVEL_KEYS)
     assert len({type(value) for _, value in SWAPPED}) == len({type(v) for v in SWAPS})
+    assert BASE["proc_dep"] and len(OVERLAY_REFUSED) > len(OVERLAY_LOADING) > 1
+    assert any(type(value) is list for _, value in OVERLAY_LOADING)
 
 
 @pytest.mark.parametrize("chunk", range(4))
@@ -199,6 +239,32 @@ def test_every_swapped_id_is_malformed():
             index_from_json(_swapped(path, value))
 
 
+def test_every_refused_overlay_edit_is_malformed():
+    for path, value in OVERLAY_REFUSED:
+        with pytest.raises(ValueError, match="^malformed index: proc_dep "):
+            index_from_json(_swapped(path, value))
+
+
+def test_every_loading_overlay_edit_overrides_its_entry():
+    """At the edited place, the edited deployment's answer is the
+    `proc_release` answer with each overridden entry's text replaced, and
+    the other deployment's answer is that of BASE."""
+    base = index_from_json(BASE_SOURCE)
+    for path, value in OVERLAY_LOADING:
+        edited = json.loads(_swapped(path, value))
+        index = index_from_json(json.dumps(edited))
+        proc, dep, r = path[1:4]
+        r = ReleaseId.parse(r)
+        overrides = dict(_at(edited, path[:4]))
+        for deployment in DeploymentType:
+            want = query_deployment(base, proc, deployment, r)
+            if deployment.value == dep:
+                texts = edited["texts"]
+                want = [(req_id, texts[overrides[req_id]] if req_id in overrides else text)
+                        for req_id, text in query_behavior(base, proc, r)]
+            assert query_deployment(index, proc, deployment, r) == want, (path, value)
+
+
 @pytest.mark.parametrize("chunk", range(4))
 def test_swapped_type_loads_or_is_malformed(chunk):
     for path, value in SWAPPED[chunk::4]:
@@ -212,7 +278,7 @@ def test_swapped_type_loads_or_is_malformed(chunk):
 
 @pytest.mark.parametrize("chunk", range(4))
 def test_loaded_mutant_answers_every_query(chunk):
-    mutants = [("base", None)] + SWAPPED + SAME_TYPE_SWAPS
+    mutants = [("base", None)] + SWAPPED + SAME_TYPE_SWAPS + OVERLAY_LOADING
     loaded = 0
     for path, value in mutants[chunk::4]:
         source = BASE_SOURCE if path == "base" else _swapped(path, value)
