@@ -32,7 +32,7 @@ from .index import (
 )
 from .lexicon import Lexicon, build_lexicon, load_lexicon
 from .lint import LintConfig, Severity, lint_corpus
-from .model import DeploymentType, DevelopmentRegistry, ReleaseId, SpecDocument
+from .model import DeploymentType, DevelopmentRegistry, ReleaseId, SpecDocument, release_universe
 from .parser import load_registry, parse_document, validate_corpus
 from .resolver import BehaviorDiff, DiffKind, materialize
 
@@ -64,9 +64,13 @@ def _print_json(obj: dict) -> None:
 
 
 def _read_text(path: str) -> str:
-    """The file at `path` as UTF-8; a decoding failure names the file."""
+    """The file at `path` as UTF-8, without a leading byte-order mark.
+
+    A decoding failure names the file and its bad byte's offset in the file
+    (the "utf-8-sig" codec would count that offset from after the mark).
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValueError(
             f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
@@ -140,6 +144,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_resolve(args: argparse.Namespace) -> int:
     docs, registry, _ = _load_valid_inputs(args, cross_validate=False)
     release = ReleaseId.parse(args.release)
+    if release not in release_universe(docs, registry):
+        raise UnknownReleaseError(str(release))
     dep = None if args.deployment == "both" else DeploymentType(args.deployment)
 
     req = next(

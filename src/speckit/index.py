@@ -20,7 +20,7 @@ requirements that the development changed.  The loader re-derives each diff
 with `diff_texts`, from the release before the development's registry
 release to that release, and each procedure's requirements from
 "proc_release".  On gen-corpus seed 1 (size 2000) the file is 1.59 MB, of
-which "proc_dep" is 16.7 KB (285.7 KB in format 4).
+which "proc_dep" is 16.7 KB.
 
 Neither half of persistence holds a second copy of the index.  The writer
 builds no nested document: it appends the pieces of the JSON text to one
@@ -29,9 +29,8 @@ once.  The loader pops each raw section from the parsed document and drops
 each of its items once converted, and keeps one str per requirement id and
 one tuple per distinct entry and record, which every list shares, as a built
 index does.  On seed 1 the writer's peak is 4.98 MB, 3.14 times the file's
-length (5.51 MB and 2.97 times in format 4; a nested `json.dumps` 4.04
-times), and the loader's 5.48 MB, 3.45 times (8.21 MB and 4.42 times in
-format 4; 6.44 times when every raw section stayed alive): its peak is the
+length (a nested `json.dumps` 4.04 times), and the loader's 5.48 MB, 3.45
+times (6.44 times when every raw section stayed alive): its peak is the
 parsed document.
 
 A wrong shape raises ValueError "malformed index: ...": a missing key, a

@@ -21,6 +21,7 @@ from typing import AbstractSet, Iterator, Optional
 
 from .lexicon import Lexicon, Mention, find_mentions
 from .model import (
+    DEVELOPMENT_ID_PATTERN,
     ContentSegment,
     DeploymentSpan,
     DeploymentType,
@@ -507,8 +508,10 @@ def check_length(
 _BRACKET_RE = re.compile(r"\[[^\[\]]{1,40}\]")
 # A tag in any case or spacing: [Before CBxxxxxx], [CBxxxxxx], [End CBxxxxxx],
 # [SA], [NSA], [End SA] or [End NSA].
-_VARIANT_RE = re.compile(r"(?:(?:before|end)\s+)?cb[0-9a-z]{6}|(?:end\s+)?n?sa", re.IGNORECASE)
-_VARIANT_DEV_RE = re.compile(r"cb[0-9a-z]{6}", re.IGNORECASE)
+_VARIANT_RE = re.compile(
+    rf"(?:(?:before|end)\s+)?{DEVELOPMENT_ID_PATTERN}|(?:end\s+)?n?sa", re.IGNORECASE
+)
+_VARIANT_DEV_RE = re.compile(DEVELOPMENT_ID_PATTERN, re.IGNORECASE)
 
 
 def _recognizable_variant(candidate: str) -> bool:

@@ -9,7 +9,12 @@ from enum import Enum
 from typing import Iterator, Mapping, Optional, Union
 
 RELEASE_ID_RE = re.compile(r"^(\d{2})R(\d+)$")
-DEVELOPMENT_ID_RE = re.compile(r"^CB[0-9A-Za-z]{6}$")
+DEVELOPMENT_ID_PATTERN = r"CB[0-9A-Za-z]{6}"
+DEVELOPMENT_ID_RE = re.compile(rf"^{DEVELOPMENT_ID_PATTERN}$")
+# The canonical inline tag, in exact case with one inner space:
+# [Before CBxxxxxx], [CBxxxxxx], [End CBxxxxxx], [SA], [NSA], [End SA], [End NSA].
+TAG_PATTERN = rf"\[(?:(?:Before |End )?{DEVELOPMENT_ID_PATTERN}|(?:End )?N?SA)\]"
+TAG_RE = re.compile(TAG_PATTERN)
 REQUIREMENT_ID_RE = re.compile(r"^(?=.*[A-Z])[A-Z0-9_]{3,64}$")
 
 

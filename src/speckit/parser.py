@@ -16,10 +16,11 @@ Inline content tags:
     [SA] standalone-only text [End SA]     (likewise [NSA])
 
 A deployment span with no matching end tag extends to the end of its
-enclosing part.  Tag matching is case-sensitive and exact; case or spacing
-variants are left in plain text for the lint stage to flag.  Parsing
-recovers per requirement block: a malformed block is reported and dropped,
-and parsing continues with the next block.
+enclosing part.  Tags are matched by `model.TAG_RE`, the grammar the tokenizer
+and lint also read: case-sensitive and exact, so case or spacing variants are
+left in plain text for the lint stage to flag.  Parsing recovers per
+requirement block: a malformed block is reported and dropped, and parsing
+continues with the next block.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .model import (
     RequirementVersion,
     Section,
     SpecDocument,
+    TAG_RE,
     is_valid_development_id,
     iter_dev_ids,
 )
@@ -54,16 +56,6 @@ _END_RE = re.compile(r"^=== END ===$")
 _VERSION_RE = re.compile(r"^--- VERSION first=(\S+) last=(\S+) ---$")
 _HEADING_RE = re.compile(r"^(#+)\s+(\S.*)$")
 _MARKERISH_RE = re.compile(r"^(===.*===|---.*---)$")
-
-_TAG_EVENT_RE = re.compile(
-    r"\[(?:"
-    r"Before (?P<before>CB[0-9A-Za-z]{6})"
-    r"|End (?P<end_dev>CB[0-9A-Za-z]{6})"
-    r"|(?P<mid>CB[0-9A-Za-z]{6})"
-    r"|End (?P<end_dep>SA|NSA)"
-    r"|(?P<dep>SA|NSA)"
-    r")\]"
-)
 
 
 class ParseErrorKind(Enum):
@@ -174,25 +166,26 @@ class _ContentParser:
         if self.buffer:
             self.buffer.append(" ")
         pos = 0
-        for m in _TAG_EVENT_RE.finditer(text):
+        for m in TAG_RE.finditer(text):
             self.buffer.append(text[pos : m.start()])
             pos = m.end()
-            self._handle_tag(line_no, m)
+            self._handle_tag(line_no, m.group())
         self.buffer.append(text[pos:])
 
-    def _handle_tag(self, line: int, m: "re.Match[str]") -> None:
+    def _handle_tag(self, line: int, tag: str) -> None:
         self._flush_text()
-        tag = m.group(0)
-        if m.group("before"):
+        # "Before", "End" or nothing, then a development id, SA or NSA.
+        keyword, _, name = tag[1:-1].rpartition(" ")
+        dev = name if name.startswith("CB") else None
+        if dev and keyword == "Before":
             if any(f.kind == "dev" for f in self.stack):
                 self._error(
                     ParseErrorKind.NESTED_DEV_BLOCK,
                     line,
                     f"{tag} opened inside another development block",
                 )
-            self.stack.append(_Frame(kind="dev", dev=m.group("before"), open_line=line))
-        elif m.group("mid"):
-            dev = m.group("mid")
+            self.stack.append(_Frame(kind="dev", dev=dev, open_line=line))
+        elif dev and not keyword:
             self._close_spans_in_part()
             top = self.stack[-1]
             if top.kind == "dev" and top.dev == dev and len(top.parts) == 1:
@@ -207,8 +200,7 @@ class _ContentParser:
                     line,
                     f"{tag} without matching [Before {dev}]",
                 )
-        elif m.group("end_dev"):
-            dev = m.group("end_dev")
+        elif dev:
             self._close_spans_in_part()
             for opener in reversed(self.stack):
                 if opener.kind == "dev" and opener.dev == dev:
@@ -238,8 +230,8 @@ class _ContentParser:
                 self._error(
                     ParseErrorKind.DANGLING_END, line, f"{tag} without opener"
                 )
-        elif m.group("dep"):
-            dep = DeploymentType(m.group("dep"))
+        elif not keyword:
+            dep = DeploymentType(name)
             if any(f.kind == "span" and f.dep is dep for f in self.stack):
                 self._error(
                     ParseErrorKind.UNBALANCED_TAG,
@@ -248,7 +240,7 @@ class _ContentParser:
                 )
             self.stack.append(_Frame(kind="span", dep=dep, open_line=line))
         else:
-            dep = DeploymentType(m.group("end_dep"))
+            dep = DeploymentType(name)
             top = self.stack[-1]
             if top.kind == "span" and top.dep is dep:
                 self._pop_frame()

@@ -307,12 +307,13 @@ def lcs_diff(
     diff(a, b) equal the removed segments of diff(b, a) in order.
 
     Equal ends are peeled first, with the same result: the backtrack matches
-    a common suffix first, and a shared first sentence found nowhere else on
-    either side adds one to every inner cell and can pair with nothing else.
-    When no sentence repeats on either side, every common leading sentence is
-    such a sentence, and so is each sentence both middles hold if they hold
-    them in one order: those sentences are the whole LCS, and between two of
-    them the middles share nothing, so each gap is diffed alone.  Unchanged
+    a common suffix first.  When no sentence repeats on either side, each
+    common leading sentence occurs nowhere else on either side, so it adds one
+    to every inner cell and can pair with nothing else.  So does each sentence
+    both middles hold, if they hold them in one order: those sentences are
+    then the whole LCS, and between two of them the middles share nothing, so
+    each gap is diffed alone.  An input with a repeated sentence has only its
+    common suffix peeled, and its middle is diffed by the table.  Unchanged
     sentences are items of `unchanged_a`, `a`'s diff with itself, when it is
     given.
     """
@@ -321,10 +322,10 @@ def lcs_diff(
         end_a -= 1
         end_b -= 1
     start = 0
-    limit = min(end_a, end_b)
     anchors: list[tuple[int, int]] = []  # positions in a and b of paired middle sentences
     in_a, in_b = set(a), set(b)
     if len(in_a) == len(a) and len(in_b) == len(b):
+        limit = min(end_a, end_b)
         while start < limit and a[start] == b[start]:
             start += 1
         shared = in_b.intersection(a[start:end_a])
@@ -333,14 +334,6 @@ def lcs_diff(
             shared_b = [j for j in range(start, end_b) if b[j] in shared]
             if [a[i] for i in shared_a] == [b[j] for j in shared_b]:
                 anchors = list(zip(shared_a, shared_b))
-    else:
-        while (
-            start < limit
-            and a[start] == b[start]
-            and a[start] not in a[start + 1 : end_a]
-            and a[start] not in b[start + 1 : end_b]
-        ):
-            start += 1
 
     def unchanged(lo: int, hi: int) -> Iterable[DiffSegment]:
         """`a[lo:hi]` as unchanged segments, sliced from `unchanged_a` if given."""

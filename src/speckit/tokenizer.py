@@ -16,7 +16,8 @@ from enum import Enum
 from functools import lru_cache
 from itertools import chain, islice
 
-from .model import DEVELOPMENT_ID_RE, RELEASE_ID_RE, REQUIREMENT_ID_RE
+# `TAG_RE` is unused here; lint and the tests import it from this module.
+from .model import DEVELOPMENT_ID_RE, RELEASE_ID_RE, REQUIREMENT_ID_RE, TAG_PATTERN, TAG_RE
 
 
 class TokenKind(Enum):
@@ -43,16 +44,6 @@ class Token:
         key = self.text.lower() if self.kind is TokenKind.WORD else self.text
         object.__setattr__(self, "key", key)
 
-
-# Canonical tag grammar: exact case, single internal space.
-TAG_PATTERN = (
-    r"\[Before CB[0-9A-Za-z]{6}\]"
-    r"|\[End CB[0-9A-Za-z]{6}\]"
-    r"|\[CB[0-9A-Za-z]{6}\]"
-    r"|\[End (?:SA|NSA)\]"
-    r"|\[(?:SA|NSA)\]"
-)
-TAG_RE = re.compile(TAG_PATTERN)
 
 # Scan alternatives in precedence order; none matches whitespace, so a scan
 # steps over it.  `_TOKEN_RE` has no groups, so `findall` returns the token

@@ -152,6 +152,36 @@ class TestResolve:
         assert "Standalone extra step" not in out
 
 
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark is not part of an input file's text."""
+
+    def run(self, argv, capsys):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_corpus_file(self, corpus_dir, capsys):
+        argv = ["resolve", *corpus_args(corpus_dir), "--id", "REQ_0001", "--release", "01R1"]
+        plain = self.run(argv, capsys)
+        (corpus_dir / "doc.spec").write_text("\ufeff" + CORPUS, encoding="utf-8")
+        assert self.run(argv, capsys) == plain
+        assert self.run(["validate", *corpus_args(corpus_dir)], capsys)[0] == 0
+
+    def test_lexicon(self, corpus_dir, capsys):
+        argv = ["query", "reqs", *corpus_args(corpus_dir), "--lexicon",
+                str(corpus_dir / "lexicon.json"), "--proc", "A2 measurement for Handover"]
+        plain = self.run(argv, capsys)
+        (corpus_dir / "lexicon.json").write_text("\ufeff" + LEXICON, encoding="utf-8")
+        assert self.run(argv, capsys) == plain
+        assert plain[0] == 0 and "REQ_0001" in plain[1]
+
+    def test_bad_byte_offset_counts_the_mark(self, corpus_dir, capsys):
+        (corpus_dir / "doc.spec").write_bytes(b"\xef\xbb\xbf# Zeit\xfc\n")
+        code, _, err = self.run(["validate", *corpus_args(corpus_dir)], capsys)
+        assert code == 2
+        assert err == f"error: {corpus_dir / 'doc.spec'}: not valid UTF-8 (invalid start byte at byte 9)\n"
+
+
 class TestLint:
     def test_alias_finding_fails_on_high(self, corpus_dir, capsys):
         doc = corpus_dir / "doc.spec"
@@ -514,6 +544,9 @@ ERROR_CASES = {
     "unknown-release": (
         ["query", "behavior", *CORPUS_ARGS, "--proc", "A2 measurement", "--release", "09R9"],
         3,
+    ),
+    "resolve-unknown-release": (
+        ["resolve", *CORPUS_ARGS, "--id", "REQ_0001", "--release", "09R9"], 3
     ),
     # R1's 01R1 record names an unregistered development, and no diff lists R1
     "index-record-dev-not-registered-query-diff": (

@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import speckit.lint as lint_mod
@@ -28,8 +28,15 @@ from speckit.lint import (
     lint_corpus,
     shingle_set,
 )
-from speckit.model import DevelopmentRegistry, ReleaseId
-from speckit.parser import parse_document
+from speckit.model import (
+    DEVELOPMENT_ID_PATTERN,
+    DevBlock,
+    DevelopmentRegistry,
+    PlainText,
+    ReleaseId,
+    iter_segments,
+)
+from speckit.parser import parse_content, parse_document
 from speckit.resolver import materialize
 from speckit.tokenizer import Token, TokenKind, normalize, tokenize
 
@@ -456,6 +463,82 @@ class TestStandardization:
         kinds = [f.message for f in findings]
         assert any("styles" in m for m in kinds)
         assert any("[end CB00XXXX]" in m for m in kinds)
+
+
+# A canonical tag as (keyword, name): "Before ", "End " or nothing before a
+# development id; "End " or nothing before SA or NSA.
+_TAG_PARTS = st.one_of(
+    st.tuples(
+        st.sampled_from(["Before ", "End ", ""]),
+        st.from_regex(DEVELOPMENT_ID_PATTERN, fullmatch=True),
+    ),
+    st.tuples(st.sampled_from(["End ", ""]), st.sampled_from(["SA", "NSA"])),
+)
+
+
+def _balanced(name: str) -> tuple[str, list[str]]:
+    """Content holding every tag form of `name`, balanced, and those tags in order."""
+    if name.startswith("CB"):
+        tags = [f"[Before {name}]", f"[{name}]", f"[End {name}]"]
+        return f"p {tags[0]} q {tags[1]} r {tags[2]} s", tags
+    tags = [f"[{name}]", f"[End {name}]"]
+    return f"p {tags[0]} q {tags[1]} r", tags
+
+
+@st.composite
+def _tag_variants(draw) -> tuple[str, str]:
+    """A canonical tag with its keyword, "CB", SA or NSA recased, its inner
+    space widened, or spaces inside its brackets, or several of these; and
+    the tag's canonical name."""
+    keyword, name = draw(_TAG_PARTS)
+    changes = draw(st.sets(st.sampled_from(["case", "inner", "outer"]), min_size=1))
+    word = keyword.strip()
+    # The six characters after "CB" may take either case in a canonical tag.
+    head, tail = (name[:2], name[2:]) if name.startswith("CB") else (name, "")
+    if "case" in changes:
+        letters = word + head
+        flips = draw(st.lists(st.booleans(), min_size=len(letters), max_size=len(letters)).filter(any))
+        letters = "".join(c.swapcase() if flip else c for c, flip in zip(letters, flips))
+        word, head = letters[: len(word)], letters[len(word) :]
+    inner = " " * (draw(st.integers(2, 3)) if "inner" in changes else 1) if word else ""
+    pads = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any)
+    left, right = draw(pads) if "outer" in changes else (0, 0)
+    variant = f"[{' ' * left}{word}{inner}{head}{tail}{' ' * right}]"
+    assume(variant != f"[{keyword}{name}]")  # "inner" alone changes no bare tag
+    return variant, name
+
+
+class TestTagGrammar:
+    """The parser, the tokenizer and L3 read the one tag grammar of `model`."""
+
+    @given(_TAG_PARTS)
+    def test_canonical_tag_is_one_token_the_parser_consumes(self, parts):
+        keyword, name = parts
+        tag = f"[{keyword}{name}]"
+        assert tokenize(tag) == [Token(tag, TokenKind.TAG)]
+        content, tags = _balanced(name)
+        assert tag in tags
+        assert [t.text for t in tokenize(content) if t.kind is TokenKind.TAG] == tags
+        segments, errors = parse_content(content)
+        assert errors == []
+        plain = [s.text for s in iter_segments(tuple(segments)) if isinstance(s, PlainText)]
+        assert plain and not any("[" in text for text in plain)
+        outer = segments[1]
+        assert (outer.dev if isinstance(outer, DevBlock) else outer.dep.value) == name
+
+    @given(_tag_variants())
+    def test_tag_variant_is_plain_text_and_an_l3_finding(self, drawn):
+        variant, name = drawn
+        content = f"Text {variant} here."
+        assert all(t.kind is not TokenKind.TAG for t in tokenize(content))
+        assert parse_content(content) == ([PlainText(content)], [])
+        expected = [f"non-canonical tag style {variant!r}"]
+        if name.startswith("CB"):  # next to a canonical block, the same development
+            content += " " + _balanced(name)[0]
+            expected.append(f"development {name.upper()} tagged in 2 styles within one requirement")
+        doc = req_doc("a", "REQ_0001", content)
+        findings = check_standardization([doc], analyse_versions([doc], EMPTY_LEX))
+        assert [f.message for f in findings] == expected
 
 
 class TestGrammar:
