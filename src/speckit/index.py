@@ -7,20 +7,25 @@ Procedures are lexicon canonical names; requirements mentioning no known
 procedure are kept under the reserved "(unmapped)" key.  The index is
 rebuilt from scratch on corpus change and persists to a single JSON file.
 
-Format 5 stores nothing that the loader can derive.  Each distinct resolved
-text is held once, in a sorted "texts" table referred to by position: a
-"req_release" record is the pair `[text position, sorted reachable devs]`,
-and a "proc_release" or "proc_dep" entry the pair `[requirement id, text
-position]`.  "proc_dep" lists, per procedure, deployment and release, only
-the entries whose deployment text differs from that requirement's
-"proc_release" entry there; the loader derives every other entry from
-"proc_release", and a list with no such entry is the "proc_release" list
-itself.  "proc_dev" lists, per procedure and development, the ids of the
-requirements that the development changed.  The loader re-derives each diff
-with `diff_texts`, from the release before the development's registry
-release to that release, and each procedure's requirements from
-"proc_release".  On gen-corpus seed 1 (size 2000) the file is 1.59 MB, of
-which "proc_dep" is 16.7 KB.
+Format 6 stores nothing that the loader can derive, and each distinct
+sentence once.  Each distinct resolved text has a position in a sorted
+"texts" table: a "req_release" record is the pair `[text position, sorted
+reachable devs]`, and a "proc_release" or "proc_dep" entry the pair
+`[requirement id, text position]`.  A text is stored as its pieces between
+the literal ". "s it holds, which `". ".join` puts back exactly: the
+"sentences" table holds each distinct piece once, in the order the sorted
+texts first hold it, and a "texts" row is the string of the text's piece
+positions, one space apart ("0 17 4").  "proc_dep" lists, per procedure,
+deployment and release, only the entries whose deployment text differs from
+that requirement's "proc_release" entry there; the loader derives every
+other entry from "proc_release", and a list with no such entry is the
+"proc_release" list itself.  "proc_dev" lists, per procedure and
+development, the ids of the requirements that the development changed.  The
+loader re-derives each diff with `diff_texts`, from the release before the
+development's registry release to that release, and each procedure's
+requirements from "proc_release".  On gen-corpus seed 1 (size 2000) the file
+is 1.33 MB: "sentences" is 801 KB (16,007 distinct of 24,368 pieces),
+"texts" 136 KB and "proc_dep" 16.7 KB.
 
 Neither half of persistence holds a second copy of the index.  The writer
 builds no nested document: it appends the pieces of the JSON text to one
@@ -28,13 +33,17 @@ list, encoding each distinct key, entry and record once, and joins them
 once.  The loader pops each raw section from the parsed document and drops
 each of its items once converted, and keeps one str per requirement id and
 one tuple per distinct entry and record, which every list shares, as a built
-index does.  On seed 1 the writer's peak is 4.98 MB, 3.14 times the file's
-length (a nested `json.dumps` 4.04 times), and the loader's 5.48 MB, 3.45
-times (6.44 times when every raw section stayed alive): its peak is the
-parsed document.
+index does.  It joins a text when first referred to, and drops the sentence
+table before it derives the diffs (on seed 1 its peak was 7.47 MB with the
+table alive through them).  On seed 1 the writer's peak is 4.07 MB, 3.07
+times the file's length, and the loader's 6.39 MB, 4.82 times, while it
+converts the records.
 
 A wrong shape raises ValueError "malformed index: ...": a missing key, a
-value of the wrong JSON type, a text reference outside the table, a record or
+value of the wrong JSON type, a "sentences" or "texts" that is not a list of
+strings, a "texts" row (referred to or not) that is not sentence positions
+in decimal without a leading zero, one space apart, a text reference
+outside the table, a record or
 entry that is not a pair, a "release_universe" that is not a list of strings
 or not strictly increasing, or a release key outside it, a "proc_dep"
 deployment other than SA or NSA, a "req_release" record development or a
@@ -50,6 +59,7 @@ holds that entry's own text.
 from __future__ import annotations
 
 import json
+import re
 import reprlib
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _encode
@@ -70,8 +80,10 @@ from .model import (
 from .resolver import BehaviorDiff, _sentences_of, diff_causes, diff_texts, resolve_details
 from .tokenizer import tokenize
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 UNMAPPED = "(unmapped)"
+# A "texts" row: sentence positions, each in canonical decimal, one space apart.
+_ROW_RE = re.compile(r"(?:0|[1-9][0-9]*)(?: (?:0|[1-9][0-9]*))*")
 
 Entry = tuple[str, str]  # (requirement id, resolved text)
 ByRelease = dict[str, list[Entry]]  # release -> entries
@@ -320,7 +332,7 @@ def query_deployment(
 
 
 def index_to_json(index: SpecIndex) -> str:
-    """The index as canonical JSON, each distinct text stored once in "texts".
+    """The index as canonical JSON, each distinct sentence stored once.
 
     The bytes are those of `json.dumps(data, sort_keys=True,
     separators=(",", ":")) + "\n"` over the nested sections, but no such
@@ -337,22 +349,27 @@ def index_to_json(index: SpecIndex) -> str:
                 changed = [e for e, old in zip(entries, index.proc_release[proc][r]) if e != old]
                 if changed:
                     overrides.setdefault(proc, {}).setdefault(dep, {})[r] = changed
+    # A proc_release entry holds its requirement's req_release text there, as
+    # the loader requires, so the records and the overrides hold every text.
     texts = sorted(
         {text for by_release in index.req_release.values() for text, _ in by_release.values()}
         | {
             text
-            for table in (index.proc_release, *overrides.values())
-            for by_release in table.values()
+            for by_dep in overrides.values()
+            for by_release in by_dep.values()
             for entries in by_release.values()
             for _, text in entries
         }
     )
+    # Both table sections are finished strings before any other piece is
+    # made: the sentence positions are dropped before the pieces pile up.
+    sentences, rows = _sentence_tables(texts)
     position = {text: i for i, text in enumerate(texts)}
     out: list[str] = []
     append = out.append
     keys: dict[str, str] = {}
-    # String value, entry or (text, sorted devs) record -> its JSON.  Values
-    # of different kinds never compare equal, so they share one table.
+    # String value, entry or (text, devs) record -> its JSON.  Values of
+    # different kinds never compare equal, so they share one table.
     pieces: dict[Any, str] = {}
 
     def piece(value: Any, encode: Callable[[Any], str]) -> str:
@@ -368,10 +385,8 @@ def index_to_json(index: SpecIndex) -> str:
         return piece(e, lambda e: f"[{_encode(e[0])},{position[e[1]]}]")
 
     def record(pair: tuple[str, AbstractSet[str]]) -> str:
-        return piece(
-            (pair[0], tuple(sorted(pair[1]))),
-            lambda r: f"[{position[r[0]]},[{','.join(map(string, r[1]))}]]",
-        )
+        # keyed by the record itself, which a built or loaded index shares
+        return piece(pair, lambda r: f"[{position[r[0]]},[{','.join(map(string, sorted(r[1])))}]]")
 
     def release(r: ReleaseId) -> str:
         return string(str(r))
@@ -385,12 +400,38 @@ def index_to_json(index: SpecIndex) -> str:
         (',"registry":', index.registry, release),
         (',"release_universe":', index.release_universe, release),
         (',"req_release":', index.req_release, record),
-        (',"texts":', texts, _encode),
+        (',"sentences":', sentences, str),
+        (',"texts":', rows, str),
     ):
         append(key)
         _write_json(value, leaf, append, keys)
     append("}\n")
     return "".join(out)
+
+
+def _sentence_tables(texts: list[str]) -> tuple[str, str]:
+    """The JSON of the "sentences" and "texts" sections that hold `texts`.
+
+    Each text is split at every ". ", which `". ".join` undoes exactly, and
+    each distinct piece is stored once, in first-seen order; a text's row is
+    the space-separated positions of its pieces.  A text is encoded once and
+    its JSON body split: JSON escaping neither makes nor breaks a ". ", so
+    each encoded piece is the piece's own encoding.
+    """
+    refs: dict[str, str] = {}  # encoded piece -> its position
+    rows = []
+    for text in texts:
+        split = _encode(text)[1:-1].split(". ")
+        for s in split:
+            if s not in refs:
+                refs[s] = str(len(refs))
+        rows.append(" ".join(map(refs.__getitem__, split)))
+    if not rows:
+        return "[]", "[]"
+    # The rows hold the positions: only the pieces' order is left to write.
+    sentences = list(refs)
+    del refs
+    return '["' + '","'.join(sentences) + '"]', '["' + '","'.join(rows) + '"]'
 
 
 def _write_json(
@@ -435,16 +476,23 @@ def index_from_json(source: str) -> SpecIndex:
             f"version {FORMAT_VERSION}; rebuild the index with `index build`)"
         )
     try:
-        texts = _strings(data.pop("texts"), "texts")
+        sentences = _strings(data.pop("sentences"), "sentences")
+        rows = _strings(data.pop("texts"), "texts")
+        # Each text is joined when first referenced, so the joined texts grow
+        # as the raw sections that refer to them drain.
+        texts: list[Optional[str]] = [None] * len(rows)
 
         def text_at(ref: Any) -> str:
             # bool is an int subclass and a negative index reads from the end
-            if type(ref) is not int or not 0 <= ref < len(texts):
+            if type(ref) is not int or not 0 <= ref < len(rows):
                 raise ValueError(
                     f"text reference {ref!r} is not a position "
-                    f"in the {len(texts)}-entry text table"
+                    f"in the {len(rows)}-entry text table"
                 )
-            return texts[ref]
+            text = texts[ref]
+            if text is None:
+                text = texts[ref] = _joined(sentences, rows[ref])
+            return text
 
         # One object per distinct requirement id, record and entry, which
         # every holder of an equal value stores, as in a built index.  Each
@@ -550,6 +598,18 @@ def index_from_json(source: str) -> SpecIndex:
             proc: {release(r): release_entries(r, refs) for r, refs in by_release.items()}
             for proc, by_release in _drain(data.pop("proc_release"))
         }
+        proc_dep = _proc_dep(proc_release, {
+            (proc, dep, release(r)): entries(refs)
+            for proc, by_dep in _drain(data.pop("proc_dep"))
+            for dep, by_release in by_dep.items()
+            for r, refs in by_release.items()
+        })
+        # A row that nothing refers to must be well formed too.  The sentence
+        # table is dropped before the diffs are derived, which peak the load.
+        for ref, text in enumerate(texts):
+            if text is None:
+                _joined(sentences, rows[ref])
+        del sentences, rows, texts
         return SpecIndex(
             release_universe=universe,
             registry=registry,
@@ -561,12 +621,7 @@ def index_from_json(source: str) -> SpecIndex:
                 for proc, by_dev in _drain(data.pop("proc_dev"))
             },
             proc_req=_proc_req(proc_release),
-            proc_dep=_proc_dep(proc_release, {
-                (proc, dep, release(r)): entries(refs)
-                for proc, by_dep in _drain(data.pop("proc_dep"))
-                for dep, by_release in by_dep.items()
-                for r, refs in by_release.items()
-            }),
+            proc_dep=proc_dep,
         )
     except ValueError as exc:  # a failed check, or a malformed release id
         raise ValueError(f"malformed index: {exc}") from exc
@@ -580,6 +635,20 @@ def _drain(mapping: Any) -> Iterator[tuple[str, Any]]:
     A value that is not an object raises as `mapping.items()` does."""
     for key in [key for key, _ in mapping.items()]:
         yield key, mapping.pop(key)
+
+
+def _joined(sentences: list[str], row: str) -> str:
+    """The text whose pieces `row` lists: the positions in `sentences`, each
+    in decimal without a leading zero, one space apart, joined by ". "."""
+    if _ROW_RE.fullmatch(row):
+        try:
+            return ". ".join(map(sentences.__getitem__, map(int, row.split(" "))))
+        except IndexError:
+            pass
+    raise ValueError(
+        f"texts row {reprlib.repr(row)} is not positions "
+        f"in the {len(sentences)}-entry sentence table"
+    )
 
 
 def _list(value: Any, what: str) -> list:

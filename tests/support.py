@@ -327,7 +327,7 @@ def reference_build_index(
                     continue
                 text, _contributing, seen = details
                 r_key = str(r)
-                index.req_release.setdefault(req.id, {})[r_key] = (text, seen)
+                index.req_release.setdefault(req.id, {})[r_key] = (text, frozenset(seen))
                 mentions = find_mentions(tokenize(text), lexicon)
                 procs = procs_at[req.id, r_key] = {m.canonical for m in mentions} or {UNMAPPED}
                 for proc in procs:
@@ -385,7 +385,8 @@ def reference_query_release_diff(
 def reference_index_to_json(index: SpecIndex) -> str:
     """`index.index_to_json` the direct way: the nested sections built whole,
     then one `json.dumps` with sorted keys.  Each `proc_dep` list must hold
-    the ids of the `proc_release` list at its procedure and release."""
+    the ids of the `proc_release` list at its procedure and release, and each
+    `proc_release` entry its requirement's `req_release` text there."""
     entry_lists = [
         *(entries for by_release in index.proc_release.values() for entries in by_release.values()),
         *(
@@ -400,6 +401,10 @@ def reference_index_to_json(index: SpecIndex) -> str:
         | {text for entries in entry_lists for _, text in entries}
     )
     position = {text: i for i, text in enumerate(texts)}
+    # Each text is its pieces between the ". "s; each distinct piece is kept
+    # once, in the order the sorted texts first hold it.
+    sentences = list(dict.fromkeys(piece for text in texts for piece in text.split(". ")))
+    sentence_at = {piece: i for i, piece in enumerate(sentences)}
 
     def refs(entries: list[tuple[str, str]]) -> list[tuple[str, int]]:
         return [(req_id, position[text]) for req_id, text in entries]
@@ -420,7 +425,10 @@ def reference_index_to_json(index: SpecIndex) -> str:
         "release_universe": [str(r) for r in index.release_universe],
         "registry": {dev: str(r) for dev, r in index.registry.items()},
         "aliases": index.aliases,
-        "texts": texts,
+        "sentences": sentences,
+        "texts": [
+            " ".join(str(sentence_at[piece]) for piece in text.split(". ")) for text in texts
+        ],
         "req_release": {
             req_id: {
                 r: (position[text], sorted(devs)) for r, (text, devs) in by_release.items()
@@ -442,8 +450,9 @@ def reference_index_to_json(index: SpecIndex) -> str:
 
 # Characters that JSON escapes: a quote, a backslash, control characters, a
 # lone surrogate, and non-ASCII and astral characters, which ensure_ascii
-# writes as \u escapes; and a slash, a space and a letter, which it does not.
-_ODD_CHARS = '"\\/ a\x00\x08\t\n\x1f\x7f\xe9\u2028\ud800\ufeff\U0001f600'
+# writes as \u escapes; and a slash, a period, a space and a letter, which it
+# does not.  A period and a space end a piece of the sentence table.
+_ODD_CHARS = '"\\/. a\x00\x08\t\n\x1f\x7f\xe9\u2028\ud800\ufeff\U0001f600'
 _ODD_STRINGS = st.text(
     alphabet=st.one_of(st.sampled_from(_ODD_CHARS), st.characters()), max_size=6
 )
@@ -452,36 +461,45 @@ _ODD_STRINGS = st.text(
 @st.composite
 def odd_string_indexes(draw):
     """A SpecIndex whose requirement ids, texts, aliases, procedures and
-    developments are `_ODD_STRINGS`.  Only the writer reads it, so its
-    entries need not agree with its records; each `proc_dep` list holds the
-    ids of its `proc_release` list, each with that entry's text or another."""
+    developments are `_ODD_STRINGS`.  Only the writer reads it, so its diffs
+    need not agree with its records.  Each `proc_release` entry holds its
+    requirement's record text at its release, as the loader requires, and
+    each `proc_dep` list the ids of its `proc_release` list, each with that
+    entry's text or another."""
     universe = sorted(draw(st.sets(st.sampled_from(RELEASES), min_size=1)))
     releases = st.sampled_from([str(r) for r in universe])
     ids = draw(st.lists(_ODD_STRINGS, min_size=1, max_size=3, unique=True))
     texts = st.sampled_from(draw(st.lists(_ODD_STRINGS, min_size=1, max_size=4)))
     devs = draw(st.lists(_ODD_STRINGS, max_size=3, unique=True))
     procs = draw(st.lists(_ODD_STRINGS, min_size=1, max_size=3, unique=True))
-    entry_lists = st.dictionaries(
-        releases,
-        st.lists(st.tuples(st.sampled_from(ids), texts), max_size=3, unique_by=lambda e: e[0]),
-        max_size=3,
-    )
     dev_sets = st.frozensets(st.sampled_from(devs)) if devs else st.just(frozenset())
+    req_release = {
+        req_id: draw(st.dictionaries(releases, st.tuples(texts, dev_sets), max_size=3))
+        for req_id in ids
+    }
+    held: dict[str, list[tuple[str, str]]] = {}  # release -> (id, record text) there
+    for req_id, records in req_release.items():
+        for r, (text, _) in records.items():
+            held.setdefault(r, []).append((req_id, text))
+
+    def entry_lists() -> dict[str, list[tuple[str, str]]]:
+        if not held:
+            return {}
+        chosen = draw(st.lists(st.sampled_from(sorted(held)), max_size=3, unique=True))
+        return {r: draw(st.lists(st.sampled_from(held[r]), max_size=3, unique=True)) for r in chosen}
+
     diffs = st.lists(
         st.sampled_from(ids).map(
             lambda req_id: BehaviorDiff(req_id, universe[0], universe[-1], (), frozenset())
         ),
         max_size=2,
     )
-    proc_release = {proc: draw(entry_lists) for proc in procs}
+    proc_release = {proc: entry_lists() for proc in procs}
     return SpecIndex(
         release_universe=universe,
         registry={dev: draw(st.sampled_from(universe)) for dev in devs},
         aliases=draw(st.dictionaries(_ODD_STRINGS, st.sampled_from(procs), max_size=3)),
-        req_release={
-            req_id: draw(st.dictionaries(releases, st.tuples(texts, dev_sets), max_size=3))
-            for req_id in ids
-        },
+        req_release=req_release,
         proc_release=proc_release,
         proc_dev={
             proc: {dev: draw(diffs) for dev in draw(st.lists(st.sampled_from(devs), unique=True))}
@@ -519,7 +537,7 @@ def odd_string_index() -> SpecIndex:
 
 
 def one_diff_index() -> str:
-    """A complete format-5 index, as `index_to_json` writes it, with one diff.
+    """A complete format-6 index, as `index_to_json` writes it, with one diff.
 
     The diff, of requirement "R1" from release "01R1" to "01R2", where
     development "CB00XXXX" is registered, is filed under procedure "P" (alias
@@ -527,7 +545,8 @@ def one_diff_index() -> str:
     and ("One.", "Three.") at 01R2, so the loader derives the segments
     unchanged "One.", added "Three.", removed "Two.".  R1 also has an entry at
     01R1 under "P" in "proc_release", which the SA entry in "proc_dep"
-    overrides with the text "One. Three.".
+    overrides with the text "One. Three.".  Text 0 is the pieces "One" and
+    "Three." joined by ". ", and text 1 "One" and "Two.".
     """
     data = {
         "aliases": {"p": "P"},
@@ -538,7 +557,8 @@ def one_diff_index() -> str:
         "registry": {"CB00XXXX": "01R2"},
         "release_universe": ["01R1", "01R2"],
         "req_release": {"R1": {"01R1": [1, []], "01R2": [0, ["CB00XXXX"]]}},
-        "texts": ["One. Three.", "One. Two."],
+        "sentences": ["One", "Three.", "Two."],
+        "texts": ["0 1", "0 2"],
     }
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -616,6 +636,41 @@ MALFORMED_INDEX_EDITS["proc-dep-id-twice"] = (
 MALFORMED_INDEX_EDITS["proc-dep-id-a-list"] = (
     ("proc_dep", "P", "SA", "01R1", 0, 0), ["R1"], "requirement id ['R1'] is not a string"
 )
+
+
+# The sentence table not a list of strings, and "texts" rows that are not
+# positions in it, each in canonical decimal one space apart: R1's 01R1 text
+# (row 1) edited, and a third row that nothing refers to.
+MALFORMED_INDEX_EDITS["sentences-an-object"] = (("sentences",), {"0": "One"}, "{'0': 'One'}")
+MALFORMED_INDEX_EDITS["sentence-not-a-string"] = (
+    ("sentences", 1), 5, "sentences ['One', 5, 'Two.'] is not a list of strings"
+)
+MALFORMED_INDEX_EDITS["texts-row-not-a-string"] = (
+    ("texts", 1), [0, 2], "texts ['0 1', [0, 2]] is not a list of strings"
+)
+MALFORMED_INDEX_EDITS.update({
+    f"texts-row-{case}": (("texts", 1), row, f"texts row {row!r} is not positions")
+    for case, row in {
+        "negative": "0 -2",
+        "out-of-range": "0 3",
+        "not-an-integer": "0 two",
+        "leading-zero": "0 02",
+        "leading-space": " 0 2",
+        "double-space": "0  2",
+        "empty": "",
+        "decimal": "0 2.0",
+    }.items()
+})
+MALFORMED_INDEX_EDITS["texts-row-unreferenced"] = (
+    ("texts",), ["0 1", "0 2", "3"], "texts row '3' is not positions"
+)
+
+
+def written_texts(data: dict) -> list[str]:
+    """The texts of a parsed index document: each "texts" row's sentences
+    joined by ". "."""
+    sentences = data["sentences"]
+    return [". ".join(sentences[int(k)] for k in row.split(" ")) for row in data["texts"]]
 
 
 def unregistered_record_dev_index() -> str:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import speckit.index
 import speckit.resolver
@@ -52,6 +53,7 @@ from support import (
     reference_index_to_json,
     reference_query_release_diff,
     unregistered_record_dev_index,
+    written_texts,
 )
 
 CORPUS = """# Measurements
@@ -421,7 +423,8 @@ def _text_ref_blob(section: str, ref) -> str:
         "proc_dev": {},
         "registry": {},
         "release_universe": ["01R1"],
-        "texts": ["one", "two"] if section == "proc_dep" else ["one"],
+        "sentences": ["one", "two"] if section == "proc_dep" else ["one"],
+        "texts": ["0", "1"] if section == "proc_dep" else ["0"],
         "req_release": {"R1": {"01R1": [0, []]}},
         "proc_release": {"P": {"01R1": [["R1", 0]]}} if section == "proc_dep" else {},
         "proc_dep": {},
@@ -448,11 +451,11 @@ class TestPersistence:
         assert again.release_universe == index.release_universe
         assert again.proc_req == index.proc_req
 
-    def test_format_4_writes_no_derivable_section(self, corpus_index):
+    def test_writes_no_derivable_section(self, corpus_index):
         data = json.loads(index_to_json(corpus_index))
         assert sorted(data) == [
             "aliases", "format_version", "proc_dep", "proc_dev", "proc_release",
-            "registry", "release_universe", "req_release", "texts",
+            "registry", "release_universe", "req_release", "sentences", "texts",
         ]
         assert data["proc_dev"] == {
             proc: {dev: [diff.id for diff in diffs] for dev, diffs in by_dev.items()}
@@ -463,8 +466,9 @@ class TestPersistence:
         """The written `proc_dep` holds each entry whose deployment text is not
         its `proc_release` entry's, and no other."""
         data = json.loads(index_to_json(corpus_index))
+        texts = written_texts(data)
         written = {
-            (proc, dep, r, req_id, data["texts"][ref])
+            (proc, dep, r, req_id, texts[ref])
             for proc, by_dep in data["proc_dep"].items()
             for dep, by_release in by_dep.items()
             for r, entries in by_release.items()
@@ -484,7 +488,7 @@ class TestPersistence:
 
     def test_format_version_checked(self, small_world):
         _, _, _, index = small_world
-        for version in (1, 2, 3, 4, 99):
+        for version in (1, 2, 3, 4, 5, 99):
             blob = index_to_json(index).replace(
                 f'"format_version":{FORMAT_VERSION}', f'"format_version":{version}'
             )
@@ -504,12 +508,14 @@ class TestPersistence:
                 pytest.param(_text_ref_blob(section, ref), id=f"{section}-text-{ref!r}")
                 for section, ref in BAD_TEXT_REFS
             ),
-            pytest.param(
-                _text_ref_blob("req_release", 0).replace('["one"]', '"one"'),
-                id="texts-not-a-list",
-            ),
-            pytest.param(
-                _text_ref_blob("req_release", 0).replace('["one"]', "[1]"), id="texts-not-strings"
+            *(
+                pytest.param(_text_ref_blob("req_release", 0).replace(table, bad), id=case)
+                for case, table, bad in [
+                    ("sentences-not-a-list", '["one"]', '"one"'),
+                    ("sentences-not-strings", '["one"]', "[1]"),
+                    ("texts-not-a-list", '["0"]', '"0"'),
+                    ("texts-not-strings", '["0"]', "[0]"),
+                ]
             ),
         ],
     )
@@ -562,8 +568,11 @@ class TestPersistence:
         texts = {
             text for by_release in corpus_index.req_release.values() for text, _ in by_release.values()
         }
-        assert data["texts"] == sorted(set(data["texts"]))
-        assert texts <= set(data["texts"])
+        assert written_texts(data) == sorted(set(written_texts(data)))
+        assert texts <= set(written_texts(data))
+        assert len(set(data["sentences"])) == len(data["sentences"]) < sum(
+            len(row.split(" ")) for row in data["texts"]
+        )
 
     def test_round_trip_equal_and_shares_texts(self, corpus_index):
         """Built and loaded, each distinct text, requirement id, record and
@@ -631,6 +640,25 @@ class TestRoundTrip:
         loaded = index_from_json(index_to_json(built))
         for name in (f.name for f in dataclasses.fields(SpecIndex)):
             assert getattr(loaded, name) == getattr(built, name), name
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(alphabet=". ;\n\t\"'\\a\u2028\U0001f600", max_size=12), max_size=6))
+    @example(["", ". ", "a. ", ". a", "a.. b", "a.  b. c", "a. b.", "a.b."])
+    def test_texts_survive_the_sentence_table(self, texts):
+        """Any texts, whatever their periods, spaces and escapes, load back
+        exactly as they were written."""
+        index = SpecIndex(
+            release_universe=[RELEASES[0]],
+            registry={},
+            aliases={},
+            req_release={
+                f"R{k}": {str(RELEASES[0]): (text, frozenset())} for k, text in enumerate(texts)
+            },
+            proc_release={},
+            proc_dev={},
+        )
+        loaded = index_from_json(index_to_json(index)).req_release
+        assert [loaded[f"R{k}"][str(RELEASES[0])][0] for k in range(len(texts))] == texts
 
     @settings(max_examples=150, deadline=None)
     @given(index_corpora())

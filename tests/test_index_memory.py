@@ -5,8 +5,9 @@ figure is the call's own peak: the writer's against the length of the JSON it
 returns, the loader's against the length of the JSON it reads.  On the
 session bundle, nesting the whole document for one `json.dumps` peaked at
 7.2 times the output, and loading with every raw section alive to the end
-and a tuple and id `str` per entry at 7.0 times the input (3.2 and 3.6 now;
-3.0 and 4.4 in index format 4, whose longer `proc_dep` made the file larger).
+and a tuple and id `str` per entry at 7.0 times the input (3.1 and 4.8 now;
+3.2 and 3.6 in index format 5, whose texts were stored whole, so its file
+was 15% larger and the loader parsed no sentence table).
 """
 
 import gc

@@ -17,6 +17,13 @@ with no entry at its place, given the text of the entry it overrides, or
 followed by a second override of its id must raise; an override given another text, or a new override
 of another entry at its place, must load, and its SA or NSA answer must be
 the `proc_release` answer with that entry's text replaced.
+
+So do the sentence table and the "texts" rows.  A row that is not
+canonical positions in the sentence table (negative, out of range, not an
+integer, a leading zero or space, a doubled space, empty), and such a row
+appended where nothing refers to it, must raise.  A row given other
+positions in range, and a sentence given another string, must load or be
+refused, and a mutant that loads must answer all five query forms.
 """
 
 import copy
@@ -39,11 +46,11 @@ from speckit.index import (
 )
 from speckit.lexicon import build_lexicon
 from speckit.model import DeploymentType, ReleaseId
-from support import INDEX_LEXICON, index_cases
+from support import INDEX_LEXICON, index_cases, written_texts
 
 TOP_LEVEL_KEYS = (
     "aliases", "format_version", "proc_dep", "proc_dev", "proc_release",
-    "registry", "release_universe", "req_release", "texts",
+    "registry", "release_universe", "req_release", "sentences", "texts",
 )
 # One value of each JSON type; a swap takes one whose type differs.
 SWAPS = (None, True, 0, 1.5, "x", [], [0], {}, {"x": 0})
@@ -142,6 +149,36 @@ def _overlay_edits() -> tuple[list, list]:
 OVERLAY_REFUSED, OVERLAY_LOADING = _overlay_edits()
 
 
+def _table_edits() -> tuple[list, list]:
+    """(refused, loading): (path, new value) edits of the sentence table and rows.
+
+    Refused: each row with a position made negative, out of range, not an
+    integer or not canonical, or emptied; and a bad row appended.  Loading:
+    each row given a seeded pick of positions in range, and each sentence a
+    seeded pick of another sentence, that sentence with ". " in it, or ""."""
+    rng = random.Random(20241022)
+    sentences, rows = BASE["sentences"], BASE["texts"]
+    n = len(sentences)
+    refused, loading = [], []
+    for k, row in enumerate(rows):
+        head, _, tail = row.partition(" ")
+        rest = f" {tail}" if tail else ""
+        refused += [(("texts", k), bad) for bad in (
+            f"-1{rest}", f"{n}{rest}", f"x{rest}", f"0{head}{rest}", f"{head}.0{rest}",
+            f" {row}", f"{row} ", f"{head}  {tail or 0}", "",
+        )]
+        picks = [str(rng.randrange(n)) for _ in range(rng.randint(1, 4))]
+        loading.append((("texts", k), " ".join(picks)))
+    refused.append((("texts",), rows + [str(n)]))
+    for k in range(n):
+        other = rng.choice([s for s in sentences if s != sentences[k]])
+        loading += [(("sentences", k), value) for value in (other, f"{other}. {sentences[k]}", "")]
+    return refused, loading
+
+
+TABLE_REFUSED, TABLE_LOADING = _table_edits()
+
+
 def _dropped(path: tuple) -> str:
     data = copy.deepcopy(BASE)
     del _at(data, path[:-1])[path[-1]]
@@ -224,6 +261,7 @@ def test_base_loads_and_covers_the_schema():
     assert len({type(value) for _, value in SWAPPED}) == len({type(v) for v in SWAPS})
     assert BASE["proc_dep"] and len(OVERLAY_REFUSED) > len(OVERLAY_LOADING) > 1
     assert any(type(value) is list for _, value in OVERLAY_LOADING)
+    assert len(TABLE_REFUSED) > 9 * len(BASE["texts"]) and len(TABLE_LOADING) > len(BASE["texts"])
 
 
 @pytest.mark.parametrize("chunk", range(4))
@@ -245,6 +283,12 @@ def test_every_refused_overlay_edit_is_malformed():
             index_from_json(_swapped(path, value))
 
 
+def test_every_refused_table_edit_is_malformed():
+    for path, value in TABLE_REFUSED:
+        with pytest.raises(ValueError, match="^malformed index: texts row "):
+            index_from_json(_swapped(path, value))
+
+
 def test_every_loading_overlay_edit_overrides_its_entry():
     """At the edited place, the edited deployment's answer is the
     `proc_release` answer with each overridden entry's text replaced, and
@@ -259,7 +303,7 @@ def test_every_loading_overlay_edit_overrides_its_entry():
         for deployment in DeploymentType:
             want = query_deployment(base, proc, deployment, r)
             if deployment.value == dep:
-                texts = edited["texts"]
+                texts = written_texts(edited)
                 want = [(req_id, texts[overrides[req_id]] if req_id in overrides else text)
                         for req_id, text in query_behavior(base, proc, r)]
             assert query_deployment(index, proc, deployment, r) == want, (path, value)
@@ -278,7 +322,7 @@ def test_swapped_type_loads_or_is_malformed(chunk):
 
 @pytest.mark.parametrize("chunk", range(4))
 def test_loaded_mutant_answers_every_query(chunk):
-    mutants = [("base", None)] + SWAPPED + SAME_TYPE_SWAPS + OVERLAY_LOADING
+    mutants = [("base", None)] + SWAPPED + SAME_TYPE_SWAPS + OVERLAY_LOADING + TABLE_LOADING
     loaded = 0
     for path, value in mutants[chunk::4]:
         source = BASE_SOURCE if path == "base" else _swapped(path, value)
