@@ -7,25 +7,26 @@ Procedures are lexicon canonical names; requirements mentioning no known
 procedure are kept under the reserved "(unmapped)" key.  The index is
 rebuilt from scratch on corpus change and persists to a single JSON file.
 
-Format 6 stores nothing that the loader can derive, and each distinct
+Format 7 stores nothing that the loader can derive, and each distinct
 sentence once.  Each distinct resolved text has a position in a sorted
 "texts" table: a "req_release" record is the pair `[text position, sorted
-reachable devs]`, and a "proc_release" or "proc_dep" entry the pair
-`[requirement id, text position]`.  A text is stored as its pieces between
-the literal ". "s it holds, which `". ".join` puts back exactly: the
-"sentences" table holds each distinct piece once, in the order the sorted
-texts first hold it, and a "texts" row is the string of the text's piece
-positions, one space apart ("0 17 4").  "proc_dep" lists, per procedure,
-deployment and release, only the entries whose deployment text differs from
-that requirement's "proc_release" entry there; the loader derives every
-other entry from "proc_release", and a list with no such entry is the
-"proc_release" list itself.  "proc_dev" lists, per procedure and
+reachable devs]`, and a "proc_dep" entry the pair `[requirement id, text
+position]`.  A "proc_release" list holds only requirement ids: each entry's
+text is its requirement's "req_release" text at that release.  A text is
+stored as its pieces between the literal ". "s it holds, which `". ".join`
+puts back exactly: the "sentences" table holds each distinct piece once, in
+the order the sorted texts first hold it, and a "texts" row is the string of
+the text's piece positions, one space apart ("0 17 4").  "proc_dep" lists,
+per procedure, deployment and release, only the entries whose deployment
+text differs from that requirement's "proc_release" entry there; the loader
+derives every other entry from "proc_release", and a list with no such entry
+is the "proc_release" list itself.  "proc_dev" lists, per procedure and
 development, the ids of the requirements that the development changed.  The
 loader re-derives each diff with `diff_texts`, from the release before the
 development's registry release to that release, and each procedure's
 requirements from "proc_release".  On gen-corpus seed 1 (size 2000) the file
-is 1.33 MB: "sentences" is 801 KB (16,007 distinct of 24,368 pieces),
-"texts" 136 KB and "proc_dep" 16.7 KB.
+is 1.27 MB: "sentences" is 801 KB (16,007 distinct of 24,368 pieces),
+"texts" 136 KB, "proc_release" 89.8 KB and "proc_dep" 16.7 KB.
 
 Neither half of persistence holds a second copy of the index.  The writer
 builds no nested document: it appends the pieces of the JSON text to one
@@ -35,8 +36,8 @@ each of its items once converted, and keeps one str per requirement id and
 one tuple per distinct entry and record, which every list shares, as a built
 index does.  It joins a text when first referred to, and drops the sentence
 table before it derives the diffs (on seed 1 its peak was 7.47 MB with the
-table alive through them).  On seed 1 the writer's peak is 4.07 MB, 3.07
-times the file's length, and the loader's 6.39 MB, 4.82 times, while it
+table alive through them).  On seed 1 the writer's peak is 3.91 MB, 3.07
+times the file's length, and the loader's 5.60 MB, 4.40 times, while it
 converts the records.
 
 A wrong shape raises ValueError "malformed index: ...": a missing key, a
@@ -48,10 +49,11 @@ entry that is not a pair, a "release_universe" that is not a list of strings
 or not strictly increasing, or a release key outside it, a "proc_dep"
 deployment other than SA or NSA, a "req_release" record development or a
 "proc_dev" development that is not in the registry, a "proc_dev" development
-registered outside the universe or at its first release, a "proc_dev" id with
-no "req_release" record or whose diff does not name that development as a
-cause, a "proc_release" entry whose text is not its requirement's
-"req_release" text at that release, and a "proc_dep" entry whose id has no
+registered outside the universe or at its first release, a "proc_release" id
+with no "req_release" record at that release, a "proc_dev" id that its
+procedure's "proc_release" lists at neither release of the diff or whose diff
+does not name that development as a cause, an id listed twice in one
+"proc_release" or "proc_dev" list, and a "proc_dep" entry whose id has no
 "proc_release" entry at its procedure and release, is listed twice there, or
 holds that entry's own text.
 """
@@ -62,6 +64,7 @@ import json
 import re
 import reprlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _encode
 from typing import AbstractSet, Any, Callable, Iterable, Iterator, Optional
 
@@ -80,7 +83,7 @@ from .model import (
 from .resolver import BehaviorDiff, _sentences_of, diff_causes, diff_texts, resolve_details
 from .tokenizer import tokenize
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 UNMAPPED = "(unmapped)"
 # A "texts" row: sentence positions, each in canonical decimal, one space apart.
 _ROW_RE = re.compile(r"(?:0|[1-9][0-9]*)(?: (?:0|[1-9][0-9]*))*")
@@ -349,8 +352,8 @@ def index_to_json(index: SpecIndex) -> str:
                 changed = [e for e, old in zip(entries, index.proc_release[proc][r]) if e != old]
                 if changed:
                     overrides.setdefault(proc, {}).setdefault(dep, {})[r] = changed
-    # A proc_release entry holds its requirement's req_release text there, as
-    # the loader requires, so the records and the overrides hold every text.
+    # A proc_release entry, written as its id, holds its requirement's
+    # req_release text there, so the records and the overrides hold every text.
     texts = sorted(
         {text for by_release in index.req_release.values() for text, _ in by_release.values()}
         | {
@@ -396,7 +399,7 @@ def index_to_json(index: SpecIndex) -> str:
         ('{"aliases":', index.aliases, string),
         (f',"format_version":{FORMAT_VERSION},"proc_dep":', overrides, entry),
         (',"proc_dev":', index.proc_dev, lambda diff: string(diff.id)),
-        (',"proc_release":', index.proc_release, entry),
+        (',"proc_release":', index.proc_release, lambda e: string(e[0])),
         (',"registry":', index.registry, release),
         (',"release_universe":', index.release_universe, release),
         (',"req_release":', index.req_release, record),
@@ -507,9 +510,6 @@ def index_from_json(source: str) -> SpecIndex:
                 raise ValueError(f"requirement id {req_id!r} is not a string")
             return _one(shared, (_one(shared, req_id), text))
 
-        def entries(refs: Any) -> list[Entry]:
-            return [entry(pair) for pair in _list(refs, "entries")]
-
         # One frozenset per distinct devs list, shared by the records that
         # hold it: most records hold none.
         frozen_devs: dict[tuple[str, ...], frozenset[str]] = {}
@@ -551,7 +551,15 @@ def index_from_json(source: str) -> SpecIndex:
         # development that files it, as in the built index.
         derived: dict[tuple[str, ReleaseId], BehaviorDiff] = {}
 
-        def dev_diffs(dev: str, ids: Any) -> list[BehaviorDiff]:
+        # The build files a diff only under the procedures whose "proc_release"
+        # lists its requirement at one of its two releases.  The lists are read
+        # procedure by procedure, so the cache holds one procedure's sets.
+        @lru_cache(maxsize=len(universe))
+        def listed(proc: str, a_key: str, b_key: str) -> frozenset[str]:
+            by_release = proc_release.get(proc, {})
+            return frozenset(req_id for r in (a_key, b_key) for req_id, _ in by_release.get(r, ()))
+
+        def dev_diffs(proc: str, dev: str, ids: Any) -> list[BehaviorDiff]:
             """The diffs of `ids` at the one adjacent release pair whose causes can name `dev`."""
             if dev not in registry:
                 raise ValueError(f"development {dev!r} is not in the registry")
@@ -559,16 +567,18 @@ def index_from_json(source: str) -> SpecIndex:
             a = previous_release(universe, b)
             if a is None:
                 raise ValueError(f"development {dev!r} is registered at first release {str(b)!r}")
+            a_key, b_key = str(a), str(b)
             diffs = []
-            for req_id in _list(ids, "ids"):
-                if type(req_id) is not str or req_id not in req_release:
-                    raise ValueError(f"requirement id {req_id!r} has no req_release record")
+            for req_id in _id_list(
+                ids, listed(proc, a_key, b_key).__contains__, f"proc_dev {proc!r} {dev}",
+                f"is not in proc_release {proc!r} at {a_key} or {b_key}",
+            ):
                 diff = derived.get((req_id, b))
                 if diff is None:
                     req_id = _one(shared, req_id)
                     records = req_release[req_id]
-                    text_a, devs_a = records.get(str(a), _ABSENT)
-                    text_b, devs_b = records.get(str(b), _ABSENT)
+                    text_a, devs_a = records.get(a_key, _ABSENT)
+                    text_b, devs_b = records.get(b_key, _ABSENT)
                     # memo: the loading process answers queries, which diff these texts again
                     diff = derived[req_id, b] = diff_texts(
                         req_id, a, b, text_a, text_b, devs_a, devs_b, registry, memo=True
@@ -582,24 +592,22 @@ def index_from_json(source: str) -> SpecIndex:
         if type(aliases) is not dict or not all(type(c) is str for c in aliases.values()):
             raise ValueError(f"aliases {reprlib.repr(aliases)} is not an object of strings")
 
-        def release_entries(r: str, refs: Any) -> list[Entry]:
-            """`refs`' entries, each of which must hold its requirement's text at `r`:
-            `query_release_diff` reads a text's move from the entries alone."""
-            loaded = entries(refs)
-            for req_id, text in loaded:
-                if req_release.get(req_id, {}).get(r, _ABSENT)[0] != text:
-                    raise ValueError(
-                        f"proc_release entry ({req_id!r}, {reprlib.repr(text)}) at {r} "
-                        "does not hold its req_release text"
-                    )
-            return loaded
+        def release_entries(proc: str, r: str, ids: Any) -> list[Entry]:
+            """The entries of `ids`, each with its requirement's text at `r`."""
+            return [
+                _one(shared, (_one(shared, req_id), req_release[req_id][r][0]))
+                for req_id in _id_list(
+                    ids, lambda req_id: r in req_release.get(req_id, ()),
+                    f"proc_release {proc!r} at {r}", "has no req_release record there",
+                )
+            ]
 
         proc_release = {
-            proc: {release(r): release_entries(r, refs) for r, refs in by_release.items()}
+            proc: {release(r): release_entries(proc, r, ids) for r, ids in by_release.items()}
             for proc, by_release in _drain(data.pop("proc_release"))
         }
         proc_dep = _proc_dep(proc_release, {
-            (proc, dep, release(r)): entries(refs)
+            (proc, dep, release(r)): [entry(pair) for pair in _list(refs, "entries")]
             for proc, by_dep in _drain(data.pop("proc_dep"))
             for dep, by_release in by_dep.items()
             for r, refs in by_release.items()
@@ -617,7 +625,7 @@ def index_from_json(source: str) -> SpecIndex:
             req_release=req_release,
             proc_release=proc_release,
             proc_dev={
-                proc: {dev: dev_diffs(dev, ids) for dev, ids in by_dev.items()}
+                proc: {dev: dev_diffs(proc, dev, ids) for dev, ids in by_dev.items()}
                 for proc, by_dev in _drain(data.pop("proc_dev"))
             },
             proc_req=_proc_req(proc_release),
@@ -649,6 +657,19 @@ def _joined(sentences: list[str], row: str) -> str:
         f"texts row {reprlib.repr(row)} is not positions "
         f"in the {len(sentences)}-entry sentence table"
     )
+
+
+def _id_list(value: Any, known: Callable[[str], bool], where: str, unknown: str) -> list[str]:
+    """`value` if it is a list of distinct strings, each of which `known`
+    holds; anything else raises ValueError naming `where`, and saying
+    `unknown` of an id that is not a string or that `known` does not hold."""
+    for req_id in _list(value, "ids"):
+        if type(req_id) is not str or not known(req_id):
+            raise ValueError(f"{where}: requirement id {reprlib.repr(req_id)} {unknown}")
+    if len(set(value)) < len(value):
+        twice = next(req_id for k, req_id in enumerate(value) if req_id in value[:k])
+        raise ValueError(f"{where}: requirement id {twice!r} is listed twice")
+    return value
 
 
 def _list(value: Any, what: str) -> list:

@@ -104,12 +104,6 @@ def _chunk_tokens(chunk: str) -> tuple[Token, ...]:
     return tuple(map(_token, _TOKEN_RE.findall(chunk)))
 
 
-@lru_cache(maxsize=_INTERN_MAXSIZE)
-def _lowered_word(text: str) -> Token:
-    """The one shared lowercased Word token for the Word `text`."""
-    return Token(text.lower(), TokenKind.WORD)
-
-
 def _composed(text: str) -> str:
     """`text` in NFC, the form the scan reads.
 
@@ -156,7 +150,7 @@ def normalize(tokens: list[Token]) -> list[Token]:
     # Each `TokenKind.X` is a descriptor call; read the two members once.
     word, punct = TokenKind.WORD, TokenKind.PUNCT
     return [
-        _lowered_word(tok.text) if tok.kind is word else tok
+        Token(tok.key, word) if tok.kind is word else tok
         for tok in tokens
         if tok.kind is not punct
     ]

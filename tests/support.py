@@ -386,19 +386,17 @@ def reference_index_to_json(index: SpecIndex) -> str:
     """`index.index_to_json` the direct way: the nested sections built whole,
     then one `json.dumps` with sorted keys.  Each `proc_dep` list must hold
     the ids of the `proc_release` list at its procedure and release, and each
-    `proc_release` entry its requirement's `req_release` text there."""
-    entry_lists = [
-        *(entries for by_release in index.proc_release.values() for entries in by_release.values()),
-        *(
-            entries
+    `proc_release` entry its requirement's `req_release` text there, which
+    is written as the id alone."""
+    texts = sorted(
+        {text for by_release in index.req_release.values() for text, _ in by_release.values()}
+        | {
+            text
             for by_dep in index.proc_dep.values()
             for by_release in by_dep.values()
             for entries in by_release.values()
-        ),
-    ]
-    texts = sorted(
-        {text for by_release in index.req_release.values() for text, _ in by_release.values()}
-        | {text for entries in entry_lists for _, text in entries}
+            for _, text in entries
+        }
     )
     position = {text: i for i, text in enumerate(texts)}
     # Each text is its pieces between the ". "s; each distinct piece is kept
@@ -436,7 +434,7 @@ def reference_index_to_json(index: SpecIndex) -> str:
             for req_id, by_release in index.req_release.items()
         },
         "proc_release": {
-            proc: {r: refs(entries) for r, entries in by_release.items()}
+            proc: {r: [req_id for req_id, _ in entries] for r, entries in by_release.items()}
             for proc, by_release in index.proc_release.items()
         },
         "proc_dev": {
@@ -537,7 +535,7 @@ def odd_string_index() -> SpecIndex:
 
 
 def one_diff_index() -> str:
-    """A complete format-6 index, as `index_to_json` writes it, with one diff.
+    """A complete format-7 index, as `index_to_json` writes it, with one diff.
 
     The diff, of requirement "R1" from release "01R1" to "01R2", where
     development "CB00XXXX" is registered, is filed under procedure "P" (alias
@@ -553,7 +551,7 @@ def one_diff_index() -> str:
         "format_version": FORMAT_VERSION,
         "proc_dep": {"P": {"SA": {"01R1": [["R1", 0]]}}},
         "proc_dev": {"P": {"CB00XXXX": ["R1"]}},
-        "proc_release": {"P": {"01R1": [["R1", 1]]}},
+        "proc_release": {"P": {"01R1": ["R1"]}},
         "registry": {"CB00XXXX": "01R2"},
         "release_universe": ["01R1", "01R2"],
         "req_release": {"R1": {"01R1": [1, []], "01R2": [0, ["CB00XXXX"]]}},
@@ -575,7 +573,7 @@ MALFORMED_INDEX_EDITS = {
         "diff-release-outside-universe": (("registry", "CB00XXXX"), "02R1"),
         "diff-at-first-release": (("registry", "CB00XXXX"), "01R1"),
         "universe-not-increasing": (("release_universe",), ["01R2", "01R1"]),
-        "proc-release-id-not-a-string": (("proc_release", "P", "01R1", 0, 0), 5),
+        "proc-release-id-not-a-string": (("proc_release", "P", "01R1", 0), 5),
         "proc-dep-id-not-a-string": (("proc_dep", "P", "SA", "01R1", 0, 0), 5),
         "record-devs-not-strings": (("req_release", "R1", "01R1", 1), [5]),
         "record-not-a-pair": (("req_release", "R1", "01R1"), {"devs": [], "text": 1}),
@@ -601,12 +599,20 @@ MALFORMED_INDEX_EDITS["diff-not-caused-by-dev"] = (
 MALFORMED_INDEX_EDITS["record-dev-not-registered"] = (
     ("req_release", "R2"), {"01R1": [0, ["CB_NOPE"]]}, repr("CB_NOPE")
 )
-# R1's entry at 01R1 holds its 01R2 text, or names a requirement with no record.
-MALFORMED_INDEX_EDITS["proc-release-text-not-record-text"] = (
-    ("proc_release", "P", "01R1", 0, 1), 0, repr("One. Three.")
-)
+# An id list that names a requirement with no record at its release, or one
+# requirement twice; and a diff filed under a procedure whose proc_release
+# lists its requirement at neither of the diff's releases.
 MALFORMED_INDEX_EDITS["proc-release-id-without-record"] = (
-    ("proc_release", "P", "01R1", 0, 0), "R9", repr("R9")
+    ("proc_release", "P", "01R1", 0), "R9", "'R9' has no req_release record there"
+)
+MALFORMED_INDEX_EDITS["proc-release-id-twice"] = (
+    ("proc_release", "P", "01R1"), ["R1", "R1"], "'P' at 01R1: requirement id 'R1' is listed twice"
+)
+MALFORMED_INDEX_EDITS["proc-dev-id-twice"] = (
+    ("proc_dev", "P"), {"CB00XXXX": ["R1", "R1"]}, "'P' CB00XXXX: requirement id 'R1' is listed twice"
+)
+MALFORMED_INDEX_EDITS["proc-dev-id-under-another-procedure"] = (
+    ("proc_dev",), {"Q": {"CB00XXXX": ["R1"]}}, "'R1' is not in proc_release 'Q' at 01R1 or 01R2"
 )
 # An entry that repeats one already loaded, but whose reference is a JSON
 # true or 0.0, which equal the positions 1 and 0 and hash alike; and an

@@ -603,6 +603,15 @@ FORMAT_5_INDEX = (
     '"texts":["One. Three.","One. Two."]}\n'
 )
 
+# A format-6 index: each proc_release entry an [id, text position] pair.
+FORMAT_6_INDEX = (
+    '{"aliases":{"p":"P"},"format_version":6,"proc_dep":{"P":{"SA":{"01R1":[["R1",0]]}}},'
+    '"proc_dev":{"P":{"CB00XXXX":["R1"]}},"proc_release":{"P":{"01R1":[["R1",1]]}},'
+    '"registry":{"CB00XXXX":"01R2"},"release_universe":["01R1","01R2"],'
+    '"req_release":{"R1":{"01R1":[1,[]],"01R2":[0,["CB00XXXX"]]}},'
+    '"sentences":["One","Three.","Two."],"texts":["0 1","0 2"]}\n'
+)
+
 
 class TestErrorContract:
     """Every failure exits with its documented code and one `error:` line."""
@@ -701,6 +710,10 @@ class TestErrorContract:
     def test_format_5_index_names_its_version(self, tmp_path, capsys):
         err = self.old_format_error(tmp_path, capsys, FORMAT_5_INDEX)
         assert err.startswith("error: index: unsupported index format version: 5 ")
+
+    def test_format_6_index_names_its_version(self, tmp_path, capsys):
+        err = self.old_format_error(tmp_path, capsys, FORMAT_6_INDEX)
+        assert err.startswith("error: index: unsupported index format version: 6 ")
 
     @pytest.mark.parametrize("kind", ["index", "lexicon", "config"])
     def test_nested_too_deep_names_its_input(self, error_dir, capsys, kind):

@@ -34,10 +34,9 @@ from speckit.lint import LintConfig, lint_corpus
 from speckit.model import DeploymentType, release_universe
 from speckit.resolver import diff_behavior
 
-# Index format 6 stores each text as positions in a table of its distinct
-# sentences, so the index JSON changed; the query answers read back from it
-# did not.
-INDEX_SHA256 = "da67f0bd44ec7e00aff9798f3c7570875a3bd4c379678d18a2c6a269c0ca4a92"
+# Index format 7 writes each proc_release list as its requirement ids, so the
+# index JSON changed; the query answers read back from it did not.
+INDEX_SHA256 = "6870c1f676f468d45a5e4862471801d29524b5d751d582f52d1cfdefe59dd98b"
 QUERY_SHA256 = "4ce569f2692d2c1f4dfcbc6c2b83c31fad5d98312932081e6b75961a9ce07d29"
 EXTRACT_SHA256 = "6b09632e31244138c23c4db8e4b9b71ab0a7e618d676d9d00a4c1d0d630b7a3e"
 DIFF_SHA256 = "f89750cd9f80ad292e87aee1dc6a9a39e275670091fed6d59c05b7c902e7728f"

@@ -388,7 +388,8 @@ class TestConsistency:
                     assert resolved.text == text
 
 
-# (section, text reference) pairs that point at no entry of a one-text table
+# (section, text reference) pairs that point at no entry of a one-text table;
+# a "proc_release" list refers to its requirement's record by the id alone
 BAD_TEXT_REFS = [
     ("req_release", 1),
     ("req_release", -1),
@@ -407,14 +408,14 @@ BAD_TEXT_REFS = [
 def _text_ref_blob(section: str, ref) -> str:
     """A one-requirement index whose `section` refers to text `ref`.
 
-    R1's record refers to text 0 unless `section` is "req_release", so an
-    entry that refers to text 0 holds its requirement's text.  A "proc_dep"
-    entry overrides R1's "proc_release" entry, which refers to text 0, and
-    the table then holds a second text, "two", for it to refer to.
+    R1's record refers to text 0 unless `section` is "req_release", and a
+    "proc_release" list refers to R1's record by its id "R1".  A "proc_dep"
+    entry overrides R1's "proc_release" entry, which holds text 0, and the
+    table then holds a second text, "two", for it to refer to.
     """
     entries = {
         "req_release": {"R1": {"01R1": [ref, []]}},
-        "proc_release": {"P": {"01R1": [["R1", ref]]}},
+        "proc_release": {"P": {"01R1": [ref]}},
         "proc_dep": {"P": {"SA": {"01R1": [["R1", ref]]}}},
     }
     data = {
@@ -426,7 +427,7 @@ def _text_ref_blob(section: str, ref) -> str:
         "sentences": ["one", "two"] if section == "proc_dep" else ["one"],
         "texts": ["0", "1"] if section == "proc_dep" else ["0"],
         "req_release": {"R1": {"01R1": [0, []]}},
-        "proc_release": {"P": {"01R1": [["R1", 0]]}} if section == "proc_dep" else {},
+        "proc_release": {"P": {"01R1": ["R1"]}} if section == "proc_dep" else {},
         "proc_dep": {},
         section: entries[section],
     }
@@ -488,7 +489,7 @@ class TestPersistence:
 
     def test_format_version_checked(self, small_world):
         _, _, _, index = small_world
-        for version in (1, 2, 3, 4, 5, 99):
+        for version in (1, 2, 3, 4, 5, 6, 99):
             blob = index_to_json(index).replace(
                 f'"format_version":{FORMAT_VERSION}', f'"format_version":{version}'
             )
@@ -559,7 +560,8 @@ class TestPersistence:
 
     @pytest.mark.parametrize("section", ["req_release", "proc_release", "proc_dep"])
     def test_valid_text_reference_loads(self, section):
-        ref = 1 if section == "proc_dep" else 0  # an override holds a text of its own
+        # a proc_release list names R1; an override holds a text of its own
+        ref = {"req_release": 0, "proc_release": "R1", "proc_dep": 1}[section]
         index = index_from_json(_text_ref_blob(section, ref))
         assert index_to_json(index) == _text_ref_blob(section, ref)
 

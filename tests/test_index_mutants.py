@@ -2,8 +2,8 @@
 
 Each mutant is the written index of `support.index_cases()` with one edit:
 a key dropped at a fixed-schema path (a top-level key, or one half of a
-`req_release` record or an entry pair), a value replaced by one of another
-JSON type at a seeded sample of paths, or a `proc_dev` requirement id
+`req_release` record or a `proc_dep` entry pair), a value replaced by one of
+another JSON type at a seeded sample of paths, or a `proc_dev` requirement id
 replaced by a value of every JSON type or by the id of a requirement that
 the development did not change, or a string or integer replaced by another
 one of its type.  `index_from_json` must load each mutant or raise
@@ -17,6 +17,13 @@ with no entry at its place, given the text of the entry it overrides, or
 followed by a second override of its id must raise; an override given another text, or a new override
 of another entry at its place, must load, and its SA or NSA answer must be
 the `proc_release` answer with that entry's text replaced.
+
+So do the id lists of `proc_release` and `proc_dev`.  An id repeated,
+replaced by an unknown id, or replaced by the id of a requirement with no
+record at the list's release (at neither release of the development's
+diffs, for `proc_dev`) must raise; an id dropped, or two ids swapped, must
+load or be refused, and a mutant that loads must answer all five query
+forms.
 
 So do the sentence table and the "texts" rows.  A row that is not
 canonical positions in the sentence table (negative, out of range, not an
@@ -85,10 +92,8 @@ def _fixed_paths() -> list[tuple]:
     for req_id, by_release in BASE["req_release"].items():
         for r in by_release:
             paths += [("req_release", req_id, r, 1), ("req_release", req_id, r, 0)]
-    pair_lists = [("proc_release", proc, r) for proc in BASE["proc_release"]
-                  for r in BASE["proc_release"][proc]]
-    pair_lists += [("proc_dep", proc, dep, r) for proc in BASE["proc_dep"]
-                   for dep in BASE["proc_dep"][proc] for r in BASE["proc_dep"][proc][dep]]
+    pair_lists = [("proc_dep", proc, dep, r) for proc in BASE["proc_dep"]
+                  for dep in BASE["proc_dep"][proc] for r in BASE["proc_dep"][proc][dep]]
     for path in pair_lists:
         for k in range(len(_at(BASE, path))):
             paths += [path + (k, 1), path + (k, 0)]
@@ -130,7 +135,8 @@ def _overlay_edits() -> tuple[list, list]:
         for dep, by_release in by_dep.items():
             for r, overrides in by_release.items():
                 place = ("proc_dep", proc, dep, r)
-                ref_of = dict(BASE["proc_release"][proc][r])
+                ref_of = {req_id: BASE["req_release"][req_id][r][0]
+                          for req_id in BASE["proc_release"][proc][r]}
                 absent = sorted(set(BASE["req_release"]) - set(ref_of))
                 for k, (req_id, ref) in enumerate(overrides):
                     others = [t for t in range(len(BASE["texts"])) if t not in (ref, ref_of[req_id])]
@@ -147,6 +153,40 @@ def _overlay_edits() -> tuple[list, list]:
 
 
 OVERLAY_REFUSED, OVERLAY_LOADING = _overlay_edits()
+
+
+def _id_list_edits() -> tuple[list, list]:
+    """(refused, either): (path, new value) edits of each id list.
+
+    Refused: each id repeated at the end, replaced by an unknown id, or
+    replaced by each requirement with no record at the list's release (at
+    neither release of the development's diffs, for a `proc_dev` list).
+    Either: each id dropped, and each two neighbouring ids swapped."""
+    by_dev = {dev: ReleaseId.parse(r) for dev, r in BASE["registry"].items()}
+    universe = [ReleaseId.parse(r) for r in BASE["release_universe"]]
+    lists = []  # (path, ids, releases at which an id must have a record)
+    for proc, by_release in BASE["proc_release"].items():
+        lists += [(("proc_release", proc, r), ids, {r}) for r, ids in by_release.items()]
+    for proc, by_dev_ids in BASE["proc_dev"].items():
+        for dev, ids in by_dev_ids.items():
+            b = by_dev[dev]
+            a = universe[universe.index(b) - 1]
+            lists.append((("proc_dev", proc, dev), ids, {str(a), str(b)}))
+    refused, either = [], []
+    for path, ids, releases in lists:
+        absent = sorted(req_id for req_id, records in BASE["req_release"].items()
+                        if not releases & set(records))
+        for k, req_id in enumerate(ids):
+            others = ids[:k] + ids[k + 1:]
+            refused.append((path, ids + [req_id]))
+            refused += [(path, ids[:k] + [new] + ids[k + 1:]) for new in ("REQ_9999", *absent)]
+            either.append((path, others))
+            if k:
+                either.append((path, ids[:k - 1] + [req_id, ids[k - 1]] + ids[k + 1:]))
+    return refused, either
+
+
+ID_LIST_REFUSED, ID_LIST_EITHER = _id_list_edits()
 
 
 def _table_edits() -> tuple[list, list]:
@@ -262,6 +302,8 @@ def test_base_loads_and_covers_the_schema():
     assert BASE["proc_dep"] and len(OVERLAY_REFUSED) > len(OVERLAY_LOADING) > 1
     assert any(type(value) is list for _, value in OVERLAY_LOADING)
     assert len(TABLE_REFUSED) > 9 * len(BASE["texts"]) and len(TABLE_LOADING) > len(BASE["texts"])
+    assert {path[0] for path, _ in ID_LIST_REFUSED} == {"proc_release", "proc_dev"}
+    assert len(ID_LIST_REFUSED) > len(ID_LIST_EITHER) > len(BASE["proc_release"])
 
 
 @pytest.mark.parametrize("chunk", range(4))
@@ -280,6 +322,12 @@ def test_every_swapped_id_is_malformed():
 def test_every_refused_overlay_edit_is_malformed():
     for path, value in OVERLAY_REFUSED:
         with pytest.raises(ValueError, match="^malformed index: proc_dep "):
+            index_from_json(_swapped(path, value))
+
+
+def test_every_refused_id_list_edit_is_malformed():
+    for path, value in ID_LIST_REFUSED:
+        with pytest.raises(ValueError, match=f"^malformed index: {path[0]} "):
             index_from_json(_swapped(path, value))
 
 
@@ -322,7 +370,8 @@ def test_swapped_type_loads_or_is_malformed(chunk):
 
 @pytest.mark.parametrize("chunk", range(4))
 def test_loaded_mutant_answers_every_query(chunk):
-    mutants = [("base", None)] + SWAPPED + SAME_TYPE_SWAPS + OVERLAY_LOADING + TABLE_LOADING
+    mutants = [("base", None), *SWAPPED, *SAME_TYPE_SWAPS, *OVERLAY_LOADING, *TABLE_LOADING,
+               *ID_LIST_EITHER]
     loaded = 0
     for path, value in mutants[chunk::4]:
         source = BASE_SOURCE if path == "base" else _swapped(path, value)

@@ -11,7 +11,6 @@ def test_every_memo_table_is_bounded():
         "speckit.resolver._unchanged",
         "speckit.tokenizer._token",
         "speckit.tokenizer._chunk_tokens",
-        "speckit.tokenizer._lowered_word",
     } <= set(tables)
     for name, table in tables.items():
         maxsize = table.cache_info().maxsize
