@@ -59,8 +59,22 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _out(line: Optional[str] = None) -> None:
+    """Print `line` to stdout, or flush stdout if `line` is None.  A reader
+    that closed its end (`| head -1`) wants no more output: stdout is pointed
+    at os.devnull, and the command runs on to its own exit code."""
+    try:
+        if line is None:
+            sys.stdout.flush()
+        else:
+            print(line)
+    except BrokenPipeError:
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+
+
 def _print_json(obj: dict) -> None:
-    print(json.dumps(obj, sort_keys=True, ensure_ascii=False))
+    _out(json.dumps(obj, sort_keys=True, ensure_ascii=False))
 
 
 def _read_text(path: str) -> str:
@@ -132,12 +146,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
     docs, registry, _, errors = _load_inputs(args)
     errors.extend(validate_corpus(docs, registry))
     for err in errors:
-        print(err)
+        _out(str(err))
     if errors:
         print(f"{len(errors)} error(s)", file=sys.stderr)
         return EXIT_PARSE
     total = sum(1 for doc in docs for _ in doc.iter_requirements())
-    print(f"OK: {len(docs)} document(s), {total} requirement(s)")
+    _out(f"OK: {len(docs)} document(s), {total} requirement(s)")
     return EXIT_OK
 
 
@@ -167,7 +181,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
             }
         )
     else:
-        print(resolved.text)
+        _out(resolved.text)
     return EXIT_OK
 
 
@@ -186,7 +200,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
             where = f"{loc.document}:{loc.requirement}"
             if loc.version:
                 where += f"@{loc.version}"
-            print(f"{finding.severity.value:6} {finding.rule.value:19} {where}: {finding.message}")
+            _out(f"{finding.severity.value:6} {finding.rule.value:19} {where}: {finding.message}")
         print(f"{len(findings)} finding(s)", file=sys.stderr)
 
     if args.fail_on == "none":
@@ -203,7 +217,7 @@ def cmd_index_build(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(index_to_json(index), encoding="utf-8")
-    print(f"index written to {out}")
+    _out(f"index written to {out}")
     return EXIT_OK
 
 
@@ -221,7 +235,7 @@ def _print_entries(entries: list[tuple[str, str]], release: str, fmt: str, deplo
             _print_json({"id": req_id, "release": release, "deployment": deployment, "text": text})
     else:
         for req_id, text in entries:
-            print(f"{req_id}: {text}")
+            _out(f"{req_id}: {text}")
 
 
 def _print_diffs(diffs: list[BehaviorDiff], fmt: str) -> None:
@@ -232,9 +246,9 @@ def _print_diffs(diffs: list[BehaviorDiff], fmt: str) -> None:
         marks = {DiffKind.ADDED: "+", DiffKind.REMOVED: "-", DiffKind.UNCHANGED: "="}
         for diff in diffs:
             causes = f" causes: {', '.join(sorted(diff.causes))}" if diff.causes else ""
-            print(f"{diff.id} {diff.release_a} -> {diff.release_b}{causes}")
+            _out(f"{diff.id} {diff.release_a} -> {diff.release_b}{causes}")
             for seg in diff.segments:
-                print(f"  {marks[seg.kind]} {seg.text}")
+                _out(f"  {marks[seg.kind]} {seg.text}")
 
 
 def cmd_query(args: argparse.Namespace) -> int:
@@ -255,7 +269,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             _print_json({"procedure": args.proc, "requirements": ids})
         else:
             for req_id in ids:
-                print(req_id)
+                _out(req_id)
     else:  # deployment
         dep = DeploymentType(args.deployment)
         release = ReleaseId.parse(args.release) if args.release else None
@@ -273,7 +287,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         release = ReleaseId.parse(args.release)
         datasets = [extract_release_dataset(docs, release, registry, args.min_tokens)]
     for path in write_datasets(datasets, Path(args.out)):
-        print(path)
+        _out(path)
     return EXIT_OK
 
 
@@ -287,7 +301,7 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
         dispersed_procs=args.dispersed,
     )
     for path in write_corpus(bundle, Path(args.out)):
-        print(path)
+        _out(path)
     return EXIT_OK
 
 
@@ -411,6 +425,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(EXIT_PARSE, f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc))
     except (ValueError, SpecError) as exc:
         return _fail(EXIT_PARSE, str(exc))
+    finally:
+        _out()  # flushed here, where a closed stdout is caught, not at exit
 
 
 if __name__ == "__main__":

@@ -7,26 +7,28 @@ Procedures are lexicon canonical names; requirements mentioning no known
 procedure are kept under the reserved "(unmapped)" key.  The index is
 rebuilt from scratch on corpus change and persists to a single JSON file.
 
-Format 7 stores nothing that the loader can derive, and each distinct
-sentence once.  Each distinct resolved text has a position in a sorted
-"texts" table: a "req_release" record is the pair `[text position, sorted
-reachable devs]`, and a "proc_dep" entry the pair `[requirement id, text
-position]`.  A "proc_release" list holds only requirement ids: each entry's
-text is its requirement's "req_release" text at that release.  A text is
-stored as its pieces between the literal ". "s it holds, which `". ".join`
-puts back exactly: the "sentences" table holds each distinct piece once, in
-the order the sorted texts first hold it, and a "texts" row is the string of
-the text's piece positions, one space apart ("0 17 4").  "proc_dep" lists,
-per procedure, deployment and release, only the entries whose deployment
-text differs from that requirement's "proc_release" entry there; the loader
-derives every other entry from "proc_release", and a list with no such entry
-is the "proc_release" list itself.  "proc_dev" lists, per procedure and
-development, the ids of the requirements that the development changed.  The
-loader re-derives each diff with `diff_texts`, from the release before the
-development's registry release to that release, and each procedure's
-requirements from "proc_release".  On gen-corpus seed 1 (size 2000) the file
-is 1.27 MB: "sentences" is 801 KB (16,007 distinct of 24,368 pieces),
-"texts" 136 KB, "proc_release" 89.8 KB and "proc_dep" 16.7 KB.
+Format 7 stores each distinct sentence once, and nothing that the loader
+can derive but "proc_dev", which it checks.  Each distinct resolved text has
+a position in a sorted "texts" table: a "req_release" record is the pair
+`[text position, sorted reachable devs]`, and a "proc_dep" entry the pair
+`[requirement id, text position]`.  A "proc_release" list holds only
+requirement ids: each entry's text is its requirement's "req_release" text
+at that release.  A text is stored as its pieces between the literal ". "s
+it holds, which `". ".join` puts back exactly: the "sentences" table holds
+each distinct piece once, in the order the sorted texts first hold it, and a
+"texts" row is the string of the text's piece positions, one space apart
+("0 17 4").  "proc_dep" lists, per procedure, deployment and release, only
+the entries whose deployment text differs from that requirement's
+"proc_release" entry there; the loader derives every other entry from
+"proc_release", and a list with no such entry is the "proc_release" list
+itself.  "proc_dev" lists, per procedure and development, the ids of the
+requirements that the development changed, in requirement-id order.  It is
+derived, not read: the build and the loader file each caused
+adjacent-release diff through one function, from the records, the registry
+and each text's procedures, which the loader reads from "proc_release"; the
+stored copy must be exactly the derived one.  On gen-corpus seed 1 (size
+2000) the file is 1.27 MB: "sentences" is 801 KB (16,007 distinct of 24,368
+pieces), "texts" 136 KB, "proc_release" 89.8 KB and "proc_dep" 16.7 KB.
 
 Neither half of persistence holds a second copy of the index.  The writer
 builds no nested document: it appends the pieces of the JSON text to one
@@ -37,25 +39,22 @@ one tuple per distinct entry and record, which every list shares, as a built
 index does.  It joins a text when first referred to, and drops the sentence
 table before it derives the diffs (on seed 1 its peak was 7.47 MB with the
 table alive through them).  On seed 1 the writer's peak is 3.91 MB, 3.07
-times the file's length, and the loader's 5.60 MB, 4.40 times, while it
+times the file's length, and the loader's 5.50 MB, 4.32 times, while it
 converts the records.
 
 A wrong shape raises ValueError "malformed index: ...": a missing key, a
 value of the wrong JSON type, a "sentences" or "texts" that is not a list of
 strings, a "texts" row (referred to or not) that is not sentence positions
-in decimal without a leading zero, one space apart, a text reference
-outside the table, a record or
-entry that is not a pair, a "release_universe" that is not a list of strings
-or not strictly increasing, or a release key outside it, a "proc_dep"
-deployment other than SA or NSA, a "req_release" record development or a
-"proc_dev" development that is not in the registry, a "proc_dev" development
-registered outside the universe or at its first release, a "proc_release" id
-with no "req_release" record at that release, a "proc_dev" id that its
-procedure's "proc_release" lists at neither release of the diff or whose diff
-does not name that development as a cause, an id listed twice in one
-"proc_release" or "proc_dev" list, and a "proc_dep" entry whose id has no
-"proc_release" entry at its procedure and release, is listed twice there, or
-holds that entry's own text.
+in decimal without a leading zero, one space apart, a text reference outside
+the table, a record or entry that is not a pair, a "release_universe" that
+is not a list of strings or not strictly increasing, or a release key or
+registry release outside it, a "proc_dep" deployment other than SA or NSA, a
+"req_release" record development that is not in the registry, a
+"proc_release" id with no "req_release" record at that release or listed
+twice in one list, a "proc_dep" entry whose id has no "proc_release" entry
+at its procedure and release, is listed twice there, or holds that entry's
+own text, and a "proc_dev" that is not exactly the derived `{procedure:
+{development: [ids]}}`.
 """
 
 from __future__ import annotations
@@ -64,9 +63,8 @@ import json
 import re
 import reprlib
 from dataclasses import dataclass, field
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _encode
-from typing import AbstractSet, Any, Callable, Iterable, Iterator, Optional
+from typing import AbstractSet, Any, Callable, Iterable, Iterator, Mapping, Optional
 
 from .errors import UnknownDevelopmentError, UnknownReleaseError
 from .lexicon import Lexicon, find_mentions, phrase_key
@@ -77,7 +75,6 @@ from .model import (
     ReleaseId,
     SpecDocument,
     iter_segments,
-    previous_release,
     release_universe,
 )
 from .resolver import BehaviorDiff, _sentences_of, diff_causes, diff_texts, resolve_details
@@ -188,24 +185,7 @@ def build_index(
                         for proc in procs:
                             overrides.setdefault((proc, dep_key, r_key), []).append(dep_entry)
 
-    # proc_dev files a changed diff under each of its causes, so a change
-    # with none needs no LCS.  A diff without changes has no causes.
-    for a, b in zip(universe, universe[1:]):
-        a_key, b_key = str(a), str(b)
-        for req_id, records in index.req_release.items():
-            text_a, devs_a = records.get(a_key, _ABSENT)
-            text_b, devs_b = records.get(b_key, _ABSENT)
-            if text_a == text_b or not diff_causes(a, b, devs_a, devs_b, index.registry):
-                continue
-            diff = diff_texts(req_id, a, b, text_a, text_b, devs_a, devs_b, index.registry)
-            # procedures at either release: a change can move the mentions
-            procs = {
-                proc for text in (text_a, text_b) if text is not None for proc in procs_of[text]
-            }
-            for dev in sorted(diff.causes):
-                for proc in sorted(procs):
-                    index.proc_dev.setdefault(proc, {}).setdefault(dev, []).append(diff)
-
+    index.proc_dev = _proc_dev(index, procs_of)
     index.proc_req = _proc_req(index.proc_release)
     index.proc_dep = _proc_dep(index.proc_release, overrides)
     return index
@@ -250,6 +230,32 @@ def _proc_dep(
             entries[k] = entry
         proc_dep[proc][dep][r] = entries
     return proc_dep
+
+
+def _proc_dev(
+    index: SpecIndex, procs_of: Mapping[str, Iterable[str]], memo: bool = False
+) -> dict[str, dict[str, list[BehaviorDiff]]]:
+    """Each changed adjacent-release diff, filed under each of its causes and
+    under the procedures that `procs_of` gives either of its texts (a change
+    can move the mentions).  A development's diffs all end at its registered
+    release, so each list is in requirement-id order.  A change with no
+    cause needs no LCS: a diff without changes has none."""
+    proc_dev: dict[str, dict[str, list[BehaviorDiff]]] = {}
+    universe, registry, req_ids = index.release_universe, index.registry, sorted(index.req_release)
+    for a, b in zip(universe, universe[1:]):
+        a_key, b_key = str(a), str(b)
+        for req_id in req_ids:
+            records = index.req_release[req_id]
+            text_a, devs_a = records.get(a_key, _ABSENT)
+            text_b, devs_b = records.get(b_key, _ABSENT)
+            if text_a == text_b or not diff_causes(a, b, devs_a, devs_b, registry):
+                continue
+            diff = diff_texts(req_id, a, b, text_a, text_b, devs_a, devs_b, registry, memo=memo)
+            procs = sorted({proc for text in (text_a, text_b) for proc in procs_of.get(text, ())})
+            for dev in sorted(diff.causes):
+                for proc in procs:
+                    proc_dev.setdefault(proc, {}).setdefault(dev, []).append(diff)
+    return proc_dev
 
 
 def _changed_diffs(
@@ -533,12 +539,14 @@ def index_from_json(source: str) -> SpecIndex:
         if universe != sorted(set(universe)):
             raise ValueError(f"release_universe {[str(r) for r in universe]} is not increasing")
         parsed = {str(r): r for r in universe}
-        registry = {dev: ReleaseId.parse(r) for dev, r in data.pop("registry").items()}
 
         def release(key: str) -> str:
             if key not in parsed:
                 raise ValueError(f"release {key!r} is not in the release universe")
             return key
+
+        # A build registers each development at a release of its universe.
+        registry = {dev: parsed[release(r)] for dev, r in data.pop("registry").items()}
 
         # Each raw section is popped from `data`, and each of its items dropped
         # once converted, so the document and the index it becomes are never
@@ -547,60 +555,23 @@ def index_from_json(source: str) -> SpecIndex:
             _one(shared, req_id): {release(r): record(pair) for r, pair in by_release.items()}
             for req_id, by_release in _drain(data.pop("req_release"))
         }
-        # One diff per (requirement, release b), shared by every procedure and
-        # development that files it, as in the built index.
-        derived: dict[tuple[str, ReleaseId], BehaviorDiff] = {}
-
-        # The build files a diff only under the procedures whose "proc_release"
-        # lists its requirement at one of its two releases.  The lists are read
-        # procedure by procedure, so the cache holds one procedure's sets.
-        @lru_cache(maxsize=len(universe))
-        def listed(proc: str, a_key: str, b_key: str) -> frozenset[str]:
-            by_release = proc_release.get(proc, {})
-            return frozenset(req_id for r in (a_key, b_key) for req_id, _ in by_release.get(r, ()))
-
-        def dev_diffs(proc: str, dev: str, ids: Any) -> list[BehaviorDiff]:
-            """The diffs of `ids` at the one adjacent release pair whose causes can name `dev`."""
-            if dev not in registry:
-                raise ValueError(f"development {dev!r} is not in the registry")
-            b = parsed[release(str(registry[dev]))]
-            a = previous_release(universe, b)
-            if a is None:
-                raise ValueError(f"development {dev!r} is registered at first release {str(b)!r}")
-            a_key, b_key = str(a), str(b)
-            diffs = []
-            for req_id in _id_list(
-                ids, listed(proc, a_key, b_key).__contains__, f"proc_dev {proc!r} {dev}",
-                f"is not in proc_release {proc!r} at {a_key} or {b_key}",
-            ):
-                diff = derived.get((req_id, b))
-                if diff is None:
-                    req_id = _one(shared, req_id)
-                    records = req_release[req_id]
-                    text_a, devs_a = records.get(a_key, _ABSENT)
-                    text_b, devs_b = records.get(b_key, _ABSENT)
-                    # memo: the loading process answers queries, which diff these texts again
-                    diff = derived[req_id, b] = diff_texts(
-                        req_id, a, b, text_a, text_b, devs_a, devs_b, registry, memo=True
-                    )
-                if dev not in diff.causes:
-                    raise ValueError(f"requirement {req_id!r} was not changed by {dev!r} at {b}")
-                diffs.append(diff)
-            return diffs
-
         aliases = data.pop("aliases")
         if type(aliases) is not dict or not all(type(c) is str for c in aliases.values()):
             raise ValueError(f"aliases {reprlib.repr(aliases)} is not an object of strings")
 
         def release_entries(proc: str, r: str, ids: Any) -> list[Entry]:
-            """The entries of `ids`, each with its requirement's text at `r`."""
-            return [
-                _one(shared, (_one(shared, req_id), req_release[req_id][r][0]))
-                for req_id in _id_list(
-                    ids, lambda req_id: r in req_release.get(req_id, ()),
-                    f"proc_release {proc!r} at {r}", "has no req_release record there",
-                )
-            ]
+            """The entries of `ids`, distinct requirement ids each with a
+            record at `r`, each with its requirement's text there."""
+            where = f"proc_release {proc!r} at {r}"
+            for req_id in _list(ids, "ids"):
+                if type(req_id) is not str or r not in req_release.get(req_id, ()):
+                    raise ValueError(
+                        f"{where}: requirement id {reprlib.repr(req_id)} has no req_release record there"
+                    )
+            if len(set(ids)) < len(ids):
+                twice = next(req_id for k, req_id in enumerate(ids) if req_id in ids[:k])
+                raise ValueError(f"{where}: requirement id {twice!r} is listed twice")
+            return [_one(shared, (_one(shared, req_id), req_release[req_id][r][0])) for req_id in ids]
 
         proc_release = {
             proc: {release(r): release_entries(proc, r, ids) for r, ids in by_release.items()}
@@ -613,24 +584,45 @@ def index_from_json(source: str) -> SpecIndex:
             for r, refs in by_release.items()
         })
         # A row that nothing refers to must be well formed too.  The sentence
-        # table is dropped before the diffs are derived, which peak the load.
+        # table, and then `shared`, are dropped before the diffs are derived.
         for ref, text in enumerate(texts):
             if text is None:
                 _joined(sentences, rows[ref])
         del sentences, rows, texts
-        return SpecIndex(
+        # Each text's procedures as "proc_release" files it, one tuple per distinct set.
+        procs_of: dict[str, tuple[str, ...]] = {}
+        for proc, by_release in proc_release.items():
+            for entries in by_release.values():
+                for _, text in entries:
+                    held = procs_of.get(text, ())
+                    if proc not in held:
+                        procs_of[text] = _one(shared, (*held, proc))
+        del shared
+        index = SpecIndex(
             release_universe=universe,
             registry=registry,
             aliases=aliases,
             req_release=req_release,
             proc_release=proc_release,
-            proc_dev={
-                proc: {dev: dev_diffs(proc, dev, ids) for dev, ids in by_dev.items()}
-                for proc, by_dev in _drain(data.pop("proc_dev"))
-            },
+            proc_dev={},
             proc_req=_proc_req(proc_release),
             proc_dep=proc_dep,
         )
+        # memo: the loading process answers queries, which diff these texts again
+        index.proc_dev = _proc_dev(index, procs_of, memo=True)
+        filed = {
+            proc: {dev: [diff.id for diff in diffs] for dev, diffs in by_dev.items()}
+            for proc, by_dev in index.proc_dev.items()
+        }
+        # The stored "proc_dev" must be the derived one, lists in requirement-id order.
+        stored = data.pop("proc_dev")
+        if stored != filed:
+            proc = min(p for p in {*filed, *stored.keys()} if stored.get(p) != filed.get(p))
+            raise ValueError(
+                f"proc_dev {proc!r} is {reprlib.repr(stored.get(proc))}, "
+                f"not the derived {reprlib.repr(filed.get(proc))}"
+            )
+        return index
     except ValueError as exc:  # a failed check, or a malformed release id
         raise ValueError(f"malformed index: {exc}") from exc
     except (AttributeError, KeyError, TypeError) as exc:
@@ -657,19 +649,6 @@ def _joined(sentences: list[str], row: str) -> str:
         f"texts row {reprlib.repr(row)} is not positions "
         f"in the {len(sentences)}-entry sentence table"
     )
-
-
-def _id_list(value: Any, known: Callable[[str], bool], where: str, unknown: str) -> list[str]:
-    """`value` if it is a list of distinct strings, each of which `known`
-    holds; anything else raises ValueError naming `where`, and saying
-    `unknown` of an id that is not a string or that `known` does not hold."""
-    for req_id in _list(value, "ids"):
-        if type(req_id) is not str or not known(req_id):
-            raise ValueError(f"{where}: requirement id {reprlib.repr(req_id)} {unknown}")
-    if len(set(value)) < len(value):
-        twice = next(req_id for k, req_id in enumerate(value) if req_id in value[:k])
-        raise ValueError(f"{where}: requirement id {twice!r} is listed twice")
-    return value
 
 
 def _list(value: Any, what: str) -> list:

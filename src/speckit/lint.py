@@ -122,9 +122,18 @@ class LintConfig:
     enabled: frozenset[LintRule] = frozenset(LintRule)
 
     def __post_init__(self) -> None:
+        for key in _INT_KEYS:
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{key} must be an integer")
+        threshold = self.dup_threshold
+        if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
+            raise ValueError("dup_threshold must be a number")
+        if type(self.enabled) is not frozenset or not self.enabled <= frozenset(LintRule):
+            raise ValueError(f"enabled {self.enabled!r} is not a frozenset of LintRule")
         if self.shingle_k < 2:
             raise ValueError("shingle_k must be >= 2")
-        if not 0 < self.dup_threshold <= 1:
+        if not 0 < threshold <= 1:
             raise ValueError("dup_threshold must be in (0, 1]")
         if self.max_tokens <= 0:
             raise ValueError("max_tokens must be positive")
@@ -138,34 +147,19 @@ class LintConfig:
         data = json.loads(source)
         if not isinstance(data, dict):
             raise ValueError("lint config must be a JSON object")
-        kwargs = {}
-        for key in _INT_KEYS:
-            if key in data:
-                if not isinstance(data[key], int) or isinstance(data[key], bool):
-                    raise ValueError(f"{key} must be an integer")
-                kwargs[key] = data[key]
-        if "dup_threshold" in data:
-            threshold = data["dup_threshold"]
-            if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
-                raise ValueError("dup_threshold must be a number")
-            kwargs["dup_threshold"] = float(threshold)
-        if "rules" in data:
-            rules = data["rules"]
-            if not isinstance(rules, dict):
-                raise ValueError("rules must be an object of rule: bool")
-            enabled = set(LintRule)
-            for name, flag in rules.items():
-                if name not in _RULE_SHORT:
-                    raise ValueError(f"unknown rule {name!r}")
-                if not isinstance(flag, bool):
-                    raise ValueError(f"rule {name!r} flag must be a boolean")
-                if not flag:
-                    enabled.discard(_RULE_SHORT[name])
-            kwargs["enabled"] = frozenset(enabled)
         unknown = set(data) - {*_INT_KEYS, "dup_threshold", "rules"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**kwargs)
+        rules = data.pop("rules", {})
+        if not isinstance(rules, dict):
+            raise ValueError("rules must be an object of rule: bool")
+        for name, flag in rules.items():
+            if name not in _RULE_SHORT:
+                raise ValueError(f"unknown rule {name!r}")
+            if not isinstance(flag, bool):
+                raise ValueError(f"rule {name!r} flag must be a boolean")
+        off = {_RULE_SHORT[name] for name, flag in rules.items() if not flag}
+        return cls(**data, enabled=frozenset(LintRule) - off)
 
 
 # ---------------------------------------------------------------------------

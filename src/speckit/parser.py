@@ -292,9 +292,18 @@ def _parse_lines(
     return machine.finish(), machine.errors
 
 
+def _lines(text: str) -> list[str]:
+    r"""`text` split at "\n", "\r\n" and "\r" only, as `open()` in text mode
+    splits it.  `str.splitlines` also splits at \v, \f, \x1c-\x1e, \x85, U+2028
+    and U+2029, which sit inside a line: Word writes a manual line break as \v."""
+    if "\r" in text:  # a fast scan: most text has none
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def parse_content(text: str) -> tuple[list[ContentSegment], list[ParseError]]:
     """Parse one version's content body into segments; errors use 1-based lines."""
-    return _parse_lines(enumerate(text.split("\n"), start=1))
+    return _parse_lines(enumerate(_lines(text), start=1))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +409,7 @@ def parse_document(source: str, name: str = "") -> ParseResult:
         seen_ids[b.req_id] = b.line
         stack[-1].requirements.append(req)
 
-    for line_no, raw in enumerate(source.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(source), start=1):
         line = raw.strip()
 
         if block is not None:
@@ -599,7 +608,7 @@ def validate_corpus(
 def load_registry(source: str) -> DevelopmentRegistry:
     """Parse a registry file: `<DevelopmentId> <ReleaseId>` lines, `#` comments."""
     entries: dict[str, ReleaseId] = {}
-    for line_no, raw in enumerate(source.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(source), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

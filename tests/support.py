@@ -239,13 +239,15 @@ def reference_diff_texts(
 
 @st.composite
 def index_corpora(draw):
-    """(documents, registry): 1-4 `versioned_requirements` over one or two documents.
+    """(documents, registry): 1-4 `versioned_requirements` over one or two
+    documents, numbered in any order.
 
     Their words hold the procedures of INDEX_LEXICON, so a DevBlock or a new
     version can swap the procedure a text mentions.
     """
     drawn = draw(st.lists(versioned_requirements(), min_size=1, max_size=4))
-    reqs = [dataclasses.replace(req, id=f"REQ_{i:04d}") for i, req in enumerate(drawn, 1)]
+    numbers = draw(st.permutations(range(1, len(drawn) + 1)))  # ids in any document order
+    reqs = [dataclasses.replace(req, id=f"REQ_{i:04d}") for i, req in zip(numbers, drawn)]
     split = draw(st.integers(0, len(reqs)))
     docs = [
         SpecDocument(name, (Section("S", tuple(part)),))
@@ -301,12 +303,30 @@ def index_cases() -> tuple[list[SpecDocument], DevelopmentRegistry]:
     return [result.document], DevelopmentRegistry(registry)
 
 
+# One development, CB00XXXX at 01R2, changes two requirements of procedure
+# "timer", and the document holds the higher id first.
+DEV_ORDER_SOURCE = """# S
+
+=== REQ REQ_0002 ===
+--- VERSION first=01R1 last=open ---
+The timer runs. [Before CB00XXXX] The old limit holds. [CB00XXXX] The new limit holds. [End CB00XXXX]
+=== END ===
+
+=== REQ REQ_0001 ===
+--- VERSION first=01R1 last=open ---
+The timer stops. [Before CB00XXXX] The old wait ends. [CB00XXXX] The new wait ends. [End CB00XXXX]
+=== END ===
+"""
+DEV_ORDER_REGISTRY = "CB00XXXX 01R2\n"
+
+
 def reference_build_index(
     docs: list[SpecDocument], registry: DevelopmentRegistry, lexicon: Lexicon
 ) -> SpecIndex:
     """`index.build_index` the direct way: every requirement resolved at every
     release for both deployments and for each one, and every changed
-    adjacent-release pair diffed by `reference_diff_texts`."""
+    adjacent-release pair diffed by `reference_diff_texts` and filed in
+    requirement-id order."""
     universe = release_universe(docs, registry)
     index = SpecIndex(
         release_universe=universe,
@@ -343,7 +363,7 @@ def reference_build_index(
                         ).setdefault(r_key, []).append((req.id, dep_text))
 
     for a, b in zip(universe, universe[1:]):
-        for req_id, records in index.req_release.items():
+        for req_id, records in sorted(index.req_release.items()):
             (text_a, devs_a), (text_b, devs_b) = (
                 records.get(str(r), (None, frozenset())) for r in (a, b)
             )
@@ -568,10 +588,7 @@ _IDS = ("proc_dev", "P", "CB00XXXX")
 MALFORMED_INDEX_EDITS = {
     case: (path, value, repr(value))
     for case, (path, value) in {
-        "diff-id-not-a-string": ((*_IDS, 0), 5),
-        "diff-id-without-record": ((*_IDS, 0), "R9"),
         "diff-release-outside-universe": (("registry", "CB00XXXX"), "02R1"),
-        "diff-at-first-release": (("registry", "CB00XXXX"), "01R1"),
         "universe-not-increasing": (("release_universe",), ["01R2", "01R1"]),
         "proc-release-id-not-a-string": (("proc_release", "P", "01R1", 0), 5),
         "proc-dep-id-not-a-string": (("proc_dep", "P", "SA", "01R1", 0, 0), 5),
@@ -588,32 +605,52 @@ MALFORMED_INDEX_EDITS = {
 MALFORMED_INDEX_EDITS["proc-dep-bad-deployment"] = (
     ("proc_dep", "P"), {"XYZ": {"01R1": [["R1", 1]]}}, repr("XYZ")
 )
-MALFORMED_INDEX_EDITS["diff-dev-not-registered"] = (
-    ("proc_dev", "P"), {"CB_NOPE": ["R1"]}, repr("CB_NOPE")
-)
-# R1's text changes at 01R2, but no development of its records caused it.
-MALFORMED_INDEX_EDITS["diff-not-caused-by-dev"] = (
-    ("req_release", "R1", "01R2", 1), [], repr("CB00XXXX")
+# A registered development that nothing cites, at a release outside the universe.
+MALFORMED_INDEX_EDITS["registry-release-outside-universe"] = (
+    ("registry", "CB_LATE"), "99R9", "release '99R9' is not in the release universe"
 )
 # A record of a requirement that no diff lists names an unregistered development.
 MALFORMED_INDEX_EDITS["record-dev-not-registered"] = (
     ("req_release", "R2"), {"01R1": [0, ["CB_NOPE"]]}, repr("CB_NOPE")
 )
 # An id list that names a requirement with no record at its release, or one
-# requirement twice; and a diff filed under a procedure whose proc_release
-# lists its requirement at neither of the diff's releases.
+# requirement twice.
 MALFORMED_INDEX_EDITS["proc-release-id-without-record"] = (
     ("proc_release", "P", "01R1", 0), "R9", "'R9' has no req_release record there"
 )
 MALFORMED_INDEX_EDITS["proc-release-id-twice"] = (
     ("proc_release", "P", "01R1"), ["R1", "R1"], "'P' at 01R1: requirement id 'R1' is listed twice"
 )
-MALFORMED_INDEX_EDITS["proc-dev-id-twice"] = (
-    ("proc_dev", "P"), {"CB00XXXX": ["R1", "R1"]}, "'P' CB00XXXX: requirement id 'R1' is listed twice"
-)
-MALFORMED_INDEX_EDITS["proc-dev-id-under-another-procedure"] = (
-    ("proc_dev",), {"Q": {"CB00XXXX": ["R1"]}}, "'R1' is not in proc_release 'Q' at 01R1 or 01R2"
-)
+# A "proc_dev" that is not the lists the loader derives from the records, the
+# registry and "proc_release", which file R1's one diff under P and CB00XXXX:
+# an id that is not R1's, or not a string; R1 twice, or under another
+# procedure or development; no list for it; and R1's diff with no cause, or
+# none at all, because the development is registered at the first release
+# or R1's 01R2 record does not name it.
+_DERIVED = "not the derived {'CB00XXXX': ['R1']}"
+MALFORMED_INDEX_EDITS.update({
+    case: (path, value, f"proc_dev 'P' is {stored}, {derived}")
+    for case, (path, value, stored, derived) in {
+        "diff-id-not-a-string": ((*_IDS, 0), 5, "{'CB00XXXX': [5]}", _DERIVED),
+        "diff-id-without-record": ((*_IDS, 0), "R9", "{'CB00XXXX': ['R9']}", _DERIVED),
+        "proc-dev-id-twice": (
+            _IDS, ["R1", "R1"], "{'CB00XXXX': ['R1', 'R1']}", _DERIVED
+        ),
+        "proc-dev-id-under-another-procedure": (
+            ("proc_dev",), {"Q": {"CB00XXXX": ["R1"]}}, "None", _DERIVED
+        ),
+        "diff-dev-not-registered": (
+            ("proc_dev", "P"), {"CB_NOPE": ["R1"]}, "{'CB_NOPE': ['R1']}", _DERIVED
+        ),
+        "proc-dev-list-missing": (("proc_dev", "P"), {}, "{}", _DERIVED),
+        "diff-at-first-release": (
+            ("registry", "CB00XXXX"), "01R1", "{'CB00XXXX': ['R1']}", "not the derived None"
+        ),
+        "diff-not-caused-by-dev": (
+            ("req_release", "R1", "01R2", 1), [], "{'CB00XXXX': ['R1']}", "not the derived None"
+        ),
+    }.items()
+})
 # An entry that repeats one already loaded, but whose reference is a JSON
 # true or 0.0, which equal the positions 1 and 0 and hash alike; and an
 # entry whose id is a list, which is unhashable.

@@ -12,6 +12,8 @@ from speckit.cli import main
 from speckit.generator import generate_corpus
 from speckit.index import FORMAT_VERSION
 from support import (
+    DEV_ORDER_REGISTRY,
+    DEV_ORDER_SOURCE,
     MALFORMED_INDEX_EDITS,
     UNKNOWN_RELEASE_EDITS,
     json_with,
@@ -37,12 +39,17 @@ REGISTRY = "CB00XXXX 01R2\n"
 LEXICON = '{"A2 measurement": ["A2 measurement for Handover"]}\n'
 
 
-def run_cli(*args: str, module: str = "speckit.cli") -> subprocess.CompletedProcess:
-    """`python -m MODULE ARGS` in a child process that imports this same speckit."""
+def run_cli(
+    *args: str, module: str = "speckit.cli", stdout=subprocess.PIPE, **env: str
+) -> subprocess.CompletedProcess:
+    """`python -m MODULE ARGS` in a child process that imports this same
+    speckit, with `env` added to its environment, writing to `stdout`;
+    stderr is captured."""
     paths = [str(Path(speckit.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     return subprocess.run(
-        [sys.executable, "-m", module, *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", module, *args],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
     )
 
 
@@ -336,6 +343,23 @@ class TestIndexAndQuery:
         )
         assert code == 0
         assert "REQ_0001" in capsys.readouterr().out
+
+    def test_dev_query_lists_ids_in_order(self, tmp_path, capsys):
+        """A development's diffs come in requirement-id order, from a corpus
+        that holds the higher id first and from the index built of it."""
+        (tmp_path / "doc.spec").write_text(DEV_ORDER_SOURCE, encoding="utf-8")
+        (tmp_path / "registry.txt").write_text(DEV_ORDER_REGISTRY, encoding="utf-8")
+        (tmp_path / "lexicon.json").write_text('{"timer": []}', encoding="utf-8")
+        inputs = [*corpus_args(tmp_path), "--lexicon", str(tmp_path / "lexicon.json")]
+        assert main(["index", "build", *inputs, "--out", str(tmp_path / "index.json")]) == 0
+        capsys.readouterr()
+        for source in (inputs, ["--index", str(tmp_path / "index.json")]):
+            assert main(["query", "dev", *source, "--proc", "timer", "--dev", "CB00XXXX",
+                         "--format", "json"]) == 0
+            out = capsys.readouterr().out
+            assert [json.loads(line)["id"] for line in out.splitlines()] == [
+                "REQ_0001", "REQ_0002"
+            ]
 
     def test_unknown_release_exit_three(self, corpus_dir):
         assert main(
@@ -740,6 +764,54 @@ class TestErrorContract:
         assert result.returncode == code
         assert result.stderr.startswith("error: ") and len(result.stderr.splitlines()) == 1
         assert "Traceback" not in result.stderr
+
+
+# 1,200 requirements that each mention "A2 measurement": `query reqs` prints
+# more than one stdout buffer of ids.
+MANY_REQS_CORPUS = "# S\n\n" + "".join(
+    f"=== REQ REQ_{i:04d} ===\n--- VERSION first=01R1 last=open ---\n"
+    "The A2 measurement shall run.\n=== END ===\n\n"
+    for i in range(1, 1201)
+)
+
+
+class TestClosedStdout:
+    """A reader that closes its end at once (`| head -0`) is no error: the
+    command writes nothing more, says nothing on stderr, and exits with its
+    own code, whether its stdout is buffered (a write fails when the buffer
+    is flushed) or not (each print fails)."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["lint", "--format", "json", "--fail-on", "high"], 1),
+            (["lint", "--fail-on", "none"], 0),
+            (["query", "behavior", "--proc", "A2 measurement", "--release", "01R1"], 0),
+            (["query", "reqs", "--proc", "A2 measurement",
+              "--corpus", "{d}/many.spec", "--registry", "{d}/registry.txt"], 0),
+        ],
+        ids=["lint-json-findings", "lint-text", "query-behavior", "query-reqs-over-a-buffer"],
+    )
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_exit_code_and_quiet_stderr(self, corpus_dir, argv, code, unbuffered):
+        (corpus_dir / "doc.spec").write_text(
+            CORPUS.replace("The A2 measurement shall stop.", "The A2 measurement for Handover shall stop."),
+            encoding="utf-8",
+        )
+        (corpus_dir / "many.spec").write_text(MANY_REQS_CORPUS, encoding="utf-8")
+        args = [a.format(d=corpus_dir) for a in argv]
+        if "--corpus" not in args:
+            args += corpus_args(corpus_dir)
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the first write
+        try:
+            result = run_cli(*args, "--lexicon", str(corpus_dir / "lexicon.json"),
+                             stdout=write, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write)
+        for text in ("error:", "Traceback", "Exception ignored"):
+            assert text not in result.stderr
+        assert result.returncode == code
 
 
 # Commands that refuse a corpus with parse errors; "{d}" stands for corpus_dir.

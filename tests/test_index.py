@@ -32,9 +32,11 @@ from speckit.model import (
     release_universe,
     version_at,
 )
-from speckit.parser import parse_document
+from speckit.parser import load_registry, parse_document
 from speckit.resolver import DiffKind, materialize, resolve_details
 from support import (
+    DEV_ORDER_REGISTRY,
+    DEV_ORDER_SOURCE,
     INDEX_LEXICON,
     MALFORMED_INDEX_EDITS,
     RELEASES,
@@ -162,6 +164,33 @@ class TestBuildIndex:
                 }
             ]
             assert query_requirements(index, proc) == {"REQ_0001"}
+
+
+class TestDevOrder:
+    """`query dev` lists a development's diffs in requirement-id order, the
+    order `query diff` uses, whatever the document order."""
+
+    @pytest.fixture()
+    def built(self):
+        result = parse_document(DEV_ORDER_SOURCE, name="doc")
+        assert result.ok, result.errors
+        registry = load_registry(DEV_ORDER_REGISTRY)
+        return build_index([result.document], registry, build_lexicon({"timer": []}))
+
+    def test_built_and_loaded_in_id_order(self, built):
+        for index in (built, index_from_json(index_to_json(built))):
+            diffs = query_dev_changes(index, "timer", "CB00XXXX")
+            assert [d.id for d in diffs] == ["REQ_0001", "REQ_0002"]
+            assert diffs == query_release_diff(index, "timer", rel("01R1"), rel("01R2"))
+        assert json.loads(index_to_json(built))["proc_dev"] == {
+            "timer": {"CB00XXXX": ["REQ_0001", "REQ_0002"]}
+        }
+
+    def test_document_order_is_refused(self, built):
+        blob = json_with(index_to_json(built), ("proc_dev", "timer", "CB00XXXX"),
+                         ["REQ_0002", "REQ_0001"])
+        with pytest.raises(ValueError, match="^malformed index: proc_dev 'timer' is "):
+            index_from_json(blob)
 
 
 class TestRepeatedTexts:

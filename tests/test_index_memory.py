@@ -5,7 +5,7 @@ figure is the call's own peak: the writer's against the length of the JSON it
 returns, the loader's against the length of the JSON it reads.  On the
 session bundle, nesting the whole document for one `json.dumps` peaked at
 7.2 times the output, and loading with every raw section alive to the end
-and a tuple and id `str` per entry at 7.0 times the input (3.0 and 4.4 now;
+and a tuple and id `str` per entry at 7.0 times the input (3.0 and 4.35 now;
 3.1 and 4.8 in index format 6, whose "proc_release" entries each held a
 text reference, so its file was 3% larger; 3.2 and 3.6 in format 5, whose
 texts were stored whole, so its file was 15% larger and the loader parsed no

@@ -21,9 +21,10 @@ the `proc_release` answer with that entry's text replaced.
 So do the id lists of `proc_release` and `proc_dev`.  An id repeated,
 replaced by an unknown id, or replaced by the id of a requirement with no
 record at the list's release (at neither release of the development's
-diffs, for `proc_dev`) must raise; an id dropped, or two ids swapped, must
-load or be refused, and a mutant that loads must answer all five query
-forms.
+diffs, for `proc_dev`) must raise.  An id dropped, or two ids swapped, must
+raise in a `proc_dev` list, which the loader derives in requirement-id
+order, and must load or be refused in a `proc_release` list; a mutant that
+loads must answer all five query forms.
 
 So do the sentence table and the "texts" rows.  A row that is not
 canonical positions in the sentence table (negative, out of range, not an
@@ -161,7 +162,8 @@ def _id_list_edits() -> tuple[list, list]:
     Refused: each id repeated at the end, replaced by an unknown id, or
     replaced by each requirement with no record at the list's release (at
     neither release of the development's diffs, for a `proc_dev` list).
-    Either: each id dropped, and each two neighbouring ids swapped."""
+    Either: each id dropped, and each two neighbouring ids swapped, which
+    is refused too in a `proc_dev` list."""
     by_dev = {dev: ReleaseId.parse(r) for dev, r in BASE["registry"].items()}
     universe = [ReleaseId.parse(r) for r in BASE["release_universe"]]
     lists = []  # (path, ids, releases at which an id must have a record)
@@ -176,13 +178,14 @@ def _id_list_edits() -> tuple[list, list]:
     for path, ids, releases in lists:
         absent = sorted(req_id for req_id, records in BASE["req_release"].items()
                         if not releases & set(records))
+        reordered = refused if path[0] == "proc_dev" else either
         for k, req_id in enumerate(ids):
             others = ids[:k] + ids[k + 1:]
             refused.append((path, ids + [req_id]))
             refused += [(path, ids[:k] + [new] + ids[k + 1:]) for new in ("REQ_9999", *absent)]
-            either.append((path, others))
+            reordered.append((path, others))
             if k:
-                either.append((path, ids[:k - 1] + [req_id, ids[k - 1]] + ids[k + 1:]))
+                reordered.append((path, ids[:k - 1] + [req_id, ids[k - 1]] + ids[k + 1:]))
     return refused, either
 
 

@@ -711,3 +711,39 @@ class TestLintConfig:
     def test_rejects_bad_config(self, bad):
         with pytest.raises(ValueError):
             LintConfig.from_json(bad)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("shingle_k", 2.5, "shingle_k must be an integer"),
+            ("shingle_k", True, "shingle_k must be an integer"),
+            ("max_tokens", "250", "max_tokens must be an integer"),
+            ("max_procedures", 3.0, "max_procedures must be an integer"),
+            ("max_sections", False, "max_sections must be an integer"),
+            ("dup_threshold", True, "dup_threshold must be a number"),
+            ("dup_threshold", "0.7", "dup_threshold must be a number"),
+            ("dup_threshold", float("nan"), "dup_threshold must be in (0, 1]"),
+            ("enabled", frozenset({"L1"}), "enabled frozenset({'L1'}) is not a frozenset of LintRule"),
+            ("enabled", {LintRule.L1_DUPLICATION}, "} is not a frozenset of LintRule"),
+        ],
+    )
+    def test_constructor_checks_each_field(self, field, value, message):
+        with pytest.raises(ValueError) as raised:
+            LintConfig(**{field: value})
+        assert message in str(raised.value)
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ('{"shingle_k": 2.5}', "shingle_k must be an integer"),
+            ('{"max_tokens": true}', "max_tokens must be an integer"),
+            ('{"dup_threshold": true}', "dup_threshold must be a number"),
+            ('{"dup_threshold": "0.7"}', "dup_threshold must be a number"),
+        ],
+    )
+    def test_from_json_keeps_the_messages(self, config, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LintConfig.from_json(config)
+
+    def test_integer_threshold_from_json(self):
+        assert LintConfig.from_json('{"dup_threshold": 1}') == LintConfig(dup_threshold=1.0)

@@ -42,6 +42,49 @@ The second behavior applies here.
 """
 
 
+# Characters that `str.splitlines` breaks a line at, but a text-mode file
+# read does not: each sits inside a line.
+IN_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineModel:
+    """Every parser splits lines at "\\n", "\\r\\n" and "\\r" only."""
+
+    @pytest.mark.parametrize("char", IN_LINE_BREAKS, ids=repr)
+    def test_error_line_is_the_file_line(self, char):
+        text = WELL_FORMED.replace(
+            "The first behavior applies here.",
+            f"The first{char}behavior.\n[Before CB00XXXX] a [CB00XXXX] b",
+        )
+        result = parse_document(text, name="d")
+        assert [(e.kind, e.line) for e in result.errors] == [(ParseErrorKind.UNBALANCED_TAG, 8)]
+        body = f"The first{char}behavior.\n[Before CB00XXXX] a [CB00XXXX] b"
+        assert [e.line for e in parse_content(body)[1]] == [2]
+
+    @pytest.mark.parametrize("char", IN_LINE_BREAKS, ids=repr)
+    def test_document_and_content_give_the_same_segments(self, char):
+        body = f"One{char}two. [SA] Three{char}four. [End SA]\nFive."
+        result = parse_document(WELL_FORMED.replace("The first behavior applies here.", body))
+        assert result.ok, result.errors
+        version = next(result.document.iter_requirements()).versions[0]
+        segments, errors = parse_content(body)
+        assert not errors and tuple(segments) == version.content
+        assert char in render_segments(version.content)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=repr)
+    def test_universal_newlines_end_lines(self, newline):
+        body = "One.\n[Before CB00XXXX] a [CB00XXXX] b"
+        assert [e.line for e in parse_content(body.replace("\n", newline))[1]] == [2]
+        text = WELL_FORMED.replace("The first behavior applies here.", body)
+        result = parse_document(text.replace("\n", newline), name="d")
+        assert [e.line for e in result.errors] == [8]
+
+    @pytest.mark.parametrize("char", IN_LINE_BREAKS, ids=repr)
+    def test_registry_error_line_is_the_file_line(self, char):
+        with pytest.raises(RegistryError, match="^line 2: expected '<dev> <release>', got 'bad'$"):
+            load_registry(f"# one{char}comment\nbad\n")
+
+
 class TestParseContent:
     def test_dev_block_triple(self):
         segments, errors = parse_content(
