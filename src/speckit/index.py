@@ -19,16 +19,17 @@ each distinct piece once, in the order the sorted texts first hold it, and a
 "texts" row is the string of the text's piece positions, one space apart
 ("0 17 4").  "proc_dep" lists, per procedure, deployment and release, only
 the entries whose deployment text differs from that requirement's
-"proc_release" entry there; the loader derives every other entry from
-"proc_release", and a list with no such entry is the "proc_release" list
-itself.  "proc_dev" lists, per procedure and development, the ids of the
-requirements that the development changed, in requirement-id order.  It is
-derived, not read: the build and the loader file each caused
-adjacent-release diff through one function, from the records, the registry
-and each text's procedures, which the loader reads from "proc_release"; the
-stored copy must be exactly the derived one.  On gen-corpus seed 1 (size
-2000) the file is 1.27 MB: "sentences" is 801 KB (16,007 distinct of 24,368
-pieces), "texts" 136 KB, "proc_release" 89.8 KB and "proc_dep" 16.7 KB.
+"proc_release" entry there.  In memory it holds the same entries, each
+paired with its position in the "proc_release" list, and `query_deployment`
+writes them into a copy of that list.  "proc_dev" lists, per procedure and
+development, the ids of the requirements that the development changed, in
+requirement-id order.  It is derived, not read: the build and the loader
+file each caused adjacent-release diff through one function, from the
+records, the registry and each text's procedures, which the loader reads
+from "proc_release"; the stored copy must be exactly the derived one.  On
+gen-corpus seed 1 (size 2000) the file is 1.27 MB: "sentences" is 801 KB
+(16,007 distinct of 24,368 pieces), "texts" 136 KB, "proc_release" 89.8 KB
+and "proc_dep" 16.7 KB.
 
 Neither half of persistence holds a second copy of the index.  The writer
 builds no nested document: it appends the pieces of the JSON text to one
@@ -38,7 +39,7 @@ each of its items once converted, and keeps one str per requirement id and
 one tuple per distinct entry and record, which every list shares, as a built
 index does.  It joins a text when first referred to, and drops the sentence
 table before it derives the diffs (on seed 1 its peak was 7.47 MB with the
-table alive through them).  On seed 1 the writer's peak is 3.91 MB, 3.07
+table alive through them).  On seed 1 the writer's peak is 3.88 MB, 3.04
 times the file's length, and the loader's 5.50 MB, 4.32 times, while it
 converts the records.
 
@@ -87,7 +88,8 @@ _ROW_RE = re.compile(r"(?:0|[1-9][0-9]*)(?: (?:0|[1-9][0-9]*))*")
 
 Entry = tuple[str, str]  # (requirement id, resolved text)
 ByRelease = dict[str, list[Entry]]  # release -> entries
-DepTable = dict[str, dict[str, ByRelease]]  # canonical -> deployment -> release -> entries
+# canonical -> deployment -> release -> (position in the proc_release list, overriding entry)
+DepTable = dict[str, dict[str, dict[str, list[tuple[int, Entry]]]]]
 _ABSENT: tuple[None, frozenset[str]] = (None, frozenset())  # no text at a release
 # Each deployment by its key, read once: iterating the Enum and its `.value`
 # property run Python code on every access.
@@ -106,6 +108,9 @@ class SpecIndex:
     # canonical -> development -> diffs
     proc_dev: dict[str, dict[str, list[BehaviorDiff]]]
     proc_req: dict[str, set[str]] = field(default_factory=dict)
+    # canonical -> deployment -> release -> the entries whose text differs
+    # from the proc_release entry with their id, each with that entry's
+    # position, in position order
     proc_dep: DepTable = field(default_factory=dict)
 
     def canonical_of(self, procedure: str) -> Optional[str]:
@@ -207,28 +212,26 @@ def _proc_req(proc_release: dict[str, ByRelease]) -> dict[str, set[str]]:
 def _proc_dep(
     proc_release: dict[str, ByRelease], overrides: dict[tuple[str, str, str], list[Entry]]
 ) -> DepTable:
-    """Each procedure's entries per deployment and release: its `proc_release`
-    list, where each entry that `overrides` holds for that procedure,
-    deployment and release replaces the entry with its id.  A list that
-    nothing overrides is the `proc_release` list itself.  A deployment other
-    than SA or NSA, an override of no entry or of one overridden already, and
-    one with that entry's text raise ValueError."""
-    proc_dep = {
-        proc: {dep: dict(by_release) for dep in _DEPLOYMENTS}
-        for proc, by_release in proc_release.items()
-    }
+    """The entries that `overrides` holds for each procedure, deployment and
+    release, each paired with the position in its `proc_release` list of the
+    entry with its id, which it replaces, in position order.  A deployment
+    other than SA or NSA, an override of no entry or of one overridden
+    already, and one with that entry's text raise ValueError."""
+    proc_dep: DepTable = {}
     for (proc, dep, r), changed in overrides.items():
         if dep not in _DEPLOYMENTS:
             raise ValueError(f"deployment {dep!r} is not one of {sorted(_DEPLOYMENTS)}")
-        entries = list(proc_release.get(proc, {}).get(r, ()))
+        entries = proc_release.get(proc, {}).get(r, ())
         position = {req_id: k for k, (req_id, _) in enumerate(entries)}
+        placed = []
         for entry in changed:
             k = position.pop(entry[0], None)
             if k is None or entries[k] == entry:
                 why = "has no proc_release entry left" if k is None else "repeats its entry's text"
                 raise ValueError(f"proc_dep {proc!r} {dep} at {r}: {entry[0]!r} {why}")
-            entries[k] = entry
-        proc_dep[proc][dep][r] = entries
+            placed.append((k, entry))
+        if placed:
+            proc_dep.setdefault(proc, {}).setdefault(dep, {})[r] = sorted(placed)
     return proc_dep
 
 
@@ -331,8 +334,11 @@ def query_deployment(
     """Resolved texts for one deployment type, at `r` or the latest release."""
     release = r if r is not None else index.latest_release()
     index._require_release(release)
-    by_dep = _procedure_entry(index, index.proc_dep, procedure)
-    return list(by_dep.get(dep.value, {}).get(str(release), []))
+    canonical, r_key = index.canonical_of(procedure), str(release)
+    entries = list(index.proc_release.get(canonical, {}).get(r_key, ()))
+    for k, entry in index.proc_dep.get(canonical, {}).get(dep.value, {}).get(r_key, ()):
+        entries[k] = entry
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -349,25 +355,16 @@ def index_to_json(index: SpecIndex) -> str:
     and joined once.  Each distinct key, entry, record and string value is
     encoded once, and every place that holds it appends the same piece.
     """
-    # proc_dep holds only the entries whose text is not that of the
-    # proc_release entry at their place; `_proc_dep` derives the rest.
-    overrides: DepTable = {}
-    for proc, by_dep in index.proc_dep.items():
-        for dep, by_release in by_dep.items():
-            for r, entries in by_release.items():
-                changed = [e for e, old in zip(entries, index.proc_release[proc][r]) if e != old]
-                if changed:
-                    overrides.setdefault(proc, {}).setdefault(dep, {})[r] = changed
     # A proc_release entry, written as its id, holds its requirement's
     # req_release text there, so the records and the overrides hold every text.
     texts = sorted(
         {text for by_release in index.req_release.values() for text, _ in by_release.values()}
         | {
             text
-            for by_dep in overrides.values()
+            for by_dep in index.proc_dep.values()
             for by_release in by_dep.values()
-            for entries in by_release.values()
-            for _, text in entries
+            for placed in by_release.values()
+            for _, (_, text) in placed
         }
     )
     # Both table sections are finished strings before any other piece is
@@ -390,8 +387,9 @@ def index_to_json(index: SpecIndex) -> str:
     def string(s: str) -> str:
         return piece(s, _encode)
 
-    def entry(e: Entry) -> str:
-        return piece(e, lambda e: f"[{_encode(e[0])},{position[e[1]]}]")
+    def override(placed: tuple[int, Entry]) -> str:
+        # keyed by the entry, not its position: the pair is made per place
+        return piece(placed[1], lambda e: f"[{_encode(e[0])},{position[e[1]]}]")
 
     def record(pair: tuple[str, AbstractSet[str]]) -> str:
         # keyed by the record itself, which a built or loaded index shares
@@ -403,7 +401,7 @@ def index_to_json(index: SpecIndex) -> str:
     # The top-level keys in sorted order, as sort_keys writes them.
     for key, value, leaf in (
         ('{"aliases":', index.aliases, string),
-        (f',"format_version":{FORMAT_VERSION},"proc_dep":', overrides, entry),
+        (f',"format_version":{FORMAT_VERSION},"proc_dep":', index.proc_dep, override),
         (',"proc_dev":', index.proc_dev, lambda diff: string(diff.id)),
         (',"proc_release":', index.proc_release, lambda e: string(e[0])),
         (',"registry":', index.registry, release),

@@ -22,6 +22,7 @@ from typing import AbstractSet, Iterator, Optional
 from .lexicon import Lexicon, Mention, find_mentions
 from .model import (
     DEVELOPMENT_ID_PATTERN,
+    TAG_RE,
     ContentSegment,
     DeploymentSpan,
     DeploymentType,
@@ -41,7 +42,7 @@ from .parser import render_segments
 from .resolver import materialize
 # `normalize` is unused here; perfbench/tracer.py wraps it by name as a
 # speckit.lint attribute.
-from .tokenizer import TAG_RE, Token, TokenKind, normalize, tokenize
+from .tokenizer import Token, TokenKind, normalize, tokenize
 
 
 class LintRule(Enum):
@@ -590,8 +591,8 @@ def check_grammar(doc_name: str, req: Requirement) -> list[LintFinding]:
             LintFinding(
                 LintRule.L4_GRAMMAR,
                 Location(doc_name, req.id),
-                f"requirement id {req.id!r} violates the id grammar "
-                "(uppercase alphanumerics and underscores, 3-64 chars)",
+                f"requirement id {req.id!r} violates the id grammar (3-64 uppercase "
+                "ASCII letters, digits and underscores, at least one a letter)",
             )
         )
     for version in req.versions:

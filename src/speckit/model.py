@@ -8,14 +8,16 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Mapping, Optional, Union
 
-RELEASE_ID_RE = re.compile(r"^(\d{2})R(\d+)$")
+# Each id is ASCII and matched whole (`fullmatch`): `\d` would take any
+# Unicode digit, and `$` would also match before a final "\n".
+RELEASE_ID_RE = re.compile(r"([0-9]{2})R([0-9]+)")
 DEVELOPMENT_ID_PATTERN = r"CB[0-9A-Za-z]{6}"
-DEVELOPMENT_ID_RE = re.compile(rf"^{DEVELOPMENT_ID_PATTERN}$")
+DEVELOPMENT_ID_RE = re.compile(DEVELOPMENT_ID_PATTERN)
 # The canonical inline tag, in exact case with one inner space:
 # [Before CBxxxxxx], [CBxxxxxx], [End CBxxxxxx], [SA], [NSA], [End SA], [End NSA].
 TAG_PATTERN = rf"\[(?:(?:Before |End )?{DEVELOPMENT_ID_PATTERN}|(?:End )?N?SA)\]"
 TAG_RE = re.compile(TAG_PATTERN)
-REQUIREMENT_ID_RE = re.compile(r"^(?=.*[A-Z])[A-Z0-9_]{3,64}$")
+REQUIREMENT_ID_RE = re.compile(r"(?=.*[A-Z])[A-Z0-9_]{3,64}")
 
 
 @dataclass(frozen=True, order=True)
@@ -37,7 +39,7 @@ class ReleaseId:
 
     @classmethod
     def parse(cls, text: str) -> "ReleaseId":
-        m = RELEASE_ID_RE.match(text)
+        m = RELEASE_ID_RE.fullmatch(text)
         if not m:
             raise ValueError(f"malformed release id: {text!r}")
         return cls(major=int(m.group(1)), revision=int(m.group(2)))
@@ -52,11 +54,11 @@ def compare_releases(a: ReleaseId, b: ReleaseId) -> int:
 
 
 def is_valid_development_id(text: str) -> bool:
-    return bool(DEVELOPMENT_ID_RE.match(text))
+    return bool(DEVELOPMENT_ID_RE.fullmatch(text))
 
 
 def is_valid_requirement_id(text: str) -> bool:
-    return bool(REQUIREMENT_ID_RE.match(text))
+    return bool(REQUIREMENT_ID_RE.fullmatch(text))
 
 
 class DeploymentType(Enum):

@@ -16,8 +16,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import chain, islice
 
-# `TAG_RE` is unused here; lint and the tests import it from this module.
-from .model import DEVELOPMENT_ID_RE, RELEASE_ID_RE, REQUIREMENT_ID_RE, TAG_PATTERN, TAG_RE
+from .model import DEVELOPMENT_ID_RE, RELEASE_ID_RE, REQUIREMENT_ID_RE, TAG_PATTERN
 
 
 class TokenKind(Enum):
@@ -73,11 +72,11 @@ def _classify_chunk(text: str) -> TokenKind:
     # uppercase cased character cannot hold.
     if text.islower():
         return TokenKind.WORD if text.isalpha() else TokenKind.IDENTIFIER
-    if DEVELOPMENT_ID_RE.match(text):
+    if DEVELOPMENT_ID_RE.fullmatch(text):
         return TokenKind.DEVELOPMENT_ID
-    if RELEASE_ID_RE.match(text):
+    if RELEASE_ID_RE.fullmatch(text):
         return TokenKind.RELEASE_ID
-    if REQUIREMENT_ID_RE.match(text):
+    if REQUIREMENT_ID_RE.fullmatch(text):
         return TokenKind.REQUIREMENT_ID
     if text.isdigit():
         return TokenKind.NUMBER

@@ -19,7 +19,7 @@ import speckit
 from speckit import generator
 from speckit.dataset import DEFAULT_MIN_TOKENS, DatasetStats, ReleaseDataset
 from speckit.generator import _sentence
-from speckit.index import FORMAT_VERSION, UNMAPPED, SpecIndex
+from speckit.index import FORMAT_VERSION, UNMAPPED, ByRelease, DepTable, SpecIndex
 from speckit.lexicon import Lexicon, find_mentions
 from speckit.model import (
     ContentSegment,
@@ -402,20 +402,38 @@ def reference_query_release_diff(
     return diffs
 
 
+def held_proc_dep(
+    proc_release: dict[str, ByRelease], lists: dict[str, dict[str, ByRelease]]
+) -> DepTable:
+    """`SpecIndex.proc_dep` for the whole per-deployment entry `lists`
+    (`{procedure: {deployment: {release: entries}}}`), each of which holds
+    the ids of the `proc_release` list at its procedure and release: each
+    entry whose text is not that of the `proc_release` entry at its
+    position, paired with that position."""
+    held: DepTable = {}
+    for proc, by_dep in lists.items():
+        for dep, by_release in by_dep.items():
+            for r, entries in by_release.items():
+                base = proc_release[proc][r]
+                placed = [(k, entry) for k, entry in enumerate(entries) if entry != base[k]]
+                if placed:
+                    held.setdefault(proc, {}).setdefault(dep, {})[r] = placed
+    return held
+
+
 def reference_index_to_json(index: SpecIndex) -> str:
     """`index.index_to_json` the direct way: the nested sections built whole,
-    then one `json.dumps` with sorted keys.  Each `proc_dep` list must hold
-    the ids of the `proc_release` list at its procedure and release, and each
-    `proc_release` entry its requirement's `req_release` text there, which
-    is written as the id alone."""
+    then one `json.dumps` with sorted keys.  Each `proc_release` entry must
+    hold its requirement's `req_release` text there, which is written as the
+    id alone, and each `proc_dep` override is written without its position."""
     texts = sorted(
         {text for by_release in index.req_release.values() for text, _ in by_release.values()}
         | {
             text
             for by_dep in index.proc_dep.values()
             for by_release in by_dep.values()
-            for entries in by_release.values()
-            for _, text in entries
+            for placed in by_release.values()
+            for _, (_, text) in placed
         }
     )
     position = {text: i for i, text in enumerate(texts)}
@@ -423,20 +441,6 @@ def reference_index_to_json(index: SpecIndex) -> str:
     # once, in the order the sorted texts first hold it.
     sentences = list(dict.fromkeys(piece for text in texts for piece in text.split(". ")))
     sentence_at = {piece: i for i, piece in enumerate(sentences)}
-
-    def refs(entries: list[tuple[str, str]]) -> list[tuple[str, int]]:
-        return [(req_id, position[text]) for req_id, text in entries]
-
-    # proc_dep holds each entry whose text is not that of the proc_release
-    # entry with its id at the same procedure and release.
-    overrides: dict[str, dict[str, dict[str, list[tuple[str, int]]]]] = {}
-    for proc, by_dep in index.proc_dep.items():
-        for dep, by_release in by_dep.items():
-            for r, entries in by_release.items():
-                text_of = dict(index.proc_release[proc][r])
-                changed = [(req_id, text) for req_id, text in entries if text != text_of[req_id]]
-                if changed:
-                    overrides.setdefault(proc, {}).setdefault(dep, {})[r] = refs(changed)
 
     data = {
         "format_version": FORMAT_VERSION,
@@ -461,7 +465,16 @@ def reference_index_to_json(index: SpecIndex) -> str:
             proc: {dev: [diff.id for diff in diffs] for dev, diffs in by_dev.items()}
             for proc, by_dev in index.proc_dev.items()
         },
-        "proc_dep": overrides,
+        "proc_dep": {
+            proc: {
+                dep: {
+                    r: [(req_id, position[text]) for _, (req_id, text) in placed]
+                    for r, placed in by_release.items()
+                }
+                for dep, by_release in by_dep.items()
+            }
+            for proc, by_dep in index.proc_dep.items()
+        },
     }
     return json.dumps(data, sort_keys=True, indent=None, separators=(",", ":")) + "\n"
 
@@ -482,8 +495,8 @@ def odd_string_indexes(draw):
     developments are `_ODD_STRINGS`.  Only the writer reads it, so its diffs
     need not agree with its records.  Each `proc_release` entry holds its
     requirement's record text at its release, as the loader requires, and
-    each `proc_dep` list the ids of its `proc_release` list, each with that
-    entry's text or another."""
+    each `proc_dep` override an entry of its `proc_release` list with
+    another text."""
     universe = sorted(draw(st.sets(st.sampled_from(RELEASES), min_size=1)))
     releases = st.sampled_from([str(r) for r in universe])
     ids = draw(st.lists(_ODD_STRINGS, min_size=1, max_size=3, unique=True))
@@ -523,7 +536,7 @@ def odd_string_indexes(draw):
             proc: {dev: draw(diffs) for dev in draw(st.lists(st.sampled_from(devs), unique=True))}
             for proc in procs
         } if devs else {},
-        proc_dep={
+        proc_dep=held_proc_dep(proc_release, {
             proc: {
                 dep.value: {
                     r: [(req_id, draw(st.one_of(st.just(text), texts))) for req_id, text in entries]
@@ -532,7 +545,7 @@ def odd_string_indexes(draw):
                 for dep in DeploymentType
             }
             for proc, by_release in proc_release.items()
-        },
+        }),
     )
 
 
@@ -550,7 +563,7 @@ def odd_string_index() -> SpecIndex:
         req_release={req_id: {str(r): (text, frozenset({dev}))}},
         proc_release={proc: entries},
         proc_dev={proc: {dev: [BehaviorDiff(req_id, r, r, (), frozenset())]}},
-        proc_dep={proc: {"SA": {str(r): [(req_id, f"S{text}")]}, "NSA": entries}},
+        proc_dep={proc: {"SA": {str(r): [(0, (req_id, f"S{text}"))]}}},
     )
 
 
@@ -600,6 +613,7 @@ MALFORMED_INDEX_EDITS = {
         "universe-a-string": (("release_universe",), "01R1"),
         "proc-dep-id-without-entry": (("proc_dep", "P", "SA", "01R1", 0, 0), "R9"),
         "registry-bad-release": (("registry", "CB00XXXX"), "x"),
+        "universe-release-trailing-newline": (("release_universe", 0), "01R1\n"),
     }.items()
 }
 MALFORMED_INDEX_EDITS["proc-dep-bad-deployment"] = (

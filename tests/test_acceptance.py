@@ -18,10 +18,10 @@ from speckit.index import (
     query_requirements,
 )
 from speckit.lint import SEVERITY_BY_RULE, LintConfig, LintRule, Severity, lint_corpus
-from speckit.model import DeploymentType, DevelopmentRegistry, ReleaseId
+from speckit.model import TAG_RE, DeploymentType, DevelopmentRegistry, ReleaseId
 from speckit.parser import parse_document, serialize
 from speckit.resolver import baseline, materialize
-from speckit.tokenizer import TAG_RE, TokenKind, tokenize
+from speckit.tokenizer import TokenKind, tokenize
 from support import naive_dump, random_document, random_tagged_requirement
 
 DEPLOYMENTS = (None, DeploymentType.SA, DeploymentType.NSA)

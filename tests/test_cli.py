@@ -572,6 +572,9 @@ ERROR_CASES = {
     "resolve-unknown-release": (
         ["resolve", *CORPUS_ARGS, "--id", "REQ_0001", "--release", "09R9"], 3
     ),
+    "resolve-release-trailing-newline": (
+        ["resolve", *CORPUS_ARGS, "--id", "REQ_0001", "--release", "01R1\n"], 2
+    ),
     # R1's 01R1 record names an unregistered development, and no diff lists R1
     "index-record-dev-not-registered-query-diff": (
         ["query", "diff", "--index", "{d}/unregistered_record_dev.json", "--proc", "p",

@@ -15,10 +15,16 @@ from speckit.dataset import (
     write_datasets,
 )
 from speckit.errors import UnknownReleaseError
-from speckit.model import DevelopmentRegistry, ReleaseId, Section, SpecDocument, release_universe
+from speckit.model import (
+    TAG_RE,
+    DevelopmentRegistry,
+    ReleaseId,
+    Section,
+    SpecDocument,
+    release_universe,
+)
 from speckit.parser import parse_document
 from speckit.resolver import baseline
-from speckit.tokenizer import TAG_RE
 from support import (
     RELEASE_POOL,
     naive_dump,

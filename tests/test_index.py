@@ -43,6 +43,7 @@ from support import (
     UNKNOWN_RELEASE_EDITS,
     clear_intern_tables,
     diff_inputs,
+    held_proc_dep,
     index_cases,
     index_corpora,
     json_with,
@@ -246,14 +247,14 @@ class TestBuildShortcuts:
     def test_equals_reference_build(self, corpus):
         docs, registry = corpus
         lexicon = build_lexicon(INDEX_LEXICON)
-        assert index_to_json(build_index(docs, registry, lexicon)) == index_to_json(
-            reference_build_index(docs, registry, lexicon)
-        )
+        want = reference_build_index(docs, registry, lexicon)
+        want.proc_dep = held_proc_dep(want.proc_release, want.proc_dep)
+        assert index_to_json(build_index(docs, registry, lexicon)) == index_to_json(want)
 
     def test_cases_reach_each_shortcut(self):
         docs, registry = index_cases()
         index = reference_build_index(docs, registry, build_lexicon(INDEX_LEXICON))
-        sa = query_deployment(index, "timer", DeploymentType.SA, rel("01R2"))
+        sa = index.proc_dep["timer"]["SA"]["01R2"]
         assert ("REQ_0001", "The value is set. Standalone timer step.") in sa
         assert "01R3" not in index.req_release["REQ_0001"]
         swap = index.proc_dev["timer"]["CB000001"]
@@ -372,6 +373,23 @@ class TestQueries:
         with pytest.raises(UnknownReleaseError):
             query_deployment(index, "A2 measurement", DeploymentType.SA, rel("09R9"))
 
+    def test_deployment_answer_is_a_copy(self, small_world):
+        """Editing a deployment answer, with overrides (NSA drops REQ_0002's
+        SA span) or without (SA), changes neither `proc_release` nor a later
+        answer."""
+        _, _, _, index = small_world
+        base = index.proc_release["A2 measurement"]["01R2"]
+        kept = list(base)
+        assert "SA" not in index.proc_dep["A2 measurement"]
+        assert index.proc_dep["A2 measurement"]["NSA"]["01R2"]
+        for dep in DeploymentType:
+            answer = query_deployment(index, "A2 measurement", dep, rel("01R2"))
+            want = list(answer)
+            answer[0] = ("REQ_9999", "Edited.")
+            answer.append(("REQ_9998", "Added."))
+            assert base == kept
+            assert query_deployment(index, "A2 measurement", dep, rel("01R2")) == want
+
 
 class TestCanonicalOf:
     @pytest.fixture(scope="class")
@@ -464,12 +482,14 @@ def _text_ref_blob(section: str, ref) -> str:
 
 
 def _entry_lists(index: SpecIndex):
-    """Every entry list of `proc_release` and `proc_dep`."""
+    """Every entry list of `proc_release`, and the entries of each `proc_dep`
+    list of overrides."""
     for by_release in index.proc_release.values():
         yield from by_release.values()
     for by_dep in index.proc_dep.values():
         for by_release in by_dep.values():
-            yield from by_release.values()
+            for placed in by_release.values():
+                yield [entry for _, entry in placed]
 
 
 class TestPersistence:
@@ -493,8 +513,9 @@ class TestPersistence:
         }
 
     def test_proc_dep_holds_only_overrides(self, corpus_index):
-        """The written `proc_dep` holds each entry whose deployment text is not
-        its `proc_release` entry's, and no other."""
+        """`proc_dep` holds, written and in memory, each entry whose deployment
+        text is not its `proc_release` entry's, and no other; in memory each
+        is paired with the position of the entry with its id, in order."""
         data = json.loads(index_to_json(corpus_index))
         texts = written_texts(data)
         written = {
@@ -504,17 +525,37 @@ class TestPersistence:
             for r, entries in by_release.items()
             for req_id, ref in entries
         }
-        differing = {
-            (proc, dep, r, req_id, text)
-            for proc, by_dep in corpus_index.proc_dep.items()
-            for dep, by_release in by_dep.items()
-            for r, entries in by_release.items()
-            for (req_id, text), base in zip(entries, corpus_index.proc_release[proc][r])
-            if text != base[1]
-        }
-        assert written == differing and 0 < len(written) < sum(
-            map(len, _entry_lists(corpus_index))
+        held = set()
+        for proc, by_dep in corpus_index.proc_dep.items():
+            for dep, by_release in by_dep.items():
+                for r, placed in by_release.items():
+                    base = corpus_index.proc_release[proc][r]
+                    assert [k for k, _ in placed] == sorted({k for k, _ in placed})
+                    for k, (req_id, text) in placed:
+                        assert base[k][0] == req_id and base[k][1] != text
+                        held.add((proc, dep, r, req_id, text))
+        entries = sum(len(e) for by_release in corpus_index.proc_release.values()
+                      for e in by_release.values())
+        assert written == held and 0 < len(held) < entries
+
+    def test_overrides_out_of_order_load_and_rewrite_canonical(self, small_world):
+        """An override list stored out of position order loads, and is
+        written back in position order."""
+        _, registry, lexicon, _ = small_world
+        # REQ_0004 has an SA span too, so NSA overrides two entries.
+        corpus = CORPUS + (
+            "\n=== REQ REQ_0004 ===\n--- VERSION first=01R1 last=open ---\n"
+            "The A2 measurement shall pause. [SA] Standalone pause step. [End SA]\n=== END ===\n"
         )
+        index = build_index([parse_document(corpus, name="doc").document], registry, lexicon)
+        source = index_to_json(index)
+        data = json.loads(source)
+        overrides = data["proc_dep"]["A2 measurement"]["NSA"]["01R1"]
+        assert [req_id for req_id, _ in overrides] == ["REQ_0002", "REQ_0004"]
+        overrides.reverse()
+        loaded = index_from_json(json.dumps(data))
+        assert loaded.proc_dep == index.proc_dep
+        assert index_to_json(loaded) == source
 
     def test_format_version_checked(self, small_world):
         _, _, _, index = small_world
@@ -695,25 +736,22 @@ class TestRoundTrip:
     @given(index_corpora())
     @example(index_cases())
     def test_loaded_proc_dep_equals_reference_build(self, corpus):
-        """Each loaded `proc_dep` list, derived from `proc_release` and the
-        written overrides, holds what resolving that deployment gives; a list
-        that nothing overrides is the `proc_release` list itself."""
+        """At every procedure, deployment and release, the built and the
+        loaded index answer `query_deployment` with what resolving that
+        deployment gives."""
         docs, registry = corpus
         lexicon = build_lexicon(INDEX_LEXICON)
-        loaded = index_from_json(index_to_json(build_index(docs, registry, lexicon)))
-        want = reference_build_index(docs, registry, lexicon).proc_dep
-
-        def places(proc_dep):
-            return {(proc, dep, r) for proc, by_dep in proc_dep.items()
-                    for dep, by_release in by_dep.items() for r in by_release}
-
-        assert places(loaded.proc_dep) == places(want)
-        for proc, by_dep in want.items():
-            for dep, by_release in by_dep.items():
-                for r, entries in by_release.items():
-                    got, base = loaded.proc_dep[proc][dep][r], loaded.proc_release[proc][r]
-                    assert got == entries, (proc, dep, r)
-                    assert (got is base) == (got == base), (proc, dep, r)
+        built = build_index(docs, registry, lexicon)
+        loaded = index_from_json(index_to_json(built))
+        want = reference_build_index(docs, registry, lexicon)
+        places = {(proc, r) for proc, by_release in want.proc_release.items() for r in by_release}
+        for index in (built, loaded):
+            held = {(proc, r) for proc, by_release in index.proc_release.items() for r in by_release}
+            assert held == places
+            for proc, r in places:
+                for dep in DeploymentType:
+                    got = query_deployment(index, proc, dep, rel(r))
+                    assert got == want.proc_dep[proc][dep.value][r], (proc, dep, r)
 
     def test_cases_hold_a_caused_diff_from_no_text(self):
         docs, registry = index_cases()

@@ -549,6 +549,16 @@ class TestGrammar:
         findings = check_grammar("a", req)
         assert any("id grammar" in f.message for f in findings)
 
+    def test_id_without_a_letter_names_the_letter_rule(self):
+        """An id of digits and underscores alone is refused for having no
+        letter, which the message says."""
+        doc = req_doc("a", "123_456", "Valid text here.")
+        findings = check_grammar("a", next(iter(doc.iter_requirements())))
+        assert [f.message for f in findings] == [
+            "requirement id '123_456' violates the id grammar (3-64 uppercase "
+            "ASCII letters, digits and underscores, at least one a letter)"
+        ]
+
     def test_well_formed_clean(self):
         doc = req_doc(
             "a", "REQ_0001", "[Before CB00XXXX] old. [CB00XXXX] new. [End CB00XXXX]"

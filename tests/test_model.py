@@ -12,6 +12,8 @@ from speckit.model import (
     RequirementVersion,
     Section,
     compare_releases,
+    is_valid_development_id,
+    is_valid_requirement_id,
     iter_dev_ids,
     iter_segments,
     previous_release,
@@ -75,6 +77,28 @@ class TestReleaseId:
         assert previous_release(universe, rel("01R5")) == rel("01R2")
         assert previous_release(universe, rel("00R3")) is None
         assert previous_release(universe, rel("03R1")) == rel("02R1")
+
+
+class TestIdGrammar:
+    """Each id is ASCII and matched whole: no other script's digits, and no
+    final newline."""
+
+    @pytest.mark.parametrize(
+        "bad", ["01R1\n", "\u0660\u0661R\u0661", "01R\u0661", "\uff10\uff11R1", "01R1\n\n"]
+    )
+    def test_release_id_refused(self, bad):
+        with pytest.raises(ValueError, match="malformed release id"):
+            rel(bad)
+
+    def test_development_id(self):
+        assert is_valid_development_id("CB000001")
+        for bad in ("CB000001\n", "CB00000\u0661", " CB000001", "CB0000011"):
+            assert not is_valid_development_id(bad), bad
+
+    def test_requirement_id(self):
+        assert is_valid_requirement_id("REQ_0001")
+        for bad in ("REQ_0001\n", "REQ_000\u0661", "123_456", "REQ_0001 "):
+            assert not is_valid_requirement_id(bad), bad
 
 
 class TestVersionAt:

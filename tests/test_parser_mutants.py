@@ -12,8 +12,8 @@ import re
 import pytest
 
 from speckit.generator import generate_corpus
+from speckit.model import TAG_RE
 from speckit.parser import ParseErrorKind, parse_document
-from speckit.tokenizer import TAG_RE
 
 INVERTED_HEADER = "--- VERSION first=02R2 last=01R1 ---"
 INVERTED_MESSAGE = "version range inverted: 02R2 > 01R1"

@@ -9,6 +9,7 @@ from speckit.dataset import extract_release_dataset
 from speckit.errors import DevelopmentNotPresentError, UnknownDevelopmentError
 from speckit.generator import RELEASES
 from speckit.model import (
+    TAG_RE,
     DeploymentSpan,
     DeploymentType,
     DevBlock,
@@ -37,7 +38,6 @@ from speckit.resolver import (
     resolve_runs,
     split_sentences,
 )
-from speckit.tokenizer import TAG_RE
 from support import (
     DEV_IDS,
     RELEASES as TREE_RELEASES,

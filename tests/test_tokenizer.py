@@ -78,6 +78,10 @@ class TestClassification:
     def test_release_id(self):
         assert kinds("01R1") == [("01R1", TokenKind.RELEASE_ID)]
 
+    def test_release_id_with_other_digits_is_identifier(self):
+        # Arabic-Indic digits are `\w` but not a release id's ASCII digits.
+        assert kinds("\u0660\u0661R\u0661") == [("\u0660\u0661R\u0661", TokenKind.IDENTIFIER)]
+
     def test_requirement_id(self):
         assert kinds("REQ_0042") == [("REQ_0042", TokenKind.REQUIREMENT_ID)]
 
@@ -140,11 +144,11 @@ class TestClassification:
 
 def reference_classify_chunk(text: str) -> TokenKind:
     """The regex-precedence classifier, with no lowercase fast path."""
-    if DEVELOPMENT_ID_RE.match(text):
+    if DEVELOPMENT_ID_RE.fullmatch(text):
         return TokenKind.DEVELOPMENT_ID
-    if RELEASE_ID_RE.match(text):
+    if RELEASE_ID_RE.fullmatch(text):
         return TokenKind.RELEASE_ID
-    if REQUIREMENT_ID_RE.match(text):
+    if REQUIREMENT_ID_RE.fullmatch(text):
         return TokenKind.REQUIREMENT_ID
     if text.isdigit():
         return TokenKind.NUMBER
