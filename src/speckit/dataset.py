@@ -86,7 +86,7 @@ def _extract(
     informative: dict[str, bool] = {}
     for doc in docs:
         for req in doc.iter_requirements():
-            for first, last, text, _, _ in resolve_runs(req, releases, None, registry):
+            for first, last, text, _ in resolve_runs(req, releases, None, registry):
                 if text not in informative:
                     informative[text] = has_tokens(text, min_tokens)
                 row = (req.id, text, informative[text])

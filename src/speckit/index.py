@@ -47,8 +47,10 @@ A wrong shape raises ValueError "malformed index: ...": a missing key, a
 value of the wrong JSON type, a "sentences" or "texts" that is not a list of
 strings, a "texts" row (referred to or not) that is not sentence positions
 in decimal without a leading zero, one space apart, a text reference outside
-the table, a record or entry that is not a pair, a "release_universe" that
-is not a list of strings or not strictly increasing, or a release key or
+the table, a record or entry that is not a pair, an empty "proc_release" or
+"proc_dep" list, an empty "req_release", "proc_release" or "proc_dep" object
+(a build writes none: one index, one spelling), a "release_universe" that is
+not a list of strings or not strictly increasing, or a release key or
 registry release outside it, a "proc_dep" deployment other than SA or NSA, a
 "req_release" record development that is not in the registry, a
 "proc_release" id with no "req_release" record at that release or listed
@@ -78,7 +80,7 @@ from .model import (
     iter_segments,
     release_universe,
 )
-from .resolver import BehaviorDiff, _sentences_of, diff_causes, diff_texts, resolve_details
+from .resolver import _UNRESOLVED, BehaviorDiff, _sentences_of, diff_causes, diff_texts, resolve_details
 from .tokenizer import tokenize
 
 FORMAT_VERSION = 7
@@ -90,7 +92,6 @@ Entry = tuple[str, str]  # (requirement id, resolved text)
 ByRelease = dict[str, list[Entry]]  # release -> entries
 # canonical -> deployment -> release -> (position in the proc_release list, overriding entry)
 DepTable = dict[str, dict[str, dict[str, list[tuple[int, Entry]]]]]
-_ABSENT: tuple[None, frozenset[str]] = (None, frozenset())  # no text at a release
 # Each deployment by its key, read once: iterating the Enum and its `.value`
 # property run Python code on every access.
 _DEPLOYMENTS = {dep.value: dep for dep in DeploymentType}
@@ -167,7 +168,7 @@ def build_index(
                 details = resolve_details(req, r, None, registry)
                 if details is None:
                     continue
-                text, _contributing, seen = details
+                text, seen = details
                 text = _one(shared, text)
                 r_key = str(r)
                 record = _one(shared, (text, _one(shared, frozenset(seen))))
@@ -249,8 +250,8 @@ def _proc_dev(
         a_key, b_key = str(a), str(b)
         for req_id in req_ids:
             records = index.req_release[req_id]
-            text_a, devs_a = records.get(a_key, _ABSENT)
-            text_b, devs_b = records.get(b_key, _ABSENT)
+            text_a, devs_a = records.get(a_key, _UNRESOLVED)
+            text_b, devs_b = records.get(b_key, _UNRESOLVED)
             if text_a == text_b or not diff_causes(a, b, devs_a, devs_b, registry):
                 continue
             diff = diff_texts(req_id, a, b, text_a, text_b, devs_a, devs_b, registry, memo=memo)
@@ -268,8 +269,8 @@ def _changed_diffs(
     a_key, b_key = str(a), str(b)
     for req_id in req_ids:
         records = index.req_release.get(req_id, {})
-        text_a, devs_a = records.get(a_key, _ABSENT)
-        text_b, devs_b = records.get(b_key, _ABSENT)
+        text_a, devs_a = records.get(a_key, _UNRESOLVED)
+        text_b, devs_b = records.get(b_key, _UNRESOLVED)
         # equal sentences, or no text at either release: every segment unchanged
         if _sentences_of(text_a) != _sentences_of(text_b):
             yield diff_texts(
@@ -551,7 +552,7 @@ def index_from_json(source: str) -> SpecIndex:
         # both whole.
         req_release = {
             _one(shared, req_id): {release(r): record(pair) for r, pair in by_release.items()}
-            for req_id, by_release in _drain(data.pop("req_release"))
+            for req_id, by_release in _drain(data.pop("req_release"), "req_release")
         }
         aliases = data.pop("aliases")
         if type(aliases) is not dict or not all(type(c) is str for c in aliases.values()):
@@ -561,7 +562,7 @@ def index_from_json(source: str) -> SpecIndex:
             """The entries of `ids`, distinct requirement ids each with a
             record at `r`, each with its requirement's text there."""
             where = f"proc_release {proc!r} at {r}"
-            for req_id in _list(ids, "ids"):
+            for req_id in _list(ids, f"{where}: ids"):
                 if type(req_id) is not str or r not in req_release.get(req_id, ()):
                     raise ValueError(
                         f"{where}: requirement id {reprlib.repr(req_id)} has no req_release record there"
@@ -573,12 +574,14 @@ def index_from_json(source: str) -> SpecIndex:
 
         proc_release = {
             proc: {release(r): release_entries(proc, r, ids) for r, ids in by_release.items()}
-            for proc, by_release in _drain(data.pop("proc_release"))
+            for proc, by_release in _drain(data.pop("proc_release"), "proc_release")
         }
         proc_dep = _proc_dep(proc_release, {
-            (proc, dep, release(r)): [entry(pair) for pair in _list(refs, "entries")]
-            for proc, by_dep in _drain(data.pop("proc_dep"))
-            for dep, by_release in by_dep.items()
+            (proc, dep, release(r)): [
+                entry(pair) for pair in _list(refs, f"proc_dep {proc!r} {dep} at {r}: entries")
+            ]
+            for proc, by_dep in _drain(data.pop("proc_dep"), "proc_dep")
+            for dep, by_release in _drain(by_dep, f"proc_dep {proc!r}")
             for r, refs in by_release.items()
         })
         # A row that nothing refers to must be well formed too.  The sentence
@@ -627,12 +630,17 @@ def index_from_json(source: str) -> SpecIndex:
         raise ValueError(f"malformed index: {type(exc).__name__}: {exc}") from exc
 
 
-def _drain(mapping: Any) -> Iterator[tuple[str, Any]]:
+def _drain(mapping: Any, what: str) -> Iterator[tuple[str, Any]]:
     """The items of a parsed JSON object, in order, each removed from it as
     it is taken, so the raw value is dropped once the caller converts it.
-    A value that is not an object raises as `mapping.items()` does."""
+    A value that is not an object raises as `mapping.items()` does, and an
+    empty object as a value, which a build never writes, raises ValueError
+    naming `what` and its key."""
     for key in [key for key, _ in mapping.items()]:
-        yield key, mapping.pop(key)
+        value = mapping.pop(key)
+        if value == {}:
+            raise ValueError(f"{what} {key!r} is an empty object")
+        yield key, value
 
 
 def _joined(sentences: list[str], row: str) -> str:
@@ -650,10 +658,11 @@ def _joined(sentences: list[str], row: str) -> str:
 
 
 def _list(value: Any, what: str) -> list:
-    """`value` if it is a list; anything else raises ValueError naming `what`."""
-    if type(value) is list:
+    """`value` if it is a non-empty list, as a build writes each id and entry
+    list; anything else raises ValueError naming `what`."""
+    if type(value) is list and value:
         return value
-    raise ValueError(f"{what} {reprlib.repr(value)} is not a list")
+    raise ValueError(f"{what} {reprlib.repr(value)} is not a non-empty list")
 
 
 def _strings(value: Any, what: str) -> list[str]:

@@ -44,8 +44,9 @@ _SENTENCE_SPLIT_RE = re.compile(r"([.;])\s+")
 # 15,000 diffs of the long-history benchmark), so each is split once.  The
 # bound keeps a long-lived process from holding every text it has diffed.
 _SENTENCE_MAXSIZE = 4096
-# Stands in for resolve_details' answer where no version is valid.
-_UNRESOLVED: tuple[None, frozenset[str], frozenset[str]] = (None, frozenset(), frozenset())
+# (text, reachable devs) where no version is valid: stands in for
+# resolve_details' answer, and for an index record at a release with none.
+_UNRESOLVED: tuple[None, frozenset[str]] = (None, frozenset())
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,6 @@ def _resolve_segments(
     r: ReleaseId,
     dep: Optional[DeploymentType],
     registry: DevelopmentRegistry,
-    contributing: set[str],
     seen: set[str],
 ) -> str:
     parts: list[str] = []
@@ -116,16 +116,12 @@ def _resolve_segments(
             if seg.dev not in registry:
                 raise UnknownDevelopmentError(seg.dev)
             seen.add(seg.dev)
-            if registry.release_of(seg.dev) <= r:
-                contributing.add(seg.dev)
-                chosen = seg.after
-            else:
-                chosen = seg.before
+            chosen = seg.after if registry.release_of(seg.dev) <= r else seg.before
         elif dep is None or seg.dep is dep:
             chosen = seg.body
         else:
             continue
-        text = _resolve_segments(chosen, r, dep, registry, contributing, seen)
+        text = _resolve_segments(chosen, r, dep, registry, seen)
         if text:
             parts.append(text)
     return " ".join(parts)
@@ -136,19 +132,18 @@ def resolve_details(
     r: ReleaseId,
     dep: Optional[DeploymentType],
     registry: DevelopmentRegistry,
-) -> Optional[tuple[str, set[str], set[str]]]:
-    """(text, contributing devs, reachable devs) of `req` at release `r`.
+) -> Optional[tuple[str, set[str]]]:
+    """(text, reachable devs) of `req` at release `r`, as an index record holds them.
 
-    None when no version is valid at `r`.  A development contributes when its
-    after-part was chosen; it is reachable when its block was visited at all.
+    None when no version is valid at `r`.  A development is reachable when
+    its block was visited; the walk took its after-part exactly when it is
+    also in force at `r`.
     """
     version = version_at(req, r)
     if version is None:
         return None
-    contributing: set[str] = set()
     seen: set[str] = set()
-    text = _resolve_segments(version.content, r, dep, registry, contributing, seen)
-    return text, contributing, seen
+    return _resolve_segments(version.content, r, dep, registry, seen), seen
 
 
 def resolve_runs(
@@ -156,8 +151,9 @@ def resolve_runs(
     universe: list[ReleaseId],
     dep: Optional[DeploymentType],
     registry: DevelopmentRegistry,
-) -> Iterator[tuple[ReleaseId, ReleaseId, str, set[str], set[str]]]:
-    """(first, last, text, contributing, seen) per run of `universe` with one text.
+) -> Iterator[tuple[ReleaseId, ReleaseId, str, set[str]]]:
+    """(first, last, text, seen) per run of `universe` with one text, `seen`
+    the reachable devs.
 
     `universe` is ordered.  A run starts at a release where a version of `req`
     is valid.  It ends before the next release outside that version, and
@@ -173,7 +169,7 @@ def resolve_runs(
         if version is None:
             i += 1
             continue
-        text, contributing, seen = resolve_details(req, first, dep, registry)
+        text, seen = resolve_details(req, first, dep, registry)
         stop = min(
             (r for r in map(registry.release_of, seen) if r > first), default=None
         )
@@ -184,7 +180,7 @@ def resolve_runs(
             and (stop is None or universe[i] < stop)
         ):
             i += 1
-        yield first, universe[i - 1], text, contributing, seen
+        yield first, universe[i - 1], text, seen
 
 
 def materialize(
@@ -193,17 +189,21 @@ def materialize(
     dep: Optional[DeploymentType],
     registry: DevelopmentRegistry,
 ) -> Optional[ResolvedRequirement]:
-    """Effective text of `req` at release `r`, or None when no version is valid."""
+    """Effective text of `req` at release `r`, or None when no version is valid.
+
+    The contributing devs are the reachable ones in force at `r`: those
+    whose after-part the walk took.
+    """
     details = resolve_details(req, r, dep, registry)
     if details is None:
         return None
-    text, contributing, _seen = details
+    text, seen = details
     return ResolvedRequirement(
         id=req.id,
         release=r,
         deployment=dep,
         text=text,
-        contributing_devs=frozenset(contributing),
+        contributing_devs=frozenset(d for d in seen if registry.release_of(d) <= r),
     )
 
 
@@ -472,6 +472,6 @@ def diff_behavior(
     registry: DevelopmentRegistry,
 ) -> BehaviorDiff:
     """Sentence-level behavior diff of one requirement between two releases."""
-    text_a, _, devs_a = resolve_details(req, a, dep, registry) or _UNRESOLVED
-    text_b, _, devs_b = resolve_details(req, b, dep, registry) or _UNRESOLVED
+    text_a, devs_a = resolve_details(req, a, dep, registry) or _UNRESOLVED
+    text_b, devs_b = resolve_details(req, b, dep, registry) or _UNRESOLVED
     return diff_texts(req.id, a, b, text_a, text_b, devs_a, devs_b, registry.entries)

@@ -35,6 +35,7 @@ from speckit.model import (
     SpecDocument,
     merge_adjacent_plain,
     release_universe,
+    version_at,
 )
 from speckit.parser import parse_document, render_segments
 from speckit.resolver import BehaviorDiff, DiffKind, DiffSegment, materialize, resolve_details
@@ -160,6 +161,45 @@ def diff_inputs(draw):
     text_b = draw(st.one_of(st.just(text_a), _TEXTS))
     release_a, release_b = draw(st.sampled_from(RELEASES)), draw(st.sampled_from(RELEASES))
     return ("REQ_0001", release_a, release_b, text_a, text_b, draw(devs), draw(devs), dev_releases)
+
+
+def reference_resolve(
+    req: Requirement, r: ReleaseId, dep: Optional[DeploymentType], registry: DevelopmentRegistry
+) -> Optional[tuple[str, set[str], set[str]]]:
+    """(text, contributing devs, reachable devs) of `req` at `r`, or None when
+    no version is valid there: the resolver walk that gathers both dev sets
+    as it goes, a development contributing when its after-part is taken and
+    reachable when its block is visited at all."""
+    version = version_at(req, r)
+    if version is None:
+        return None
+    contributing: set[str] = set()
+    reachable: set[str] = set()
+
+    def walk(segments: Sequence[ContentSegment]) -> str:
+        parts = []
+        for seg in segments:
+            if isinstance(seg, PlainText):
+                parts.append(seg.text)
+                continue
+            if isinstance(seg, DevBlock):
+                reachable.add(seg.dev)
+                if registry.release_of(seg.dev) <= r:
+                    contributing.add(seg.dev)
+                    chosen = seg.after
+                else:
+                    chosen = seg.before
+            elif dep is None or seg.dep is dep:
+                chosen = seg.body
+            else:
+                continue
+            text = walk(chosen)
+            if text:
+                parts.append(text)
+        return " ".join(parts)
+
+    text = walk(version.content)
+    return text, contributing, reachable
 
 
 def reference_sentences(text: str) -> list[str]:
@@ -345,7 +385,7 @@ def reference_build_index(
                 details = resolve_details(req, r, None, registry)
                 if details is None:
                     continue
-                text, _contributing, seen = details
+                text, seen = details
                 r_key = str(r)
                 index.req_release.setdefault(req.id, {})[r_key] = (text, frozenset(seen))
                 mentions = find_mentions(tokenize(text), lexicon)
@@ -693,6 +733,30 @@ MALFORMED_INDEX_EDITS["proc-dep-id-twice"] = (
 MALFORMED_INDEX_EDITS["proc-dep-id-a-list"] = (
     ("proc_dep", "P", "SA", "01R1", 0, 0), ["R1"], "requirement id ['R1'] is not a string"
 )
+
+# An empty list or object where a build writes none: an override list, a
+# deployment or procedure of "proc_dep", an id list or procedure of
+# "proc_release", and a requirement of "req_release" with no record.
+MALFORMED_INDEX_EDITS.update({
+    "proc-dep-entries-empty": (
+        ("proc_dep", "P", "NSA"), {"01R1": []},
+        "proc_dep 'P' NSA at 01R1: entries [] is not a non-empty list",
+    ),
+    "proc-dep-deployment-empty": (
+        ("proc_dep", "P", "NSA"), {}, "proc_dep 'P' 'NSA' is an empty object"
+    ),
+    "proc-dep-procedure-empty": (("proc_dep", "Q"), {}, "proc_dep 'Q' is an empty object"),
+    "proc-release-ids-empty": (
+        ("proc_release", "P", "01R2"), [],
+        "proc_release 'P' at 01R2: ids [] is not a non-empty list",
+    ),
+    "proc-release-procedure-empty": (
+        ("proc_release", "Q"), {}, "proc_release 'Q' is an empty object"
+    ),
+    "req-release-requirement-empty": (
+        ("req_release", "R9"), {}, "req_release 'R9' is an empty object"
+    ),
+})
 
 
 # The sentence table not a list of strings, and "texts" rows that are not

@@ -444,6 +444,30 @@ class TestGoldenJsonOutputs:
             '"text": "The A2 measurement shall run. The new threshold applies."}\n'
         )
 
+    @pytest.mark.parametrize(
+        "deployment, contributing", [("SA", '["CB00XXXX"]'), ("both", '["CB00XXXX"]'), ("NSA", "[]")]
+    )
+    def test_resolve_golden_dev_block_in_span(self, tmp_path, capsys, deployment, contributing):
+        """A development inside an [SA] span contributes only where the span is kept."""
+        (tmp_path / "doc.spec").write_text(
+            "# S\n\n=== REQ REQ_0001 ===\n--- VERSION first=01R1 last=open ---\n"
+            "Base. [SA] [Before CB00XXXX] Old step. [CB00XXXX] New step. [End CB00XXXX] [End SA]\n"
+            "=== END ===\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "registry.txt").write_text(REGISTRY, encoding="utf-8")
+        main(
+            [
+                "resolve", *corpus_args(tmp_path), "--id", "REQ_0001", "--release", "01R2",
+                "--deployment", deployment, "--format", "json",
+            ]
+        )
+        text = "Base." if deployment == "NSA" else "Base. New step."
+        assert capsys.readouterr().out == (
+            f'{{"contributing_devs": {contributing}, "deployment": "{deployment}", '
+            f'"id": "REQ_0001", "release": "01R2", "text": "{text}"}}\n'
+        )
+
     def test_lint_golden(self, golden_dir, capsys):
         main(
             [

@@ -277,8 +277,8 @@ class TestBuildShortcuts:
             ):
                 with_span += len(released)
             for a, b in zip(universe, universe[1:]):
-                text_a, _, devs_a = resolve_details(req, a, None, registry) or (None, None, set())
-                text_b, _, devs_b = resolve_details(req, b, None, registry) or (None, None, set())
+                text_a, devs_a = resolve_details(req, a, None, registry) or (None, set())
+                text_b, devs_b = resolve_details(req, b, None, registry) or (None, set())
                 if text_a != text_b:
                     changed += 1
                     caused += any(

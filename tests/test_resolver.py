@@ -46,6 +46,7 @@ from support import (
     random_tagged_requirement,
     reference_diff_texts,
     reference_lcs_diff,
+    reference_resolve,
     reference_sentences,
     registries,
     segment_trees,
@@ -532,10 +533,29 @@ class TestResolutionPurity:
         docs = [SpecDocument(name="d", sections=(Section("S", (req,)),))]
         for r in release_universe(docs, registry):
             for dep in (None, DeploymentType.SA, DeploymentType.NSA):
-                text, _, _ = resolve_details(req, r, dep, registry)
+                text, _ = resolve_details(req, r, dep, registry)
                 assert not TAG_RE.search(text), (r, dep, text)
             [(_, record)] = extract_release_dataset(docs, r, registry, min_tokens=0).records
             assert not TAG_RE.search(record), (r, record)
+
+
+class TestReachableDevs:
+    @settings(max_examples=200, deadline=None)
+    @given(versioned_requirements(), universes(), registries())
+    def test_one_set_walk_equals_two_set_reference(self, req, universe, registry):
+        """`resolve_details` gives the reference's text and reachable devs, and
+        `materialize` derives the devs that the reference gathers as contributing."""
+        for r in universe:
+            for dep in (None, DeploymentType.SA, DeploymentType.NSA):
+                expected = reference_resolve(req, r, dep, registry)
+                details = resolve_details(req, r, dep, registry)
+                resolved = materialize(req, r, dep, registry)
+                if expected is None:
+                    assert details is None and resolved is None
+                    continue
+                text, contributing, reachable = expected
+                assert details == (text, reachable)
+                assert resolved.contributing_devs == contributing
 
 
 class TestResolveRuns:
@@ -546,14 +566,14 @@ class TestResolveRuns:
         for dep in (None, DeploymentType.SA, DeploymentType.NSA):
             runs = list(resolve_runs(req, universe, dep, registry))
             covered = []
-            for first, last, text, contributing, seen in runs:
+            for first, last, text, seen in runs:
                 assert first <= last
                 assert not covered or covered[-1] < first
                 members = [r for r in universe if first <= r <= last]
                 assert members[0] == first and members[-1] == last
                 covered += members
                 for r in members:
-                    assert resolve_details(req, r, dep, registry) == (text, contributing, seen)
+                    assert resolve_details(req, r, dep, registry) == (text, seen)
             assert covered == valid
 
     def test_run_ends_at_version_end_and_dev_introduction(self):
@@ -567,11 +587,11 @@ class TestResolveRuns:
         )
         universe = [rel(r) for r in ("01R1", "01R2", "01R3", "01R4")]
         runs = [
-            (str(first), str(last), text, contributing, seen)
-            for first, last, text, contributing, seen in resolve_runs(req, universe, None, registry)
+            (str(first), str(last), text, seen)
+            for first, last, text, seen in resolve_runs(req, universe, None, registry)
         ]
         assert runs == [
-            ("01R1", "01R1", "a", set(), set()),
-            ("01R2", "01R2", "u old v", set(), {"CB00XXXX"}),
-            ("01R3", "01R4", "u new v", {"CB00XXXX"}, {"CB00XXXX"}),
+            ("01R1", "01R1", "a", set()),
+            ("01R2", "01R2", "u old v", {"CB00XXXX"}),
+            ("01R3", "01R4", "u new v", {"CB00XXXX"}),
         ]
