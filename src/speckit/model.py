@@ -6,11 +6,13 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Iterator, Mapping, Optional, Union
 
 # Each id is ASCII and matched whole (`fullmatch`): `\d` would take any
-# Unicode digit, and `$` would also match before a final "\n".
-RELEASE_ID_RE = re.compile(r"([0-9]{2})R([0-9]+)")
+# Unicode digit, and `$` would also match before a final "\n".  A revision
+# has no leading zero, so each release has one spelling.
+RELEASE_ID_RE = re.compile(r"([0-9]{2})R([1-9][0-9]*)")
 DEVELOPMENT_ID_PATTERN = r"CB[0-9A-Za-z]{6}"
 DEVELOPMENT_ID_RE = re.compile(DEVELOPMENT_ID_PATTERN)
 # The canonical inline tag, in exact case with one inner space:
@@ -20,22 +22,27 @@ TAG_RE = re.compile(TAG_PATTERN)
 REQUIREMENT_ID_RE = re.compile(r"(?=.*[A-Z])[A-Z0-9_]{3,64}")
 
 
-@dataclass(frozen=True, order=True)
-class ReleaseId:
+class ReleaseId(tuple):
     """Software release identifier, rendered as "NNRk" (e.g. "01R1").
 
-    Ordering is lexicographic on (major, revision) as integers, so
-    "02R1" > "01R9".
+    An immutable (major, revision) tuple: order, equality and hashing are
+    tuple's own, on the integers, so "02R1" > "01R9".
     """
 
-    major: int
-    revision: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.major < 0 or self.major > 99:
-            raise ValueError(f"release major out of range: {self.major}")
-        if self.revision < 1:
-            raise ValueError(f"release revision must be positive: {self.revision}")
+    def __new__(cls, major: int, revision: int) -> "ReleaseId":
+        if major < 0 or major > 99:
+            raise ValueError(f"release major out of range: {major}")
+        if revision < 1:
+            raise ValueError(f"release revision must be positive: {revision}")
+        return tuple.__new__(cls, (major, revision))
+
+    def __getnewargs__(self) -> tuple[int, int]:  # copy and pickle call __new__ with these
+        return tuple(self)
+
+    major = property(itemgetter(0))
+    revision = property(itemgetter(1))
 
     @classmethod
     def parse(cls, text: str) -> "ReleaseId":
@@ -46,6 +53,9 @@ class ReleaseId:
 
     def __str__(self) -> str:
         return f"{self.major:02d}R{self.revision}"
+
+    def __repr__(self) -> str:
+        return f"ReleaseId(major={self.major}, revision={self.revision})"
 
 
 def compare_releases(a: ReleaseId, b: ReleaseId) -> int:
@@ -163,9 +173,9 @@ class RequirementVersion:
             )
 
     def contains(self, r: ReleaseId) -> bool:
-        if r < self.first_release:
-            return False
-        return self.last_release is None or r <= self.last_release
+        if self.last_release is None:
+            return self.first_release <= r
+        return self.first_release <= r <= self.last_release
 
     def overlaps(self, other: "RequirementVersion") -> bool:
         a_last = self.last_release

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import repeat
-from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import DevelopmentNotPresentError, UnknownDevelopmentError
 from .model import (
@@ -66,14 +66,12 @@ class DiffKind(Enum):
     UNCHANGED = "unchanged"
 
 
-@dataclass(frozen=True, slots=True)
-class DiffSegment:
+class DiffSegment(NamedTuple):
     kind: DiffKind
     text: str
 
 
-@dataclass(frozen=True, slots=True)
-class BehaviorDiff:
+class BehaviorDiff(NamedTuple):
     id: str
     release_a: ReleaseId
     release_b: ReleaseId
@@ -431,13 +429,7 @@ def diff_texts(
     causes: frozenset[str] = frozenset()
     if sentences_a != sentences_b:  # exactly when some segment is not unchanged
         causes = diff_causes(release_a, release_b, devs_a, devs_b, dev_releases)
-    return BehaviorDiff(
-        id=req_id,
-        release_a=release_a,
-        release_b=release_b,
-        segments=segments,
-        causes=causes,
-    )
+    return BehaviorDiff(req_id, release_a, release_b, segments, causes)
 
 
 def diff_causes(
@@ -451,15 +443,10 @@ def diff_causes(
 
     These are the causes `diff_texts` gives a diff that has changes.
     """
-    # The (major, revision) keys that ReleaseId's order compares, built
-    # once per release instead of twice per `<=`.
-    key_a = (release_a.major, release_a.revision)
-    key_b = (release_b.major, release_b.revision)
     causes: set[str] = set()
     for dev in devs_a | devs_b:
         introduced = dev_releases[dev]
-        key = (introduced.major, introduced.revision)
-        if (key <= key_a) != (key <= key_b):
+        if (introduced <= release_a) != (introduced <= release_b):
             causes.add(dev)
     return frozenset(causes)
 

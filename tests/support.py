@@ -654,6 +654,7 @@ MALFORMED_INDEX_EDITS = {
         "proc-dep-id-without-entry": (("proc_dep", "P", "SA", "01R1", 0, 0), "R9"),
         "registry-bad-release": (("registry", "CB00XXXX"), "x"),
         "universe-release-trailing-newline": (("release_universe", 0), "01R1\n"),
+        "universe-release-zero-padded": (("release_universe", 0), "01R01"),
     }.items()
 }
 MALFORMED_INDEX_EDITS["proc-dep-bad-deployment"] = (

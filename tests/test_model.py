@@ -1,8 +1,13 @@
+import copy
+import pickle
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from speckit.model import (
+    RELEASE_ID_RE,
     DeploymentSpan,
     DeploymentType,
     DevBlock,
@@ -39,10 +44,61 @@ class TestReleaseId:
         assert str(rel("02R10")) == "02R10"
         assert rel("01R1") == ReleaseId(1, 1)
 
-    @pytest.mark.parametrize("bad", ["1R1", "01r1", "01R0", "R1", "01R", "a1R1", "01R1x"])
+    @pytest.mark.parametrize(
+        "bad", ["1R1", "01r1", "01R0", "R1", "01R", "a1R1", "01R1x", "01R01", "01R00"]
+    )
     def test_malformed(self, bad):
         with pytest.raises(ValueError):
             rel(bad)
+
+    def test_fields_are_read_only(self):
+        r = rel("01R2")
+        for name in ("major", "revision", "other"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, 3)
+        assert (r.major, r.revision) == (1, 2)
+
+    def test_repr_and_constructor_messages(self):
+        assert repr(rel("02R10")) == "ReleaseId(major=2, revision=10)"
+        for args, message in [
+            ((100, 1), "release major out of range: 100"),
+            ((-1, 1), "release major out of range: -1"),
+            ((1, 0), "release revision must be positive: 0"),
+        ]:
+            with pytest.raises(ValueError) as raised:
+                ReleaseId(*args)
+            assert str(raised.value) == message
+
+    def test_order_and_hash_are_tuples_own(self):
+        """Compared and hashed by tuple's C slots, not by Python methods."""
+        for name in ("__lt__", "__le__", "__eq__", "__gt__", "__ge__", "__hash__"):
+            assert getattr(ReleaseId, name) is getattr(tuple, name), name
+
+    def test_copy_and_pickle_keep_the_type(self):
+        r = rel("02R10")
+        for again in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert type(again) is ReleaseId and again == r
+
+    @given(st.integers(0, 99), st.integers(1, 10**4), st.integers(0, 99), st.integers(1, 10**4))
+    def test_order_and_hash_match_pair_oracle(self, major_a, rev_a, major_b, rev_b):
+        a, b = ReleaseId(major_a, rev_a), ReleaseId(major_b, rev_b)
+        key_a, key_b = (major_a, rev_a), (major_b, rev_b)
+        assert (a < b) == (key_a < key_b)
+        assert (a <= b) == (key_a <= key_b)
+        assert (a == b) == (key_a == key_b)
+        assert hash(a) == hash(key_a)
+
+    @given(st.one_of(
+        st.from_regex(RELEASE_ID_RE, fullmatch=True),
+        st.text(alphabet="019R", max_size=6),
+    ))
+    def test_accepted_id_has_one_spelling(self, text):
+        """`str` inverts `parse` on every id `parse` accepts."""
+        try:
+            r = ReleaseId.parse(text)
+        except ValueError:
+            return
+        assert str(r) == text
 
     def test_successive_revisions_compare(self):
         # 01R2 succeeds 01R1

@@ -333,6 +333,8 @@ class TestParseDocument:
             ("first=1R1 last=01R1", ["1R1"]),
             ("first=01R1 last=1R1", ["1R1"]),
             ("first=1R1 last=x", ["1R1", "x"]),
+            # a zero-padded revision: 01R1 has one spelling
+            ("first=01R01 last=01R1", ["01R01"]),
             # Arabic-Indic digits: a release id is ASCII
             ("first=\u0660\u0661R\u0661 last=01R1", ["\u0660\u0661R\u0661"]),
         ],

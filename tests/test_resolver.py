@@ -25,6 +25,7 @@ from speckit.model import (
 )
 from speckit.resolver import (
     _SENTENCE_MAXSIZE,
+    BehaviorDiff,
     DiffKind,
     DiffSegment,
     _sentences,
@@ -459,6 +460,54 @@ class TestDiffBehavior:
         )
         assert not diff.has_changes
         assert diff.causes == frozenset()
+
+
+class TestDiffRecords:
+    """`BehaviorDiff` and `DiffSegment` are immutable; `to_dict` is the JSON
+    shape every writer prints."""
+
+    SEGMENTS = (
+        DiffSegment(DiffKind.UNCHANGED, "One."),
+        DiffSegment(DiffKind.REMOVED, "Two."),
+        DiffSegment(DiffKind.ADDED, "Three."),
+    )
+
+    def test_fields_in_order(self):
+        assert DiffSegment._fields == ("kind", "text")
+        assert BehaviorDiff._fields == ("id", "release_a", "release_b", "segments", "causes")
+
+    def test_immutable(self, cb_req, cb_registry):
+        diff = diff_behavior(cb_req, rel("01R1"), rel("01R2"), None, cb_registry)
+        for record, name in [(diff, "causes"), (diff, "segments"), (diff.segments[0], "text")]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, "x")
+        assert diff.causes == {"CB00XXXX"}
+
+    def test_to_dict(self):
+        diff = BehaviorDiff(
+            "R1", rel("01R1"), rel("01R2"), self.SEGMENTS, frozenset({"CB00YYYY", "CB00XXXX"})
+        )
+        assert diff.has_changes
+        assert (diff.added(), diff.removed()) == (["Three."], ["Two."])
+        assert diff.to_dict() == {
+            "id": "R1",
+            "release_a": "01R1",
+            "release_b": "01R2",
+            "segments": [["unchanged", "One."], ["removed", "Two."], ["added", "Three."]],
+            "causes": ["CB00XXXX", "CB00YYYY"],
+        }
+
+    def test_unchanged_to_dict(self):
+        diff = BehaviorDiff("R1", rel("01R2"), rel("01R1"), self.SEGMENTS[:1], frozenset())
+        assert not diff.has_changes
+        assert (diff.added(), diff.removed()) == ([], [])
+        assert diff.to_dict() == {
+            "id": "R1",
+            "release_a": "01R2",
+            "release_b": "01R1",
+            "segments": [["unchanged", "One."]],
+            "causes": [],
+        }
 
 
 class TestDiffTexts:
